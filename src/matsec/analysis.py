@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .instances import (InstanceBundle, double_triangle, fuzz_corpus, hat_graph,
                         random_graphic, uniform_instance)
@@ -107,17 +106,19 @@ def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int,
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not bundle.mwb:
+        raise ValueError("the optimum is empty: no element can be accepted")
     counts = {u: 0 for u in sorted(bundle.mwb)}
     opt_value = bundle.weights.total(bundle.mwb)
-    ratio_sum = Fraction(0)
+    value_sum = Fraction(0)
     for trace in trial_stream(policy, bundle.view, bundle.weights, p, trials, seed):
         for u in trace.accepted:
             if u in counts:
                 counts[u] += 1
-        ratio_sum += bundle.weights.total(trace.accepted) / opt_value
+        value_sum += bundle.weights.total(trace.accepted)
     freqs = {u: c / trials for u, c in counts.items()}
     min_freq = min(freqs.values())
-    return EstimateReport(trials, freqs, min_freq, float(ratio_sum / trials),
+    return EstimateReport(trials, freqs, min_freq, float(value_sum / (opt_value * trials)),
                           three_sigma(min_freq, trials),
                           analytic_bound, bound_direction)
 
@@ -148,6 +149,9 @@ def modified_hat_bounds(n: int, p: float) -> tuple[float, float]:
         raise ValueError("n must be at least 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
+    # imported here: scipy.integrate dominates the cost of `import matsec`
+    from scipy.integrate import simpson
+
     half = n // 2
     p_n = 1.0 - (1.0 - p ** 3) ** half
     ts = np.linspace(p, 1.0, 1025)

@@ -33,7 +33,11 @@ INSTANCE_FAMILIES = ("triangle", "double-triangle", "hat", "modified-hat",
 
 
 def _seed_default() -> int:
-    return int(os.environ.get("MATSEC_SEED", "0"))
+    text = os.environ.get("MATSEC_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"MATSEC_SEED must be an integer, got {text!r}") from None
 
 
 def _resolve_instance(args) -> tuple[InstanceBundle, str, int]:
@@ -57,6 +61,8 @@ def _resolve_instance(args) -> tuple[InstanceBundle, str, int]:
     if fam == "uniform":
         return instances.uniform_instance(n, args.k if args.k is not None else 1), fam, n
     if fam == "random-graphic":
+        if args.vertices < 1 or args.edges < 0:
+            raise DomainError("random-graphic needs --vertices >= 1 and --edges >= 0")
         rng = trial_rng(args.seed, 0xE5E5)
         return instances.random_graphic(args.vertices, args.edges, rng), fam, args.edges
     raise DomainError(f"unknown instance family: {fam!r}")
@@ -97,7 +103,7 @@ def _add_policy_args(sp) -> None:
 def _add_run_args(sp) -> None:
     sp.add_argument("--p", type=float, default=0.5,
                     help="sampling cutoff; arrivals before p are samples")
-    sp.add_argument("--seed", type=int, default=_seed_default(),
+    sp.add_argument("--seed", type=int, default=None,
                     help="master seed (default: MATSEC_SEED or 0)")
 
 
@@ -161,8 +167,11 @@ def _cmd_estimate(args) -> int:
 # -- sweep -------------------------------------------------------------------
 
 
-def _grid(text: str, cast):
-    return [cast(part) for part in text.split(",") if part.strip()]
+def _grid(text: str, cast, flag: str):
+    values = [cast(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value")
+    return values
 
 
 def _sweep_bound(family: str, canonical: str, label: str, p: float):
@@ -175,8 +184,8 @@ def _sweep_bound(family: str, canonical: str, label: str, p: float):
 def _cmd_sweep(args) -> int:
     spec = _policy_spec(args)
     canonical = build_policy(spec).name
-    ps = _grid(args.p_grid, float)
-    ns = _grid(args.n_grid, int) if args.n_grid else [None]
+    ps = _grid(args.p_grid, float, "--p-grid")
+    ns = [None] if args.n_grid is None else _grid(args.n_grid, int, "--n-grid")
     if ns != [None] and args.instance not in ("hat", "modified-hat", "uniform"):
         raise DomainError(f"--n-grid does not apply to {args.instance}")
     rows = []
@@ -376,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="CSV sweep over p (and n) grids")
     _add_instance_args(sp)
     _add_policy_args(sp)
-    sp.add_argument("--seed", type=int, default=_seed_default())
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--trials", type=int, default=2000)
     sp.add_argument("--p-grid", default="0.25,0.5,0.75",
                     help="comma separated sampling cutoffs")
@@ -394,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=SUITE_NAMES)
     sp.add_argument("--cases", type=int, default=None)
     sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=_seed_default())
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", type=float, default=0.5)
     sp.set_defaults(func=_cmd_verify)
@@ -413,6 +422,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _seed_default()    # read here, so a bad MATSEC_SEED exits 2
         return args.func(args)
     except (DomainError, PreconditionError, OracleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,9 @@ class RunningMwb:
     which equals the max-weight basis of the whole inserted set: at most
     one element is displaced per insertion and a displaced element never
     returns, so the small update is exact. insert() reports whether u
-    entered the basis and which element (if any) it displaced.
+    entered the basis and which element (if any) it displaced. The uniform
+    kernel keeps a sorted rank list; the graphic kernel keeps a rooted
+    forest and pays O(tree depth) per insert, not O(component size).
     """
 
     def insert(self, u: int) -> tuple[bool, int | None]:
@@ -77,6 +79,16 @@ class _UniformRunningMwb(RunningMwb):
 
 
 class _GraphicRunningMwb(RunningMwb):
+    """The basis as a rooted forest on the vertices left after contraction:
+    each vertex stores its parent and the edge to it.
+
+    The circuit u closes is the tree path between its endpoints a and b,
+    found by marking a's ancestors and walking up from b to the first marked
+    vertex, so an insert costs O(tree depth) instead of a search of the
+    whole component. The displaced edge is cut at its child endpoint, and u
+    is linked by re-rooting a's tree at a and hanging it below b.
+    """
+
     def __init__(self, view: MatroidView, weights: WeightedGroundSet):
         base = view.base
         self._ground = view.ground
@@ -87,7 +99,8 @@ class _GraphicRunningMwb(RunningMwb):
         for e in view.contraction:
             uf.union(*base.endpoints[e])
         self._root = [uf.find(v) for v in range(base.num_vertices)]
-        self._adj: dict[int, dict[int, int]] = {}   # root -> {root: edge id}
+        self._parent: list[int | None] = [None] * base.num_vertices
+        self._parent_edge: list[int | None] = [None] * base.num_vertices
         self._edges: set[int] = set()
 
     def insert(self, u: int) -> tuple[bool, int | None]:
@@ -100,57 +113,40 @@ class _GraphicRunningMwb(RunningMwb):
         a, b = self._root[ea], self._root[eb]
         if a == b:
             return False, None           # loop after contraction: never independent
-        path = self._path(a, b)
-        adj = self._adj
-        if path is None:
-            adj.setdefault(a, {})[b] = u
-            adj.setdefault(b, {})[a] = u
-            return True, None
-        # unique circuit = path + u; the lightest circuit edge leaves the basis
-        rank_of = self._rank_of
-        worst_edge, worst_rank, worst_ends = u, rank_of(u), None
-        for x, y, e in path:
-            r = rank_of(e)
-            if r > worst_rank:
-                worst_edge, worst_rank, worst_ends = e, r, (x, y)
-        if worst_edge == u:
-            return False, None
-        x, y = worst_ends
-        del adj[x][y]
-        del adj[y][x]
-        adj.setdefault(a, {})[b] = u
-        adj.setdefault(b, {})[a] = u
-        return True, worst_edge
-
-    def _path(self, a: int, b: int):
-        """Edges along the forest path a..b, or None if disconnected."""
-        adj = self._adj
-        if a not in adj or b not in adj:
-            return None
-        parent = {a: None}
-        stack = [a]
-        found = False
-        while stack and not found:
-            x = stack.pop()
-            for y, e in adj[x].items():
-                if y not in parent:
-                    parent[y] = (x, e)
-                    if y == b:
-                        found = True
-                        break
-                    stack.append(y)
-        if not found:
-            return None
-        path = []
-        y = b
-        while parent[y] is not None:
-            x, e = parent[y]
-            path.append((x, y, e))
-            y = x
-        return path
+        parent, parent_edge = self._parent, self._parent_edge
+        marked = set()
+        x = a
+        while x is not None:
+            marked.add(x)
+            x = parent[x]
+        lca = b
+        while lca is not None and lca not in marked:
+            lca = parent[lca]
+        kicked = None
+        if lca is not None:
+            # unique circuit = path a..lca..b + u; the lightest circuit edge leaves
+            rank_of = self._rank_of
+            worst_rank, worst_child = rank_of(u), None
+            for x in (a, b):
+                while x != lca:
+                    r = rank_of(parent_edge[x])
+                    if r > worst_rank:
+                        worst_rank, worst_child = r, x
+                    x = parent[x]
+            if worst_child is None:
+                return False, None
+            kicked = parent_edge[worst_child]
+            parent[worst_child] = parent_edge[worst_child] = None
+        # re-root a's tree at a by reversing its root path, then hang a below b
+        x, new_parent, new_edge = a, b, u
+        while x is not None:
+            next_x, next_edge = parent[x], parent_edge[x]
+            parent[x], parent_edge[x] = new_parent, new_edge
+            x, new_parent, new_edge = next_x, x, next_edge
+        return True, kicked
 
     def basis(self) -> frozenset:
-        return frozenset(e for d in self._adj.values() for e in d.values())
+        return frozenset(e for e in self._parent_edge if e is not None)
 
 
 def running_mwb(view: MatroidView, weights: WeightedGroundSet) -> RunningMwb:

@@ -55,6 +55,27 @@ class TestExitCodes:
         assert code == 2
         assert "n-grid" in err
 
+    @pytest.mark.parametrize("argv, needle", [
+        (("estimate", "--instance", "uniform", "--n", "5", "--k", "0",
+          "--policy", "sample"), "optimum is empty"),
+        (("sweep", "--instance", "hat", "--p-grid", ""), "--p-grid"),
+        (("sweep", "--instance", "hat", "--n-grid", ""), "--n-grid"),
+        (("estimate", "--instance", "random-graphic", "--vertices", "0"), "--vertices"),
+    ])
+    def test_bad_input_is_one_line_error(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, *argv, "--trials", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert needle in err
+
+    def test_bad_seed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("MATSEC_SEED", "abc")
+        code, _, err = run_cli(capsys, "estimate", "--trials", "5")
+        assert code == 2
+        assert err.startswith("error:") and "MATSEC_SEED" in err
+        code, _, _ = run_cli(capsys, "estimate", "--trials", "5", "--seed", "3")
+        assert code == 0
+
 
 # -- replay ---------------------------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 
 from matsec import (
     DomainError,
+    GraphicMatroid,
     MatroidView,
     Policy,
     PolicySpec,
@@ -13,6 +14,7 @@ from matsec import (
     WeightedGroundSet,
     build_policy,
     forced_schedule,
+    modified_hat_graph,
     random_graphic,
     run_trial,
     running_mwb,
@@ -27,6 +29,18 @@ from matsec.policies import (
     PolicyViolation,
     VirtualMspPolicy,
 )
+
+
+def forest_depth(kernel):
+    """Longest parent chain in a graphic kernel's forest; 0 for uniform."""
+    parent = getattr(kernel, "_parent", [])
+    depth = 0
+    for v in range(len(parent)):
+        steps = 0
+        while parent[v] is not None:
+            v, steps = parent[v], steps + 1
+        depth = max(depth, steps)
+    return depth
 
 
 def labels_of(bundle, ids):
@@ -68,29 +82,57 @@ class TestRunningMwb:
         assert kernel.insert(2) == (True, 0)        # e3 evicts the light e1
         assert kernel.basis() == frozenset({1, 2})
 
-    def test_matches_greedy_on_random_streams(self):
-        # the kernel must agree with from-scratch greedy after every insert,
-        # and an eviction must be exactly the basis diff
+    @staticmethod
+    def random_streams():
+        """(view, weights, insertion order) cases: small instances, larger
+        multigraphs with loops and parallel edges, a long cycle whose forest
+        grows deep, random contractions, and the modified hat graph."""
         for case in range(40):
             rng = np.random.default_rng(case)
             if case % 3 == 0:
                 b = uniform_instance(8, int(rng.integers(1, 4)))
             else:
                 b = random_graphic(5, 8, rng)
-            order = list(rng.permutation(b.weights.count))
-            kernel = running_mwb(b.view, b.weights)
+            yield b.view, b.weights, rng.permutation(b.weights.count)
+        for case in range(6):
+            rng = np.random.default_rng(100 + case)
+            b = random_graphic(30, 90, rng)
+            yield b.view, b.weights, rng.permutation(b.weights.count)
+            b = random_graphic(12, 30, rng)
+            minor = b.view.contract(b.view.greedy_mwb(
+                b.weights, [u for u in range(30) if rng.random() < 0.3]))
+            yield minor, b.weights, rng.permutation(sorted(minor.ground))
+        for case in range(3):
+            rng = np.random.default_rng(200 + case)
+            # a 40-cycle inserted in path order, then 20 random chords
+            cycle = [(i, (i + 1) % 40) for i in range(40)]
+            chords = [tuple(int(v) for v in rng.integers(40, size=2)) for _ in range(20)]
+            view = MatroidView.full(GraphicMatroid(40, tuple(cycle + chords)))
+            weights = WeightedGroundSet.from_weights(rng.permutation(60) + 1)
+            yield view, weights, list(range(40)) + list(40 + rng.permutation(20))
+            b = modified_hat_graph(8)
+            yield b.view, b.weights, rng.permutation(b.weights.count)
+
+    def test_matches_greedy_on_random_streams(self):
+        # the kernel must agree with from-scratch greedy after every insert,
+        # and an eviction must be exactly the basis diff
+        deepest = 0
+        for view, weights, order in self.random_streams():
+            kernel = running_mwb(view, weights)
             seen = set()
-            for u in order:
+            for u in map(int, order):
                 before = kernel.basis()
-                entered, kicked = kernel.insert(int(u))
-                seen.add(int(u))
-                expect = b.view.greedy_mwb(b.weights, seen)
+                entered, kicked = kernel.insert(u)
+                seen.add(u)
+                expect = view.greedy_mwb(weights, seen)
                 assert kernel.basis() == expect
-                assert entered == (int(u) in expect)
+                assert entered == (u in expect)
                 if kicked is None:
                     assert before <= expect
                 else:
                     assert before - expect == {kicked}
+                deepest = max(deepest, forest_depth(kernel))
+        assert deepest > 10
 
     def test_contracted_graphic(self):
         b = triangle()
@@ -224,14 +266,16 @@ class TestOptimistic:
 
 class TestVirtualCrossCheck:
     def test_running_basis_never_drifts(self):
-        for seed in range(6):
-            rng = np.random.default_rng(seed)
-            b = random_graphic(5, 9, rng)
+        cases = [(random_graphic(5, 9, np.random.default_rng(seed)), seed, 0.4)
+                 for seed in range(6)]
+        cases += [(modified_hat_graph(16), seed, 0.5) for seed in range(3)]
+        for b, seed, p in cases:
             plain = run_trial("virtual-msp", b.view, b.weights,
-                              _seeded_schedule(b, seed), 0.4)
+                              _seeded_schedule(b, seed), p)
             checked = run_trial(VirtualMspPolicy(cross_check=True), b.view,
-                                b.weights, _seeded_schedule(b, seed), 0.4)
+                                b.weights, _seeded_schedule(b, seed), p)
             assert plain.accepted == checked.accepted
+            assert plain.records == checked.records
 
 
 def _seeded_schedule(bundle, seed):
