@@ -483,7 +483,7 @@ def _suite_matroid_axioms(cases: int, seed: int) -> SuiteResult:
             result.failures += check_matroid_axioms(
                 uniform_instance(n, k).view)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA1)))
-    corpus = fuzz_corpus(max(cases, 1), seed)
+    corpus = fuzz_corpus(cases, seed)
     for bundle in corpus:
         view = bundle.view
         ground = sorted(view.ground)
@@ -641,20 +641,29 @@ def _suite_forbidden_consistency(trials: int, seed: int, n: int, p: float) -> Su
     return result
 
 
-SUITE_NAMES = ("matroid-axioms", "mwb-lemmas", "equivalences",
-               "claw-blocker", "forbidden-consistency")
+def _given(value: int | None, default: int) -> int:
+    return default if value is None else value
+
+
+# suite name -> runner(cases, trials, seed, n, p); each fills in its own defaults
+_SUITES = {
+    "matroid-axioms": lambda c, t, seed, n, p: _suite_matroid_axioms(_given(c, 20), seed),
+    "mwb-lemmas": lambda c, t, seed, n, p: _suite_mwb_lemmas(_given(c, 2000), seed),
+    "equivalences": lambda c, t, seed, n, p: _suite_equivalences(_given(c, 200), seed),
+    "claw-blocker": lambda c, t, seed, n, p:
+        _suite_claw_blocker(_given(t, 2000), seed, _given(n, 5), p),
+    "forbidden-consistency": lambda c, t, seed, n, p:
+        _suite_forbidden_consistency(_given(t, 1000), seed, _given(n, 5), p),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, *, cases: int | None = None, trials: int | None = None,
               seed: int = 0, n: int | None = None, p: float = 0.5) -> SuiteResult:
-    if name == "matroid-axioms":
-        return _suite_matroid_axioms(cases or 20, seed)
-    if name == "mwb-lemmas":
-        return _suite_mwb_lemmas(cases or 2000, seed)
-    if name == "equivalences":
-        return _suite_equivalences(cases or 200, seed)
-    if name == "claw-blocker":
-        return _suite_claw_blocker(trials or 2000, seed, n or 5, p)
-    if name == "forbidden-consistency":
-        return _suite_forbidden_consistency(trials or 1000, seed, n or 5, p)
-    raise ValueError(f"unknown suite: {name!r}")
+    """Run one named suite; a count left as None takes the suite's default."""
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite: {name!r}")
+    for flag, value in (("cases", cases), ("trials", trials), ("n", n)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    return _SUITES[name](cases, trials, seed, n, p)

@@ -23,7 +23,7 @@ from .analysis import (OracleError, SUITE_NAMES, certify_no_size1_strong_fs,
                        estimate, run_suite, three_sigma)
 from .instances import InstanceBundle
 from .matroid import DomainError, PreconditionError, dump_instance, parse_instance
-from .policies import POLICY_NAMES, PolicySpec, build_policy
+from .policies import POLICIES, PolicySpec
 from .simulate import (draw_schedule, dump_json_line, dump_schedule, dump_trace,
                        forced_schedule, json_ready, parse_schedule, run_trial,
                        trial_rng)
@@ -69,8 +69,7 @@ def _resolve_instance(args) -> tuple[InstanceBundle, str, int]:
 
 
 def _policy_spec(args) -> PolicySpec:
-    k = args.k if args.policy in ("optimistic", "virtual-uniform") else None
-    return PolicySpec(args.policy, k=k, reference=args.reference)
+    return PolicySpec(args.policy, k=args.k)
 
 
 def _out_stream(path):
@@ -93,11 +92,8 @@ def _add_instance_args(sp) -> None:
 
 
 def _add_policy_args(sp) -> None:
-    sp.add_argument("--policy", default="virtual-msp",
-                    choices=POLICY_NAMES + ("greedy", "virtual"),
+    sp.add_argument("--policy", default="virtual-msp", choices=tuple(POLICIES),
                     help="acceptance policy (default: virtual-msp)")
-    sp.add_argument("--reference", default="sample-contracted",
-                    help="reference-set rule for greedy-framework")
 
 
 def _add_run_args(sp) -> None:
@@ -142,10 +138,9 @@ def _cmd_simulate(args) -> int:
 
 def _auto_bound(family: str, spec: PolicySpec, p: float):
     """Analytic reference bound when one is known for this combination."""
-    canonical = build_policy(spec).name
-    if family == "hat" and canonical in ("virtual-msp", "virtual-uniform"):
-        if abs(p - 0.5) <= 1e-9:
-            return 0.25, "lower"
+    canonical = spec.canonical
+    if family == "hat" and canonical == "virtual-msp" and abs(p - 0.5) <= 1e-9:
+        return 0.25, "lower"
     if canonical == "dynkin" and 0.0 < p < 1.0:
         return p * math.log(1.0 / p), "lower"
     return None, None
@@ -175,15 +170,14 @@ def _grid(text: str, cast, flag: str):
 
 
 def _sweep_bound(family: str, canonical: str, label: str, p: float):
-    if family == "hat" and canonical in ("virtual-msp", "virtual-uniform") \
-            and label == "e_inf":
+    if family == "hat" and canonical == "virtual-msp" and label == "e_inf":
         return p * p * (1.0 - p)
     return None
 
 
 def _cmd_sweep(args) -> int:
     spec = _policy_spec(args)
-    canonical = build_policy(spec).name
+    canonical = spec.canonical
     ps = _grid(args.p_grid, float, "--p-grid")
     ns = [None] if args.n_grid is None else _grid(args.n_grid, int, "--n-grid")
     if ns != [None] and args.instance not in ("hat", "modified-hat", "uniform"):

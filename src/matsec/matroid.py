@@ -206,7 +206,13 @@ class MatroidView:
             bad = sorted(S - self._ground)
             raise DomainError(f"elements outside effective ground set: {bad}")
 
-    def _seeded_union_find(self) -> UnionFind:
+    @property
+    def free_rank(self) -> int:
+        """Uniform views only: the slots the contraction leaves, k - |contraction|."""
+        return self.base.k - len(self.contraction)
+
+    def seeded_union_find(self) -> UnionFind:
+        """Graphic views only: union-find on the base vertices, contracted edges joined."""
         uf = UnionFind(self.base.num_vertices)
         for u in self.contraction:
             uf.union(*self.base.endpoints[u])
@@ -221,8 +227,8 @@ class MatroidView:
         S = frozenset(S)
         self._check_domain(S)
         if isinstance(self.base, UniformMatroid):
-            return min(len(S), self.base.k - len(self.contraction))
-        uf = self._seeded_union_find()
+            return min(len(S), self.free_rank)
+        uf = self.seeded_union_find()
         return sum(1 for u in S if uf.union(*self.base.endpoints[u]))
 
     def span(self, S: Iterable[int]) -> frozenset:
@@ -235,9 +241,8 @@ class MatroidView:
         S = frozenset(S)
         self._check_domain(S)
         if isinstance(self.base, UniformMatroid):
-            k_eff = self.base.k - len(self.contraction)
-            return frozenset(self._ground) if len(S) >= k_eff else S
-        uf = self._seeded_union_find()
+            return frozenset(self._ground) if len(S) >= self.free_rank else S
+        uf = self.seeded_union_find()
         for u in S:
             uf.union(*self.base.endpoints[u])
         spanned = []
@@ -257,9 +262,8 @@ class MatroidView:
         S = self._ground if S is None else frozenset(S)
         self._check_domain(S)
         if isinstance(self.base, UniformMatroid):
-            k_eff = self.base.k - len(self.contraction)
-            return frozenset(weights.sort_desc(S)[:max(k_eff, 0)])
-        uf = self._seeded_union_find()
+            return frozenset(weights.sort_desc(S)[:max(self.free_rank, 0)])
+        uf = self.seeded_union_find()
         return frozenset(u for u in weights.sort_desc(S)
                          if uf.union(*self.base.endpoints[u]))
 
@@ -316,6 +320,13 @@ def dump_instance(base: BaseMatroid, weights: WeightedGroundSet, fp: TextIO) -> 
             fp.write(f"edge {u} {a} {b} {format_weight(weights.weight(u))}\n")
 
 
+def _parse_weight(text: str, line: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in weight: {line!r}") from None
+
+
 def parse_instance(fp: TextIO) -> tuple[BaseMatroid, WeightedGroundSet]:
     lines = [ln.strip() for ln in fp]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -335,7 +346,7 @@ def parse_instance(fp: TextIO) -> tuple[BaseMatroid, WeightedGroundSet]:
             u = int(parts[1])
             if not 0 <= u < n or weights[u] is not None:
                 raise ValueError(f"bad or duplicate element id {u}")
-            weights[u] = Fraction(parts[2])
+            weights[u] = _parse_weight(parts[2], ln)
         if any(w is None for w in weights):
             raise ValueError("missing elem lines")
         return UniformMatroid(n, k), WeightedGroundSet.from_weights(weights)
@@ -351,7 +362,7 @@ def parse_instance(fp: TextIO) -> tuple[BaseMatroid, WeightedGroundSet]:
             if not 0 <= u < ne or ends[u] is not None:
                 raise ValueError(f"bad or duplicate edge id {u}")
             ends[u] = (int(parts[2]), int(parts[3]))
-            weights[u] = Fraction(parts[4])
+            weights[u] = _parse_weight(parts[4], ln)
         if any(e is None for e in ends):
             raise ValueError("missing edge lines")
         labels = tuple(f"e{u}" for u in range(ne))

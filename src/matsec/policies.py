@@ -12,8 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .matroid import (DomainError, GraphicMatroid, MatroidView, UniformMatroid,
-                      UnionFind, WeightedGroundSet)
+from .matroid import DomainError, MatroidView, UniformMatroid, WeightedGroundSet
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,7 @@ class Decision:
 
 
 class PolicyViolation(RuntimeError):
-    """A policy or its reference rule broke one of its structural invariants."""
+    """A policy broke one of its structural invariants."""
 
 
 # -- incremental max-weight basis -------------------------------------------
@@ -52,7 +51,7 @@ class RunningMwb:
 class _UniformRunningMwb(RunningMwb):
     def __init__(self, view: MatroidView, weights: WeightedGroundSet):
         self._ground = view.ground
-        self._k = view.base.k - len(view.contraction)
+        self._k = view.free_rank
         self._rank_of = weights.rank_of
         self._ranks: list[int] = []      # ascending rank values, heaviest first
         self._by_rank: dict[int, int] = {}
@@ -95,9 +94,7 @@ class _GraphicRunningMwb(RunningMwb):
         self._endpoints = base.endpoints
         self._rank_of = weights.rank_of
         # collapse contracted edges so the basis forest lives on component roots
-        uf = UnionFind(base.num_vertices)
-        for e in view.contraction:
-            uf.union(*base.endpoints[e])
+        uf = view.seeded_union_find()
         self._root = [uf.find(v) for v in range(base.num_vertices)]
         self._parent: list[int | None] = [None] * base.num_vertices
         self._parent_edge: list[int | None] = [None] * base.num_vertices
@@ -160,13 +157,11 @@ class AcceptedSetTracker:
 
     def __init__(self, view: MatroidView):
         if isinstance(view.base, UniformMatroid):
-            self._slots = view.base.k - len(view.contraction)
+            self._slots = view.free_rank
             self._count = 0
             self._uf = None
         else:
-            self._uf = UnionFind(view.base.num_vertices)
-            for e in view.contraction:
-                self._uf.union(*view.base.endpoints[e])
+            self._uf = view.seeded_union_find()
             self._endpoints = view.base.endpoints
 
     def can_add(self, u: int) -> bool:
@@ -250,35 +245,18 @@ class SampleContractedPolicy(Policy):
         return Decision(False)
 
 
-class _SampleContractedRule:
-    """Reference set = accepted elements plus the max-weight basis of the
-    samples in the matroid contracted by the accepted set."""
-
-    name = "sample-contracted"
-
-    def rebuild(self, view, weights, samples, accepted):
-        minor = view.contract(accepted)
-        return set(minor.greedy_mwb(weights, samples)) | set(accepted)
-
-
-_REFERENCE_RULES = {"sample-contracted": _SampleContractedRule}
-
-
 class GreedyFrameworkPolicy(Policy):
     """Reference-set framework: keep an independent reference set I with
     A <= I <= A + S whose span covers everything seen; accept u iff u enters
     the max-weight basis of I + u after contracting the accepted set.
 
-    The rule's structural invariants are re-checked at every decision and
-    a violation raises PolicyViolation instead of being repaired.
+    I is the accepted set plus the sample basis in the contracted matroid,
+    which makes this the invariant-checked twin of SampleContractedPolicy.
+    The structural invariants are re-checked at every decision and a
+    violation raises PolicyViolation instead of being repaired.
     """
 
     name = "greedy-framework"
-
-    def __init__(self, reference: str = "sample-contracted"):
-        if reference not in _REFERENCE_RULES:
-            raise ValueError(f"unknown reference rule: {reference!r}")
-        self._rule = _REFERENCE_RULES[reference]()
 
     def start(self, view, weights, p):
         self.view = view
@@ -292,10 +270,13 @@ class GreedyFrameworkPolicy(Policy):
         self.samples.add(u)
         self.arrived.add(u)
 
+    def _rebuild(self) -> set[int]:
+        minor = self.view.contract(self.accepted)
+        return set(minor.greedy_mwb(self.weights, self.samples)) | self.accepted
+
     def decide(self, u):
         if self._reference is None:
-            self._reference = self._rule.rebuild(
-                self.view, self.weights, self.samples, self.accepted)
+            self._reference = self._rebuild()
         ref = self._reference
         if not self.accepted <= ref <= (self.accepted | self.samples):
             raise PolicyViolation(
@@ -307,8 +288,7 @@ class GreedyFrameworkPolicy(Policy):
         self.arrived.add(u)
         if accept:
             self.accepted.add(u)
-            self._reference = self._rule.rebuild(
-                self.view, self.weights, self.samples, self.accepted)
+            self._reference = self._rebuild()
         return Decision(accept)
 
 
@@ -361,10 +341,13 @@ class VirtualMspPolicy(Policy):
         return Decision(False, kicked, kicked_was_sample)
 
 
-def _effective_uniform_k(view: MatroidView, what: str) -> int:
+def _effective_uniform_k(view: MatroidView, what: str, k: int | None = None) -> int:
+    """The view's slot count; a given k must match it."""
     if not isinstance(view.base, UniformMatroid):
         raise ValueError(f"{what} runs on uniform matroids only")
-    return view.base.k - len(view.contraction)
+    if k is not None and k != view.free_rank:
+        raise ValueError(f"k={k} does not match the {view.free_rank}-uniform instance")
+    return view.free_rank
 
 
 class DynkinPolicy(Policy):
@@ -410,10 +393,7 @@ class OptimisticPolicy(Policy):
         self._k_param = k
 
     def start(self, view, weights, p):
-        k_eff = _effective_uniform_k(view, "optimistic")
-        if self._k_param is not None and self._k_param != k_eff:
-            raise ValueError(f"k={self._k_param} does not match the {k_eff}-uniform instance")
-        self._k = k_eff
+        self._k = _effective_uniform_k(view, "optimistic", self._k_param)
         self._rank_of = weights.rank_of
         self._refs: list[int] = []          # ascending ranks, heaviest first
         self._ref_elem: dict[int, int] = {}
@@ -452,10 +432,7 @@ class VirtualUniformPolicy(Policy):
         self._k_param = k
 
     def start(self, view, weights, p):
-        k_eff = _effective_uniform_k(view, "virtual-uniform")
-        if self._k_param is not None and self._k_param != k_eff:
-            raise ValueError(f"k={self._k_param} does not match the {k_eff}-uniform instance")
-        self._k = k_eff
+        self._k = _effective_uniform_k(view, "virtual-uniform", self._k_param)
         self._rank_of = weights.rank_of
         self._refs: list[int] = []
         self._ref_elem: dict[int, int] = {}
@@ -491,13 +468,20 @@ class VirtualUniformPolicy(Policy):
 
 # -- registry ----------------------------------------------------------------
 
-_CANONICAL = {
-    "greedy": "greedy-framework",
-    "virtual": "virtual-msp",
+# name -> factory taking the slot count k; factories that need no k ignore it.
+# The aliases come last and share their policy's factory.
+POLICIES = {
+    "dynkin": lambda k: DynkinPolicy(),
+    "optimistic": OptimisticPolicy,
+    "virtual-uniform": VirtualUniformPolicy,
+    "sample": lambda k: SamplePolicy(),
+    "sample-contracted": lambda k: SampleContractedPolicy(),
+    "greedy-framework": lambda k: GreedyFrameworkPolicy(),
+    "virtual-msp": lambda k: VirtualMspPolicy(),
 }
-
-POLICY_NAMES = ("dynkin", "optimistic", "virtual-uniform", "sample",
-                "sample-contracted", "greedy-framework", "virtual-msp")
+POLICY_NAMES = tuple(POLICIES)
+POLICIES["greedy"] = POLICIES["greedy-framework"]
+POLICIES["virtual"] = POLICIES["virtual-msp"]
 
 
 @dataclass(frozen=True)
@@ -507,25 +491,20 @@ class PolicySpec:
 
     name: str
     k: int | None = None
-    reference: str = "sample-contracted"
+
+    def _factory(self):
+        if self.name not in POLICIES:
+            raise ValueError(f"unknown policy: {self.name!r}")
+        return POLICIES[self.name]
+
+    @property
+    def canonical(self) -> str:
+        """The policy's own name, with an alias resolved."""
+        factory = self._factory()
+        return next(name for name in POLICY_NAMES if POLICIES[name] is factory)
 
     def build(self) -> Policy:
-        name = _CANONICAL.get(self.name, self.name)
-        if name == "dynkin":
-            return DynkinPolicy()
-        if name == "optimistic":
-            return OptimisticPolicy(self.k)
-        if name == "virtual-uniform":
-            return VirtualUniformPolicy(self.k)
-        if name == "sample":
-            return SamplePolicy()
-        if name == "sample-contracted":
-            return SampleContractedPolicy()
-        if name == "greedy-framework":
-            return GreedyFrameworkPolicy(self.reference)
-        if name == "virtual-msp":
-            return VirtualMspPolicy()
-        raise ValueError(f"unknown policy: {self.name!r}")
+        return self._factory()(self.k)
 
 
 def build_policy(spec) -> Policy:

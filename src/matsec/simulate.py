@@ -34,6 +34,11 @@ class ArrivalSchedule:
     order: tuple                # ids sorted by (time, id)
 
 
+def _by_time(times: dict) -> ArrivalSchedule:
+    """Schedule over `times`, ordered by (time, id)."""
+    return ArrivalSchedule(times, tuple(sorted(times, key=lambda u: (times[u], u))))
+
+
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Stream for one trial, addressable by (seed, index) so trials give the
     same answers whatever order they run in."""
@@ -61,8 +66,7 @@ def forced_schedule(assignments: Iterable[tuple[int, float]]) -> ArrivalSchedule
         times[int(u)] = float(t)
     if len(set(times.values())) != len(times):
         raise ValueError("forced schedules need distinct times")
-    order = tuple(sorted(times, key=lambda u: (times[u], u)))
-    return ArrivalSchedule(times, order)
+    return _by_time(times)
 
 
 @dataclass(frozen=True)
@@ -196,13 +200,11 @@ def load_records(fp: TextIO) -> tuple[DecisionRecord, ...]:
 def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:
     """Rebuild a trace (including its schedule) from exported records."""
     records = tuple(records)
-    times = {r.element: r.time for r in records}
-    order = tuple(sorted(times, key=lambda u: (times[u], u)))
     return DecisionTrace(
         records,
         frozenset(r.element for r in records if r.accepted),
         frozenset(r.element for r in records if r.phase == PHASE_SAMPLE),
-        ArrivalSchedule(times, order))
+        _by_time({r.element: r.time for r in records}))
 
 
 def dump_schedule(schedule: ArrivalSchedule, fp: TextIO) -> None:

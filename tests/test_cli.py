@@ -1,13 +1,16 @@
 """End-to-end command line checks: exit codes, determinism, file round trips."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from matsec import load_records, parse_instance, parse_schedule
+from matsec import SUITE_NAMES, load_records, parse_instance, parse_schedule
 from matsec.cli import FIXTURES, main
 
 
@@ -57,16 +60,32 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, needle", [
         (("estimate", "--instance", "uniform", "--n", "5", "--k", "0",
-          "--policy", "sample"), "optimum is empty"),
-        (("sweep", "--instance", "hat", "--p-grid", ""), "--p-grid"),
-        (("sweep", "--instance", "hat", "--n-grid", ""), "--n-grid"),
-        (("estimate", "--instance", "random-graphic", "--vertices", "0"), "--vertices"),
+          "--policy", "sample", "--trials", "5"), "optimum is empty"),
+        (("sweep", "--instance", "hat", "--p-grid", "", "--trials", "5"), "--p-grid"),
+        (("sweep", "--instance", "hat", "--n-grid", "", "--trials", "5"), "--n-grid"),
+        (("estimate", "--instance", "random-graphic", "--vertices", "0",
+          "--trials", "5"), "--vertices"),
+        (("verify", "claw-blocker", "--trials", "-2"), "trials must be at least 1"),
+        (("verify", "claw-blocker", "--trials", "0"), "trials must be at least 1"),
+        (("verify", "equivalences", "--cases", "-1"), "cases must be at least 1"),
+        (("verify", "mwb-lemmas", "--cases", "0"), "cases must be at least 1"),
+        (("verify", "forbidden-consistency", "--n", "0", "--trials", "3"),
+         "n must be at least 1"),
     ])
     def test_bad_input_is_one_line_error(self, capsys, argv, needle):
-        code, out, err = run_cli(capsys, *argv, "--trials", "5")
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
+
+    def test_zero_denominator_weight(self, capsys, tmp_path):
+        inst_path = tmp_path / "tri.inst"
+        inst_path.write_text("matroid graphic 3 3\n"
+                             "edge 0 0 1 1\nedge 1 1 2 1/0\nedge 2 2 0 3\n")
+        code, out, err = run_cli(capsys, "simulate", "--instance-file", str(inst_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "edge 1 1 2 1/0" in err
 
     def test_bad_seed_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MATSEC_SEED", "abc")
@@ -75,6 +94,57 @@ class TestExitCodes:
         assert err.startswith("error:") and "MATSEC_SEED" in err
         code, _, _ = run_cli(capsys, "estimate", "--trials", "5", "--seed", "3")
         assert code == 0
+
+
+# -- the exit-code contract over generated argv ------------------------------
+
+SMALL_INTS = st.integers(-2, 3).map(str)
+FLAGS = {
+    "--instance": st.sampled_from(["triangle", "double-triangle", "hat", "modified-hat",
+                                   "uniform", "random-graphic"]),
+    "--policy": st.sampled_from(["virtual-msp", "virtual", "greedy", "dynkin", "optimistic",
+                                 "virtual-uniform", "sample-contracted", "psychic"]),
+    "--n": SMALL_INTS, "--k": SMALL_INTS, "--vertices": SMALL_INTS,
+    "--edges": SMALL_INTS, "--seed": SMALL_INTS, "--trial": SMALL_INTS,
+    "--p": st.sampled_from(["0.5", "0.25", "0", "1", "nan", "-0.5", "2"]),
+    "--p-grid": st.sampled_from(["0.5", "0.5,nan", "", "2"]),
+    "--n-grid": st.sampled_from(["2,3", "-1", "", "x"]),
+    "--reference": st.just("sample-contracted"),
+}
+OPTIONAL = {"simulate": ["--k", "--vertices", "--edges", "--seed", "--p", "--trial"],
+            "estimate": ["--k", "--vertices", "--edges", "--seed", "--p"],
+            "sweep": ["--k", "--vertices", "--edges", "--seed", "--p-grid", "--n-grid"],
+            "verify": ["--n", "--seed", "--p"]}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONAL)))
+    if command == "verify":
+        # counts are always given, so no case runs a default of thousands of trials
+        argv = [command, draw(st.sampled_from(SUITE_NAMES)),
+                "--cases", draw(SMALL_INTS), "--trials", draw(SMALL_INTS)]
+    else:
+        argv = [command]
+        for flag in ("--instance", "--policy", "--n"):
+            argv += [flag, draw(FLAGS[flag])]
+        if command != "simulate":
+            argv += ["--trials", draw(SMALL_INTS)]
+    flags = OPTIONAL[command] + ["--reference"]
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
+        argv += [flag, draw(FLAGS[flag])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=cli_argv())
+def test_any_argv_exits_0_1_or_2(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
 
 
 # -- replay ---------------------------------------------------------------------

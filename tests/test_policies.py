@@ -347,6 +347,15 @@ class TestRegistry:
     def test_aliases(self):
         assert isinstance(PolicySpec("greedy").build(), GreedyFrameworkPolicy)
         assert isinstance(PolicySpec("virtual").build(), VirtualMspPolicy)
+        assert PolicySpec("greedy").canonical == "greedy-framework"
+        assert PolicySpec("virtual").canonical == "virtual-msp"
+
+    def test_canonical_names_match_the_built_policies(self):
+        assert POLICY_NAMES == ("dynkin", "optimistic", "virtual-uniform", "sample",
+                                "sample-contracted", "greedy-framework", "virtual-msp")
+        for name in POLICY_NAMES:
+            spec = PolicySpec(name, k=2)
+            assert spec.canonical == spec.build().name == name
 
     def test_build_policy_accepts_all_forms(self):
         p = DynkinPolicy()
@@ -357,5 +366,3 @@ class TestRegistry:
     def test_unknown_names_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
             PolicySpec("secretary").build()
-        with pytest.raises(ValueError, match="unknown reference"):
-            GreedyFrameworkPolicy(reference="mwb-of-everything")
