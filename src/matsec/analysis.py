@@ -108,19 +108,17 @@ def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int,
         raise ValueError("trials must be positive")
     if not bundle.mwb:
         raise ValueError("the optimum is empty: no element can be accepted")
-    counts = {u: 0 for u in sorted(bundle.mwb)}
-    opt_value = bundle.weights.total(bundle.mwb)
-    value_sum = Fraction(0)
+    tally = [0] * bundle.weights.count      # acceptances per element
     for trace in trial_stream(policy, bundle.view, bundle.weights, p, trials, seed):
         for u in trace.accepted:
-            if u in counts:
-                counts[u] += 1
-        value_sum += bundle.weights.total(trace.accepted)
-    freqs = {u: c / trials for u, c in counts.items()}
+            tally[u] += 1
+    # the accepted weight over all trials, as one exact sum over elements
+    value_sum = sum((c * w for c, w in zip(tally, bundle.weights.weights) if c), Fraction(0))
+    freqs = {u: tally[u] / trials for u in sorted(bundle.mwb)}
     min_freq = min(freqs.values())
-    return EstimateReport(trials, freqs, min_freq, float(value_sum / (opt_value * trials)),
-                          three_sigma(min_freq, trials),
-                          analytic_bound, bound_direction)
+    return EstimateReport(trials, freqs, min_freq,
+                          float(value_sum / (bundle.weights.total(bundle.mwb) * trials)),
+                          three_sigma(min_freq, trials), analytic_bound, bound_direction)
 
 
 # -- analytic values -----------------------------------------------------------
@@ -656,6 +654,8 @@ _SUITES = {
         _suite_forbidden_consistency(_given(t, 1000), seed, _given(n, 5), p),
 }
 SUITE_NAMES = tuple(_SUITES)
+# the suites that read `cases` only; the others read `trials`, `n` and `p`
+CASE_SUITES = ("matroid-axioms", "mwb-lemmas", "equivalences")
 
 
 def run_suite(name: str, *, cases: int | None = None, trials: int | None = None,

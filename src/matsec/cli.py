@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import instances
-from .analysis import (OracleError, SUITE_NAMES, certify_no_size1_strong_fs,
+from .analysis import (CASE_SUITES, OracleError, SUITE_NAMES, certify_no_size1_strong_fs,
                        estimate, run_suite, three_sigma)
 from .instances import InstanceBundle
 from .matroid import DomainError, PreconditionError, dump_instance, parse_instance
@@ -136,10 +136,15 @@ def _cmd_simulate(args) -> int:
 # -- estimate ----------------------------------------------------------------
 
 
-def _auto_bound(family: str, spec: PolicySpec, p: float):
+def _is_hat(args) -> bool:
+    """The built-in hat family; an instance file is never one, whatever its name."""
+    return not args.instance_file and args.instance == "hat"
+
+
+def _auto_bound(hat: bool, spec: PolicySpec, p: float):
     """Analytic reference bound when one is known for this combination."""
     canonical = spec.canonical
-    if family == "hat" and canonical == "virtual-msp" and abs(p - 0.5) <= 1e-9:
+    if hat and canonical == "virtual-msp" and abs(p - 0.5) <= 1e-9:
         return 0.25, "lower"
     if canonical == "dynkin" and 0.0 < p < 1.0:
         return p * math.log(1.0 / p), "lower"
@@ -147,11 +152,11 @@ def _auto_bound(family: str, spec: PolicySpec, p: float):
 
 
 def _cmd_estimate(args) -> int:
-    bundle, family, _ = _resolve_instance(args)
+    bundle, _, _ = _resolve_instance(args)
     spec = _policy_spec(args)
     bound, direction = args.bound, args.bound_direction
     if bound is None:
-        bound, direction = _auto_bound(family, spec, args.p)
+        bound, direction = _auto_bound(_is_hat(args), spec, args.p)
     report = estimate(spec, bundle, args.p, args.trials, args.seed,
                       analytic_bound=bound, bound_direction=direction)
     with _out_stream(args.out) as fp:
@@ -169,8 +174,8 @@ def _grid(text: str, cast, flag: str):
     return values
 
 
-def _sweep_bound(family: str, canonical: str, label: str, p: float):
-    if family == "hat" and canonical == "virtual-msp" and label == "e_inf":
+def _sweep_bound(hat: bool, canonical: str, label: str, p: float):
+    if hat and canonical == "virtual-msp" and label == "e_inf":
         return p * p * (1.0 - p)
     return None
 
@@ -191,7 +196,7 @@ def _cmd_sweep(args) -> int:
         for p in ps:
             report = estimate(spec, bundle, p, args.trials, args.seed)
             for u, freq in sorted(report.per_element_accept_freq.items()):
-                bound = _sweep_bound(family, canonical, label(u), p)
+                bound = _sweep_bound(_is_hat(args), canonical, label(u), p)
                 rows.append([family, size, canonical, f"{p:.9g}", args.trials,
                              label(u), f"{freq:.9g}",
                              f"{three_sigma(freq, args.trials):.9g}",
@@ -311,8 +316,13 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = run_suite(args.suite, cases=args.cases, trials=args.trials,
-                       seed=args.seed, n=args.n, p=args.p)
+    used = ("cases",) if args.suite in CASE_SUITES else ("trials", "n", "p")
+    given = {flag: getattr(args, flag) for flag in ("cases", "trials", "n", "p")
+             if getattr(args, flag) is not None}
+    for flag in given:
+        if flag not in used:
+            raise ValueError(f"--{flag} does not apply to suite {args.suite}")
+    result = run_suite(args.suite, seed=args.seed, **given)
     print(f"suite {result.name}: {result.cases} cases, "
           f"{len(result.failures)} failures")
     for failure in result.failures[:10]:
@@ -399,7 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", type=float, default=0.5)
+    sp.add_argument("--p", type=float, default=None,
+                    help="sampling cutoff for the trial suites (default: 0.5)")
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("certify", help="exhaustive size-1 blocked-set refutation")

@@ -120,6 +120,8 @@ def modified_hat_graph(n: int) -> InstanceBundle:
 def uniform_instance(n: int, k: int, weights=None) -> InstanceBundle:
     """k-uniform matroid on n elements; default weight of element i is i+1,
     labels match the default weights so streams read naturally."""
+    if n < 0:
+        raise ValueError(f"uniform instance needs n >= 0, got {n}")
     if weights is None:
         weights = list(range(1, n + 1))
     ws = WeightedGroundSet.from_weights(

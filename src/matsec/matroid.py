@@ -24,11 +24,6 @@ class PreconditionError(ValueError):
     """A structural precondition failed, e.g. contracting a dependent set."""
 
 
-def _as_weight(value: WeightLike) -> Fraction:
-    # Fraction(float) is exact; callers wanting decimal semantics pass strings.
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class WeightedGroundSet:
     """Elements 0..n-1 carrying strictly positive, pairwise distinct weights.
@@ -62,7 +57,8 @@ class WeightedGroundSet:
     @classmethod
     def from_weights(cls, weights: Iterable[WeightLike],
                      labels: Iterable[str] | None = None) -> "WeightedGroundSet":
-        ws = tuple(_as_weight(w) for w in weights)
+        # Fraction(float) is exact; callers wanting decimal semantics pass strings
+        ws = tuple(Fraction(w) for w in weights)
         if labels is None:
             labels = tuple(f"u{i}" for i in range(len(ws)))
         return cls(ws, tuple(labels))

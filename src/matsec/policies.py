@@ -22,6 +22,15 @@ class Decision:
     kicked_was_sample: bool | None = None
 
 
+_ACCEPT, _REJECT = Decision(True), Decision(False)   # shared: a frozen Decision is a value
+
+
+def _decision(accept: bool, kicked: int | None, kicked_was_sample: bool | None) -> Decision:
+    if kicked is None:
+        return _ACCEPT if accept else _REJECT
+    return Decision(accept, kicked, kicked_was_sample)
+
+
 class PolicyViolation(RuntimeError):
     """A policy broke one of its structural invariants."""
 
@@ -218,8 +227,8 @@ class SamplePolicy(Policy):
         if feasible and u in self.view.greedy_mwb(self.weights, self.samples | {u}):
             self._tracker.add(u)
             self.accepted.add(u)
-            return Decision(True)
-        return Decision(False)
+            return _ACCEPT
+        return _REJECT
 
 
 class SampleContractedPolicy(Policy):
@@ -241,8 +250,8 @@ class SampleContractedPolicy(Policy):
         minor = self.view.contract(self.accepted)
         if u in minor.greedy_mwb(self.weights, self.samples | {u}):
             self.accepted.add(u)
-            return Decision(True)
-        return Decision(False)
+            return _ACCEPT
+        return _REJECT
 
 
 class GreedyFrameworkPolicy(Policy):
@@ -289,7 +298,7 @@ class GreedyFrameworkPolicy(Policy):
         if accept:
             self.accepted.add(u)
             self._reference = self._rebuild()
-        return Decision(accept)
+        return _ACCEPT if accept else _REJECT
 
 
 class VirtualMspPolicy(Policy):
@@ -334,11 +343,11 @@ class VirtualMspPolicy(Policy):
         feasible = self._tracker.can_add(u)
         in_mwb, kicked = self._insert(u)
         kicked_was_sample = None if kicked is None else kicked in self._sampled
-        if feasible and in_mwb and (kicked is None or kicked_was_sample):
+        accept = feasible and in_mwb and (kicked is None or kicked_was_sample)
+        if accept:
             self._tracker.add(u)
             self.accepted.add(u)
-            return Decision(True, kicked, kicked_was_sample)
-        return Decision(False, kicked, kicked_was_sample)
+        return _decision(accept, kicked, kicked_was_sample)
 
 
 def _effective_uniform_k(view: MatroidView, what: str, k: int | None = None) -> int:
@@ -370,12 +379,12 @@ class DynkinPolicy(Policy):
 
     def decide(self, u):
         if self.accepted:
-            return Decision(False)
+            return _REJECT
         r = self._rank_of(u)
         if self._best_sample is None or r < self._best_sample:
             self.accepted.add(u)
-            return Decision(True)
-        return Decision(False)
+            return _ACCEPT
+        return _REJECT
 
 
 class OptimisticPolicy(Policy):
@@ -409,15 +418,15 @@ class OptimisticPolicy(Policy):
     def decide(self, u):
         slots = self._k - len(self.accepted)
         if slots <= 0:
-            return Decision(False)
+            return _REJECT
         if slots > len(self._refs):
             self.accepted.add(u)            # no threshold to beat
-            return Decision(True)
+            return _ACCEPT
         if self._rank_of(u) < self._refs[slots - 1]:
             kicked = self._ref_elem.pop(self._refs.pop())
             self.accepted.add(u)
             return Decision(True, kicked, True)
-        return Decision(False)
+        return _REJECT
 
 
 class VirtualUniformPolicy(Policy):
@@ -460,10 +469,10 @@ class VirtualUniformPolicy(Policy):
         feasible = len(self.accepted) < self._k
         in_top, kicked = self._absorb(u)
         kicked_was_sample = None if kicked is None else kicked in self._sampled
-        if feasible and in_top and (kicked is None or kicked_was_sample):
+        accept = feasible and in_top and (kicked is None or kicked_was_sample)
+        if accept:
             self.accepted.add(u)
-            return Decision(True, kicked, kicked_was_sample)
-        return Decision(False, kicked, kicked_was_sample)
+        return _decision(accept, kicked, kicked_was_sample)
 
 
 # -- registry ----------------------------------------------------------------

@@ -10,15 +10,17 @@ raises instead of repairing, so a buggy policy fails loudly.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
 from .matroid import DomainError, MatroidView, WeightedGroundSet
-from .policies import (AcceptedSetTracker, Policy, PolicySpec, build_policy,
-                       running_mwb)
+from .policies import AcceptedSetTracker, build_policy, running_mwb
 
 PHASE_SAMPLE = "sample"
 PHASE_LIVE = "live"
@@ -30,13 +32,19 @@ class HarnessViolation(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ArrivalSchedule:
-    times: dict                 # element id -> arrival time in [0, 1]
-    order: tuple                # ids sorted by (time, id)
+    order: tuple                # element ids sorted by (time, id)
+    arrival: tuple              # arrival[i] is order[i]'s time in [0, 1]
+
+    @cached_property
+    def times(self) -> MappingProxyType:
+        """Read-only element id -> arrival time, built on first use."""
+        return MappingProxyType(dict(zip(self.order, self.arrival)))
 
 
 def _by_time(times: dict) -> ArrivalSchedule:
     """Schedule over `times`, ordered by (time, id)."""
-    return ArrivalSchedule(times, tuple(sorted(times, key=lambda u: (times[u], u))))
+    order = tuple(sorted(times, key=lambda u: (times[u], u)))
+    return ArrivalSchedule(order, tuple(times[u] for u in order))
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -46,19 +54,17 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 
 def draw_schedule(ground: WeightedGroundSet, rng: np.random.Generator) -> ArrivalSchedule:
-    n = ground.count
-    times = rng.random(n)
+    times = rng.random(ground.count)
     # stable argsort breaks (measure-zero) time collisions by element id
-    order = tuple(int(i) for i in np.argsort(times, kind="stable"))
-    return ArrivalSchedule({i: float(times[i]) for i in range(n)}, order)
+    idx = np.argsort(times, kind="stable")
+    return ArrivalSchedule(tuple(idx.tolist()), tuple(times[idx].tolist()))
 
 
 def forced_schedule(assignments: Iterable[tuple[int, float]]) -> ArrivalSchedule:
     """Schedule with exactly the given (element, time) pairs; times must be
     distinct and in [0, 1]."""
-    pairs = list(assignments)
     times = {}
-    for u, t in pairs:
+    for u, t in assignments:
         if u in times:
             raise ValueError(f"element {u} assigned twice")
         if not 0.0 <= t <= 1.0:
@@ -114,39 +120,36 @@ def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
     """Deliver one schedule to a fresh (or reset) policy."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"sampling cutoff p={p} outside [0, 1]")
-    if set(schedule.times) != set(view.ground):
+    order = schedule.order
+    if len(order) != len(view.ground) or set(order) != view.ground:
         raise DomainError("schedule must cover exactly the effective ground set")
     policy = build_policy(policy)
     policy.start(view, weights, p)
     tracker = AcceptedSetTracker(view)
-    running = running_mwb(view, weights) if record else None
-    records = []
-    accepted = []
-    samples = []
-    times = schedule.times
-    for u in schedule.order:
-        t = times[u]
-        if t < p:
-            samples.append(u)
-            policy.observe_sample(u)
-            if record:
-                in_mwb, _ = running.insert(u)
-                records.append(DecisionRecord(u, t, PHASE_SAMPLE, False, in_mwb))
-        else:
-            d = policy.decide(u)
-            if d.accept:
-                if not tracker.can_add(u):
-                    raise HarnessViolation(
-                        f"policy {policy.name!r} accepted element {u} but the "
-                        f"accepted set would become dependent")
-                tracker.add(u)
-                accepted.append(u)
-            if record:
-                in_mwb, _ = running.insert(u)
-                records.append(DecisionRecord(u, t, PHASE_LIVE, d.accept, in_mwb,
-                                              d.kicked, d.kicked_was_sample))
-    return DecisionTrace(tuple(records), frozenset(accepted),
-                         frozenset(samples), schedule)
+    m = bisect_left(schedule.arrival, p)     # samples arrive before p; one at p is live
+    for u in order[:m]:
+        policy.observe_sample(u)
+    decide, can_add, add = policy.decide, tracker.can_add, tracker.add
+    accepted, decisions = [], []
+    for u in order[m:]:
+        d = decide(u)
+        if d.accept:
+            if not can_add(u):
+                raise HarnessViolation(
+                    f"policy {policy.name!r} accepted element {u} but the "
+                    f"accepted set would become dependent")
+            add(u)
+            accepted.append(u)
+        decisions.append(d)
+    records = ()
+    if record:      # in_current_mwb comes from the harness's own running basis
+        insert, arrival = running_mwb(view, weights).insert, schedule.arrival
+        records = tuple([DecisionRecord(u, t, PHASE_SAMPLE, False, insert(u)[0])
+                         for u, t in zip(order[:m], arrival)]
+                        + [DecisionRecord(u, t, PHASE_LIVE, d.accept, insert(u)[0],
+                                          d.kicked, d.kicked_was_sample)
+                           for u, t, d in zip(order[m:], arrival[m:], decisions)])
+    return DecisionTrace(records, frozenset(accepted), frozenset(order[:m]), schedule)
 
 
 def trial_stream(policy, view: MatroidView, weights: WeightedGroundSet,
@@ -166,9 +169,7 @@ def json_ready(obj):
     """Normalize floats (9 significant digits) so dumps are byte-stable."""
     if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
         return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.9g}")
-    if isinstance(obj, Fraction):
+    if isinstance(obj, (float, Fraction)):
         return float(f"{float(obj):.9g}")
     if isinstance(obj, dict):
         return {k: json_ready(v) for k, v in obj.items()}
@@ -189,12 +190,8 @@ def dump_trace(trace: DecisionTrace, fp: TextIO) -> None:
 
 
 def load_records(fp: TextIO) -> tuple[DecisionRecord, ...]:
-    records = []
-    for line in fp:
-        line = line.strip()
-        if line:
-            records.append(DecisionRecord.from_json_obj(json.loads(line)))
-    return tuple(records)
+    return tuple(DecisionRecord.from_json_obj(json.loads(line))
+                 for line in fp if line.strip())
 
 
 def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:
@@ -208,8 +205,8 @@ def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:
 
 
 def dump_schedule(schedule: ArrivalSchedule, fp: TextIO) -> None:
-    for u in schedule.order:
-        fp.write(f"schedule {u} {schedule.times[u]!r}\n")
+    for u, t in zip(schedule.order, schedule.arrival):
+        fp.write(f"schedule {u} {t!r}\n")
 
 
 def parse_schedule(fp: TextIO) -> ArrivalSchedule:

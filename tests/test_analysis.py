@@ -18,9 +18,11 @@ from matsec import (
     DecisionRecord,
     DomainError,
     ForbiddenSetOracle,
+    HarnessViolation,
     MatroidView,
     OracleError,
     Policy,
+    PolicySpec,
     SUITE_NAMES,
     UniformMatroid,
     alpha_p,
@@ -69,6 +71,14 @@ class RejectEverything(Policy):
     def decide(self, u):
         from matsec import Decision
         return Decision(False)
+
+
+class AcceptEveryLive(RejectEverything):
+    name = "accept-every-live"
+
+    def decide(self, u):
+        from matsec import Decision
+        return Decision(True)
 
 
 # -- the brute-force oracle ------------------------------------------------------
@@ -157,6 +167,29 @@ class TestEstimate:
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
             estimate("sample", triangle(), 0.5, trials=0, seed=0)
+
+    def test_every_live_decision_is_checked(self):
+        # estimate runs the bulk path; an infeasible acceptance still raises
+        with pytest.raises(HarnessViolation, match="dependent"):
+            estimate(AcceptEveryLive(), uniform_instance(5, 1), 0.3, trials=20, seed=0)
+
+    @pytest.mark.parametrize("policy, bundle", [
+        ("virtual-msp", hat_graph(3)),
+        (PolicySpec("optimistic", k=2), uniform_instance(7, 2)),
+        ("sample", uniform_instance(7, 2)),
+    ])
+    def test_matches_a_per_trial_resum(self, policy, bundle):
+        # oracle: sum each trial's accepted weight as an exact Fraction
+        trials, seed, p = 300, 5, 0.4
+        total, counts = Fraction(0), dict.fromkeys(bundle.mwb, 0)
+        for trace in trial_stream(policy, bundle.view, bundle.weights, p, trials, seed):
+            total += bundle.weights.total(trace.accepted)
+            for u in trace.accepted & bundle.mwb:
+                counts[u] += 1
+        report = estimate(policy, bundle, p, trials, seed)
+        assert report.utility_ratio_mean == float(
+            total / (bundle.weights.total(bundle.mwb) * trials))
+        assert report.per_element_accept_freq == {u: c / trials for u, c in counts.items()}
 
 
 # -- analytic values ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from matsec import SUITE_NAMES, load_records, parse_instance, parse_schedule
+from matsec.analysis import CASE_SUITES
 from matsec.cli import FIXTURES, main
 
 
@@ -71,6 +72,14 @@ class TestExitCodes:
         (("verify", "mwb-lemmas", "--cases", "0"), "cases must be at least 1"),
         (("verify", "forbidden-consistency", "--n", "0", "--trials", "3"),
          "n must be at least 1"),
+        (("verify", "matroid-axioms", "--cases", "2", "--trials", "7", "--p", "9"),
+         "--trials does not apply"),
+        (("verify", "mwb-lemmas", "--p", "0.3"), "--p does not apply"),
+        (("verify", "equivalences", "--cases", "2", "--n", "3"), "--n does not apply"),
+        (("verify", "claw-blocker", "--cases", "3", "--trials", "5"), "--cases does not apply"),
+        (("verify", "forbidden-consistency", "--cases", "1"), "--cases does not apply"),
+        (("simulate", "--instance", "uniform", "--n", "-2"), "n >= 0, got -2"),
+        (("estimate", "--instance", "uniform", "--n", "-1", "--trials", "5"), "n >= 0"),
     ])
     def test_bad_input_is_one_line_error(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, *argv)
@@ -121,9 +130,11 @@ OPTIONAL = {"simulate": ["--k", "--vertices", "--edges", "--seed", "--p", "--tri
 def cli_argv(draw):
     command = draw(st.sampled_from(sorted(OPTIONAL)))
     if command == "verify":
-        # counts are always given, so no case runs a default of thousands of trials
-        argv = [command, draw(st.sampled_from(SUITE_NAMES)),
-                "--cases", draw(SMALL_INTS), "--trials", draw(SMALL_INTS)]
+        # each suite gets the count it reads, so no case runs a default of
+        # thousands of trials
+        suite = draw(st.sampled_from(SUITE_NAMES))
+        count = "--cases" if suite in CASE_SUITES else "--trials"
+        argv = [command, suite, count, draw(SMALL_INTS)]
     else:
         argv = [command]
         for flag in ("--instance", "--policy", "--n"):
@@ -264,6 +275,27 @@ class TestEstimate:
         obj = json.loads(out)
         assert obj["analyticBound"] == 0.25
         assert obj["boundDirection"] == "lower"
+
+    def test_hat_bound_follows_the_instance_not_the_file_name(self, capsys, tmp_path):
+        # a triangle saved as hat.inst is no hat graph: no bound in either command
+        inst_path = tmp_path / "hat.inst"
+        inst_path.write_text("matroid graphic 3 3\n"
+                             "edge 0 0 1 1\nedge 1 1 2 2\nedge 2 2 0 3\n")
+        code, out, _ = run_cli(capsys, "estimate", "--instance-file", str(inst_path),
+                               "--p", "0.5", "--trials", "40")
+        assert code == 0
+        obj = json.loads(out)
+        assert (obj["analyticBound"], obj["boundDirection"]) == (None, None)
+        # the hat graph's own file keeps the stem in the CSV but gets no bound
+        code, _, _ = run_cli(capsys, "simulate", "--instance", "hat", "--n", "2",
+                             "--dump-instance", str(inst_path))
+        assert code == 0
+        code, out, _ = run_cli(capsys, "sweep", "--instance-file", str(inst_path),
+                               "--p-grid", "0.5", "--trials", "20")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert {r[0] for r in rows} == {"hat"}
+        assert all(r[8] == "" for r in rows)
 
     def test_dynkin_auto_bound(self, capsys):
         code, out, _ = run_cli(capsys, "estimate", "--instance", "uniform",

@@ -149,6 +149,10 @@ class TestUniformInstance:
         b = uniform_instance(3, 0)
         assert b.mwb == frozenset()
 
+    def test_rejects_negative_size(self):
+        with pytest.raises(ValueError, match=r"n >= 0, got -2"):
+            uniform_instance(-2, 1)
+
 
 class TestRandomGraphic:
     def test_deterministic_for_seed(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from matsec import (
+    ArrivalSchedule,
     Decision,
     DecisionRecord,
     DomainError,
@@ -28,6 +29,22 @@ from matsec import (
     uniform_instance,
 )
 from matsec.simulate import PHASE_LIVE, PHASE_SAMPLE, dump_json_line, json_ready
+
+
+class AcceptEveryLive(Policy):
+    """Accepts every live arrival, so any second acceptance on a 1-uniform
+    instance makes the accepted set dependent."""
+
+    name = "accept-every-live"
+
+    def start(self, view, weights, p):
+        pass
+
+    def observe_sample(self, u):
+        pass
+
+    def decide(self, u):
+        return Decision(True)
 
 
 # -- rng addressing and schedules -------------------------------------------------
@@ -54,6 +71,22 @@ class TestDrawSchedule:
         assert set(sched.times) == set(range(6))
         assert all(0.0 <= t < 1.0 for t in sched.times.values())
         assert list(sched.order) == sorted(sched.times, key=lambda u: (sched.times[u], u))
+
+    def test_arrival_is_sorted_and_aligned_with_order(self):
+        b = uniform_instance(50, 2)
+        sched = draw_schedule(b.weights, trial_rng(4, 9))
+        raw = trial_rng(4, 9).random(50)
+        assert sorted(sched.order) == list(range(50))
+        assert all(a <= c for a, c in zip(sched.arrival, sched.arrival[1:]))
+        assert sched.arrival == tuple(float(raw[u]) for u in sched.order)
+
+    def test_times_is_a_lazy_read_only_view(self):
+        b = uniform_instance(6, 2)
+        sched = draw_schedule(b.weights, trial_rng(2, 5))
+        assert sched.times == dict(zip(sched.order, sched.arrival))
+        assert sched.times is sched.times
+        with pytest.raises(TypeError):
+            sched.times[0] = 0.5
 
     def test_times_look_uniform(self):
         ws = uniform_instance(2000, 1).weights
@@ -101,6 +134,19 @@ class TestRunTrial:
         with pytest.raises(DomainError, match="ground set"):
             run_trial("sample", b.view, b.weights, sched, 0.5)
 
+    @pytest.mark.parametrize("order, arrival", [
+        ((0, 1), (0.1, 0.2)),               # element 2 missing
+        ((0, 1, 1), (0.1, 0.2, 0.3)),       # element 1 twice, 2 missing
+        ((0, 1, 2, 2), (0.1, 0.2, 0.3, 0.4)),   # every element, 2 twice
+        ((0, 1, 5), (0.1, 0.2, 0.3)),       # 5 is outside the ground set
+    ])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_hand_built_schedule_must_cover_ground(self, order, arrival, record):
+        b = triangle()
+        with pytest.raises(DomainError, match="ground set"):
+            run_trial("sample", b.view, b.weights, ArrivalSchedule(order, arrival), 0.5,
+                      record=record)
+
     def test_p_one_samples_everything(self):
         b = triangle()
         sched = forced_schedule([(0, 0.1), (1, 0.2), (2, 0.3)])
@@ -121,6 +167,24 @@ class TestRunTrial:
         trace = run_trial("sample", b.view, b.weights, sched, 0.5)
         assert trace.sample_set == frozenset()
         assert 0 in trace.accepted
+
+    def test_boundary_time_is_live_without_records(self):
+        # the bulk path splits at the cutoff by bisection; ties with p stay live
+        b = uniform_instance(3, 2)
+        sched = ArrivalSchedule((0, 1, 2), (0.25, 0.5, 0.5))
+        trace = run_trial("sample", b.view, b.weights, sched, 0.5, record=False)
+        assert trace.sample_set == frozenset({0})
+        assert trace.accepted == frozenset({1, 2})
+        assert trace.records == ()
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_every_live_decision_is_checked(self, record):
+        # the second acceptance overfills the single slot; a harness that
+        # stopped asking once the accepted set spans would never see it
+        b = uniform_instance(5, 1)
+        sched = forced_schedule([(u, 0.1 * (u + 1)) for u in range(5)])
+        with pytest.raises(HarnessViolation, match="dependent"):
+            run_trial(AcceptEveryLive(), b.view, b.weights, sched, 0.0, record=record)
 
     def test_record_flag_only_drops_records(self):
         b = triangle()
