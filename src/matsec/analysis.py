@@ -134,6 +134,23 @@ def alpha_p(k: int) -> tuple[float, float]:
     return (k ** (-k / (k - 1.0)), k ** (-1.0 / (k - 1.0)))
 
 
+def reference_bound(family: str | None, policy: str, p: float,
+                    element: str | None = None) -> float | None:
+    """Known analytic lower bound on acceptance, or None. Without an element
+    it bounds every optimum element: 0.25 for virtual-msp on the hat family at
+    p = 1/2 (BIKK2007), p ln(1/p) for dynkin. Of single elements only the hat
+    hub edge e_inf has one, p^2 (1-p). A family of None (a file) has none."""
+    policy = PolicySpec(policy).canonical
+    hat_virtual = family == "hat" and policy == "virtual-msp"
+    if element is not None:
+        return p * p * (1.0 - p) if hat_virtual and element == "e_inf" else None
+    if hat_virtual and abs(p - 0.5) <= 1e-9:
+        return 0.25
+    if policy == "dynkin" and 0.0 < p < 1.0:
+        return p * math.log(1.0 / p)
+    return None
+
+
 def modified_hat_bounds(n: int, p: float) -> tuple[float, float]:
     """(p_n, rejection lower bound) for the modified hat family at cutoff p.
 
@@ -147,14 +164,12 @@ def modified_hat_bounds(n: int, p: float) -> tuple[float, float]:
         raise ValueError("n must be at least 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    # imported here: scipy.integrate dominates the cost of `import matsec`
-    from scipy.integrate import simpson
-
     half = n // 2
     p_n = 1.0 - (1.0 - p ** 3) ** half
     ts = np.linspace(p, 1.0, 1025)
     q = 1.0 - (1.0 - p * (ts - p) ** 3 / 6.0) ** half
-    rejection = p + p_n * float(simpson(q, x=ts))
+    integral = (ts[1] - ts[0]) / 3.0 * (q[0] + 4.0 * q[1::2].sum() + 2.0 * q[2:-1:2].sum() + q[-1])
+    rejection = p + p_n * float(integral)
     return (float(p_n), rejection)
 
 
@@ -639,31 +654,31 @@ def _suite_forbidden_consistency(trials: int, seed: int, n: int, p: float) -> Su
     return result
 
 
-def _given(value: int | None, default: int) -> int:
-    return default if value is None else value
-
-
-# suite name -> runner(cases, trials, seed, n, p); each fills in its own defaults
+# suite name -> (runner, {argument it reads: default}); every runner also takes the seed
 _SUITES = {
-    "matroid-axioms": lambda c, t, seed, n, p: _suite_matroid_axioms(_given(c, 20), seed),
-    "mwb-lemmas": lambda c, t, seed, n, p: _suite_mwb_lemmas(_given(c, 2000), seed),
-    "equivalences": lambda c, t, seed, n, p: _suite_equivalences(_given(c, 200), seed),
-    "claw-blocker": lambda c, t, seed, n, p:
-        _suite_claw_blocker(_given(t, 2000), seed, _given(n, 5), p),
-    "forbidden-consistency": lambda c, t, seed, n, p:
-        _suite_forbidden_consistency(_given(t, 1000), seed, _given(n, 5), p),
+    "matroid-axioms": (_suite_matroid_axioms, {"cases": 20}),
+    "mwb-lemmas": (_suite_mwb_lemmas, {"cases": 2000}),
+    "equivalences": (_suite_equivalences, {"cases": 200}),
+    "claw-blocker": (_suite_claw_blocker, {"trials": 2000, "n": 5, "p": 0.5}),
+    "forbidden-consistency": (_suite_forbidden_consistency, {"trials": 1000, "n": 5, "p": 0.5}),
 }
 SUITE_NAMES = tuple(_SUITES)
-# the suites that read `cases` only; the others read `trials`, `n` and `p`
-CASE_SUITES = ("matroid-axioms", "mwb-lemmas", "equivalences")
+CASE_SUITES = tuple(name for name, (_, reads) in _SUITES.items() if "cases" in reads)
 
 
 def run_suite(name: str, *, cases: int | None = None, trials: int | None = None,
-              seed: int = 0, n: int | None = None, p: float = 0.5) -> SuiteResult:
-    """Run one named suite; a count left as None takes the suite's default."""
+              seed: int = 0, n: int | None = None, p: float | None = None) -> SuiteResult:
+    """Run one named suite. An argument left as None takes the suite's
+    default; one the suite does not read raises ValueError."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite: {name!r}")
-    for flag, value in (("cases", cases), ("trials", trials), ("n", n)):
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
-    return _SUITES[name](cases, trials, seed, n, p)
+    runner, defaults = _SUITES[name]
+    given = {"cases": cases, "trials": trials, "n": n, "p": p}
+    for arg, value in given.items():
+        if value is not None and arg not in defaults:
+            raise ValueError(f"--{arg} does not apply to suite {name}")
+    for arg in ("cases", "trials", "n"):
+        if given[arg] is not None and given[arg] < 1:
+            raise ValueError(f"{arg} must be at least 1, got {given[arg]}")
+    return runner(seed=seed, **{arg: default if given[arg] is None else given[arg]
+                                for arg, default in defaults.items()})

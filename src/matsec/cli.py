@@ -13,23 +13,19 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import instances
-from .analysis import (CASE_SUITES, OracleError, SUITE_NAMES, certify_no_size1_strong_fs,
-                       estimate, run_suite, three_sigma)
+from .analysis import (OracleError, SUITE_NAMES, certify_no_size1_strong_fs, estimate,
+                       reference_bound, run_suite, three_sigma)
 from .instances import InstanceBundle
 from .matroid import DomainError, PreconditionError, dump_instance, parse_instance
 from .policies import POLICIES, PolicySpec
 from .simulate import (draw_schedule, dump_json_line, dump_schedule, dump_trace,
                        forced_schedule, json_ready, parse_schedule, run_trial,
                        trial_rng)
-
-INSTANCE_FAMILIES = ("triangle", "double-triangle", "hat", "modified-hat",
-                     "uniform", "random-graphic")
 
 
 def _seed_default() -> int:
@@ -40,32 +36,35 @@ def _seed_default() -> int:
         raise ValueError(f"MATSEC_SEED must be an integer, got {text!r}") from None
 
 
-def _resolve_instance(args) -> tuple[InstanceBundle, str, int]:
-    """Build the requested instance; returns (bundle, family, size parameter)."""
+def _random_graphic(args) -> InstanceBundle:
+    if args.vertices < 1 or args.edges < 0:
+        raise DomainError("random-graphic needs --vertices >= 1 and --edges >= 0")
+    return instances.random_graphic(args.vertices, args.edges, trial_rng(args.seed, 0xE5E5))
+
+
+# family -> (builder(args), sized by --n); an unsized family's size is its element count
+FAMILIES = {
+    "triangle": (lambda args: instances.triangle(), False),
+    "double-triangle": (lambda args: instances.double_triangle(), False),
+    "hat": (lambda args: instances.hat_graph(args.n), True),
+    "modified-hat": (lambda args: instances.modified_hat_graph(args.n), True),
+    "uniform": (lambda args: instances.uniform_instance(
+        args.n, args.k if args.k is not None else 1), True),
+    "random-graphic": (_random_graphic, False),
+}
+SIZED_FAMILIES = ", ".join(name for name, (_, sized) in FAMILIES.items() if sized)
+
+
+def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
+    """Build the requested instance; returns (bundle, family), where the
+    family is None for an --instance-file, whatever the file is named."""
     if getattr(args, "instance_file", None):
         with open(args.instance_file) as fp:
             base, weights = parse_instance(fp)
         named = {weights.label(u): u for u in range(weights.count)}
-        bundle = instances._bundle(base, weights, named)
-        return bundle, Path(args.instance_file).stem, weights.count
-    fam = args.instance
-    n = args.n
-    if fam == "triangle":
-        return instances.triangle(), fam, 3
-    if fam == "double-triangle":
-        return instances.double_triangle(), fam, 6
-    if fam == "hat":
-        return instances.hat_graph(n), fam, n
-    if fam == "modified-hat":
-        return instances.modified_hat_graph(n), fam, n
-    if fam == "uniform":
-        return instances.uniform_instance(n, args.k if args.k is not None else 1), fam, n
-    if fam == "random-graphic":
-        if args.vertices < 1 or args.edges < 0:
-            raise DomainError("random-graphic needs --vertices >= 1 and --edges >= 0")
-        rng = trial_rng(args.seed, 0xE5E5)
-        return instances.random_graphic(args.vertices, args.edges, rng), fam, args.edges
-    raise DomainError(f"unknown instance family: {fam!r}")
+        return instances._bundle(base, weights, named), None
+    build, _ = FAMILIES[args.instance]
+    return build(args), args.instance
 
 
 def _policy_spec(args) -> PolicySpec:
@@ -77,12 +76,12 @@ def _out_stream(path):
 
 
 def _add_instance_args(sp) -> None:
-    sp.add_argument("--instance", choices=INSTANCE_FAMILIES, default="triangle",
+    sp.add_argument("--instance", choices=tuple(FAMILIES), default="triangle",
                     help="named instance family (default: triangle)")
     sp.add_argument("--instance-file", metavar="PATH",
                     help="load the instance from a file instead")
     sp.add_argument("--n", type=int, default=5,
-                    help="size parameter for hat, modified-hat, and uniform")
+                    help=f"size parameter for {SIZED_FAMILIES}")
     sp.add_argument("--k", type=int, default=None,
                     help="rank of the uniform instance; slot-count policies reuse it")
     sp.add_argument("--vertices", type=int, default=5,
@@ -107,7 +106,7 @@ def _add_run_args(sp) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    bundle, _, _ = _resolve_instance(args)
+    bundle, _ = _resolve_instance(args)
     spec = _policy_spec(args)
     if args.schedule_file:
         with open(args.schedule_file) as fp:
@@ -136,27 +135,13 @@ def _cmd_simulate(args) -> int:
 # -- estimate ----------------------------------------------------------------
 
 
-def _is_hat(args) -> bool:
-    """The built-in hat family; an instance file is never one, whatever its name."""
-    return not args.instance_file and args.instance == "hat"
-
-
-def _auto_bound(hat: bool, spec: PolicySpec, p: float):
-    """Analytic reference bound when one is known for this combination."""
-    canonical = spec.canonical
-    if hat and canonical == "virtual-msp" and abs(p - 0.5) <= 1e-9:
-        return 0.25, "lower"
-    if canonical == "dynkin" and 0.0 < p < 1.0:
-        return p * math.log(1.0 / p), "lower"
-    return None, None
-
-
 def _cmd_estimate(args) -> int:
-    bundle, _, _ = _resolve_instance(args)
+    bundle, family = _resolve_instance(args)
     spec = _policy_spec(args)
     bound, direction = args.bound, args.bound_direction
     if bound is None:
-        bound, direction = _auto_bound(_is_hat(args), spec, args.p)
+        bound = reference_bound(family, args.policy, args.p)
+        direction = None if bound is None else "lower"
     report = estimate(spec, bundle, args.p, args.trials, args.seed,
                       analytic_bound=bound, bound_direction=direction)
     with _out_stream(args.out) as fp:
@@ -174,30 +159,26 @@ def _grid(text: str, cast, flag: str):
     return values
 
 
-def _sweep_bound(hat: bool, canonical: str, label: str, p: float):
-    if hat and canonical == "virtual-msp" and label == "e_inf":
-        return p * p * (1.0 - p)
-    return None
-
-
 def _cmd_sweep(args) -> int:
     spec = _policy_spec(args)
     canonical = spec.canonical
     ps = _grid(args.p_grid, float, "--p-grid")
     ns = [None] if args.n_grid is None else _grid(args.n_grid, int, "--n-grid")
-    if ns != [None] and args.instance not in ("hat", "modified-hat", "uniform"):
+    if ns != [None] and not FAMILIES[args.instance][1]:
         raise DomainError(f"--n-grid does not apply to {args.instance}")
     rows = []
     for n in ns:
         if n is not None:
             args.n = n
-        bundle, family, size = _resolve_instance(args)
+        bundle, family = _resolve_instance(args)
+        name = family or Path(args.instance_file).stem
+        size = args.n if family and FAMILIES[family][1] else bundle.weights.count
         label = bundle.weights.label
         for p in ps:
             report = estimate(spec, bundle, p, args.trials, args.seed)
             for u, freq in sorted(report.per_element_accept_freq.items()):
-                bound = _sweep_bound(_is_hat(args), canonical, label(u), p)
-                rows.append([family, size, canonical, f"{p:.9g}", args.trials,
+                bound = reference_bound(family, canonical, p, label(u))
+                rows.append([name, size, canonical, f"{p:.9g}", args.trials,
                              label(u), f"{freq:.9g}",
                              f"{three_sigma(freq, args.trials):.9g}",
                              "" if bound is None else f"{bound:.9g}"])
@@ -316,13 +297,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    used = ("cases",) if args.suite in CASE_SUITES else ("trials", "n", "p")
-    given = {flag: getattr(args, flag) for flag in ("cases", "trials", "n", "p")
-             if getattr(args, flag) is not None}
-    for flag in given:
-        if flag not in used:
-            raise ValueError(f"--{flag} does not apply to suite {args.suite}")
-    result = run_suite(args.suite, seed=args.seed, **given)
+    result = run_suite(args.suite, cases=args.cases, trials=args.trials, seed=args.seed,
+                       n=args.n, p=args.p)
     print(f"suite {result.name}: {result.cases} cases, "
           f"{len(result.failures)} failures")
     for failure in result.failures[:10]:
@@ -394,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-grid", default="0.25,0.5,0.75",
                     help="comma separated sampling cutoffs")
     sp.add_argument("--n-grid", default=None,
-                    help="comma separated size parameters (hat, modified-hat, uniform)")
+                    help=f"comma separated size parameters ({SIZED_FAMILIES})")
     sp.add_argument("--out", metavar="PATH", help="CSV destination")
     sp.set_defaults(func=_cmd_sweep)
 

@@ -9,11 +9,15 @@ vanish once the first claw is fully sampled.
 """
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matsec
 from matsec import (
     DecisionRecord,
     DomainError,
@@ -41,6 +45,7 @@ from matsec import (
     hat_graph,
     modified_hat_bounds,
     modified_hat_graph,
+    reference_bound,
     run_suite,
     run_trial,
     three_sigma,
@@ -238,6 +243,62 @@ class TestModifiedHatBounds:
         for p in (0.0, 1.0, -0.2):
             with pytest.raises(ValueError):
                 modified_hat_bounds(4, p)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 255, 256])
+    def test_matches_the_exact_integral(self, n):
+        # with h = floor(n/2), c = p/6 and s = t - p, the integrand is
+        # 1 - (1 - c s^3)^h; expanding the power binomially gives
+        # int_p^1 q = (1-p) - sum_j C(h,j) (-c)^j (1-p)^(3j+1) / (3j+1)
+        h = n // 2
+        for p in (0.1, 0.25, 0.5, 0.7, 0.9):
+            fp = Fraction(p)
+            c, rest = fp / 6, 1 - fp
+            integral = rest - sum(math.comb(h, j) * (-c) ** j * rest ** (3 * j + 1) / (3 * j + 1)
+                                  for j in range(h + 1))
+            p_n = 1 - (1 - fp ** 3) ** h
+            assert modified_hat_bounds(n, p) == pytest.approx(
+                (float(p_n), float(fp + p_n * integral)), abs=1e-12)
+
+    def test_needs_numpy_only(self):
+        # scipy is blocked in a fresh interpreter: importing matsec and every
+        # analytic value must still work
+        src = str(Path(matsec.__file__).resolve().parents[1])
+        code = ("import sys; sys.modules['scipy'] = None; sys.path.insert(0, sys.argv[1]); "
+                "from matsec import modified_hat_bounds, reference_bound; "
+                "print(modified_hat_bounds(64, 0.5)[1], reference_bound('hat', 'virtual-msp', 0.5))")
+        done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split()[1] == "0.25"
+
+
+class TestReferenceBound:
+    def test_hat_virtual_at_one_half(self):
+        assert reference_bound("hat", "virtual-msp", 0.5) == 0.25
+        assert reference_bound("hat", "virtual", 0.5) == 0.25      # an alias resolves
+        assert reference_bound("hat", "virtual-msp", 0.4) is None
+        assert reference_bound("modified-hat", "virtual-msp", 0.5) is None
+        assert reference_bound("hat", "sample", 0.5) is None
+
+    def test_an_instance_file_has_no_bound(self):
+        for policy in ("virtual-msp", "sample"):
+            assert reference_bound(None, policy, 0.5) is None
+            assert reference_bound(None, policy, 0.5, "e_inf") is None
+
+    def test_dynkin(self):
+        for family in ("uniform", None):
+            assert reference_bound(family, "dynkin", 0.4) == 0.4 * math.log(1 / 0.4)
+            for p in (0.0, 1.0):
+                assert reference_bound(family, "dynkin", p) is None
+
+    def test_only_the_hub_edge_has_an_element_bound(self):
+        p = 0.3
+        assert reference_bound("hat", "virtual-msp", p, "e_inf") == p * p * (1 - p)
+        for element in ("t_1", "b_2"):
+            assert reference_bound("hat", "virtual-msp", p, element) is None
+        assert reference_bound("hat", "sample", p, "e_inf") is None
+        assert reference_bound("modified-hat", "virtual-msp", p, "e_inf") is None
+        assert reference_bound("uniform", "dynkin", p, "1") is None
 
 
 # -- the hat blocked-set table -------------------------------------------------------
@@ -643,6 +704,18 @@ class TestSuites:
     def test_claw_blocker_suite(self):
         result = run_suite("claw-blocker", trials=300, seed=1, n=4)
         assert result.passed
+
+    def test_unread_arguments_are_rejected(self):
+        with pytest.raises(ValueError, match="--trials does not apply to suite matroid-axioms"):
+            run_suite("matroid-axioms", cases=2, trials=7, p=9.0)
+        with pytest.raises(ValueError, match="--cases does not apply to suite claw-blocker"):
+            run_suite("claw-blocker", cases=3)
+        result = run_suite("claw-blocker", trials=30)
+        assert result.passed and result.cases == 30
+        # p left as None is 1/2: the failure list depends on p
+        at = {p: run_suite("forbidden-consistency", trials=300, p=p).failures
+              for p in (None, 0.5, 0.3)}
+        assert at[None] == at[0.5] != at[0.3]
 
     def test_forbidden_consistency_suite_reports_the_gap(self):
         # the honest outcome: the size-2 hat table is refuted by simulation,

@@ -53,11 +53,19 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
-    def test_n_grid_needs_sized_family(self, capsys):
-        code, _, err = run_cli(capsys, "sweep", "--instance", "triangle",
-                               "--n-grid", "2,3", "--trials", "5")
-        assert code == 2
-        assert "n-grid" in err
+    @pytest.mark.parametrize("family, sized", [
+        ("triangle", False), ("double-triangle", False), ("hat", True),
+        ("modified-hat", True), ("uniform", True), ("random-graphic", False)])
+    def test_n_grid_needs_sized_family(self, capsys, family, sized):
+        code, out, err = run_cli(capsys, "sweep", "--instance", family, "--n-grid", "3",
+                                 "--p-grid", "0.5", "--trials", "5")
+        if sized:
+            assert code == 0
+            assert {row[1] for row in csv.reader(io.StringIO(out))} == {"n", "3"}
+        else:
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "n-grid" in err
 
     @pytest.mark.parametrize("argv, needle", [
         (("estimate", "--instance", "uniform", "--n", "5", "--k", "0",
@@ -118,7 +126,6 @@ FLAGS = {
     "--p": st.sampled_from(["0.5", "0.25", "0", "1", "nan", "-0.5", "2"]),
     "--p-grid": st.sampled_from(["0.5", "0.5,nan", "", "2"]),
     "--n-grid": st.sampled_from(["2,3", "-1", "", "x"]),
-    "--reference": st.just("sample-contracted"),
 }
 OPTIONAL = {"simulate": ["--k", "--vertices", "--edges", "--seed", "--p", "--trial"],
             "estimate": ["--k", "--vertices", "--edges", "--seed", "--p"],
@@ -141,8 +148,7 @@ def cli_argv(draw):
             argv += [flag, draw(FLAGS[flag])]
         if command != "simulate":
             argv += ["--trials", draw(SMALL_INTS)]
-    flags = OPTIONAL[command] + ["--reference"]
-    for flag in draw(st.lists(st.sampled_from(flags), max_size=3, unique=True)):
+    for flag in draw(st.lists(st.sampled_from(OPTIONAL[command]), max_size=3, unique=True)):
         argv += [flag, draw(FLAGS[flag])]
     return argv
 
