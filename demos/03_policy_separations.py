@@ -6,7 +6,7 @@ that. Second: on uniform instances the virtual rule differs from the
 optimistic rule about which reference element a live acceptance consumes.
 """
 
-from matsec import forced_schedule, run_trial, triangle, uniform_instance, PolicySpec
+from matsec import forced_schedule, run_trial, triangle, uniform_instance
 
 
 def run(policy, bundle, pairs, p):
@@ -30,6 +30,6 @@ stream = [("1", 0.05), ("3", 0.15), ("2", 0.30),
           ("4", 0.45), ("5", 0.60), ("6", 0.75)]
 print("samples {1, 3}, then 2, 4, 5, 6 arrive in weight order (p = 0.25)")
 print("  virtual-msp accepts", run("virtual-msp", uni, stream, 0.25))
-print("  optimistic  accepts", run(PolicySpec("optimistic", k=2), uni, stream, 0.25))
+print("  optimistic  accepts", run("optimistic", uni, stream, 0.25))
 print("virtual rejects 4 because 4 displaces the earlier live acceptance 2,")
 print("not a sample; optimistic happily burns its second threshold on 4")

@@ -19,8 +19,8 @@ from .instances import (InstanceBundle, double_triangle, fuzz_corpus, hat_graph,
 from .matroid import (DomainError, GraphicMatroid, MatroidView, PreconditionError,
                       UniformMatroid, WeightedGroundSet, dump_instance,
                       parse_instance)
-from .policies import (Decision, Policy, PolicySpec, PolicyViolation, POLICY_NAMES,
-                       build_policy, running_mwb)
+from .policies import (Decision, Policy, PolicyViolation, POLICY_NAMES, build_policy,
+                       running_mwb)
 from .simulate import (ArrivalSchedule, DecisionRecord, DecisionTrace,
                        HarnessViolation, draw_schedule, dump_schedule, dump_trace,
                        forced_schedule, load_records, parse_schedule, run_trial,
@@ -32,7 +32,7 @@ __all__ = [
     "ArrivalSchedule", "Decision", "DecisionRecord", "DecisionTrace",
     "DomainError", "EstimateReport", "ForbiddenSetOracle", "GraphicMatroid",
     "HarnessViolation", "ImpossibilityCertificate", "InstanceBundle",
-    "MatroidView", "OracleError", "POLICY_NAMES", "Policy", "PolicySpec",
+    "MatroidView", "OracleError", "POLICY_NAMES", "Policy",
     "PolicyViolation", "PreconditionError", "SUITE_NAMES", "SuiteResult",
     "UniformMatroid", "WeightedGroundSet", "alpha_p", "brute_force_mwb",
     "build_policy", "certify_no_size1_strong_fs", "check_claw_blocker",

@@ -20,7 +20,7 @@ import numpy as np
 from .instances import (InstanceBundle, double_triangle, fuzz_corpus, hat_graph,
                         random_graphic, uniform_instance)
 from .matroid import DomainError, GraphicMatroid, MatroidView, WeightedGroundSet
-from .policies import PolicySpec
+from .policies import build_policy
 from .simulate import (PHASE_LIVE, DecisionRecord, DecisionTrace, draw_schedule,
                        run_trial, trial_stream)
 
@@ -140,7 +140,7 @@ def reference_bound(family: str | None, policy: str, p: float,
     it bounds every optimum element: 0.25 for virtual-msp on the hat family at
     p = 1/2 (BIKK2007), p ln(1/p) for dynkin. Of single elements only the hat
     hub edge e_inf has one, p^2 (1-p). A family of None (a file) has none."""
-    policy = PolicySpec(policy).canonical
+    policy = build_policy(policy).name
     hat_virtual = family == "hat" and policy == "virtual-msp"
     if element is not None:
         return p * p * (1.0 - p) if hat_virtual and element == "e_inf" else None
@@ -202,27 +202,16 @@ def hat_forbidden_oracle(bundle: InstanceBundle) -> ForbiddenSetOracle:
     t_of = {i: u for u, i in top.items()}
     b_of = {i: u for u, i in bottom.items()}
 
-    def complete_claws(Y):
-        return [i for i in range(1, n + 1) if t_of[i] in Y and b_of[i] in Y]
-
     def rule(Y: frozenset, u: int) -> frozenset:
         if u == e_inf:
             return frozenset({t_of[1], b_of[1]}) & (Y - {u})
-        i = top.get(u)
-        if i is not None:
-            if e_inf not in Y:
-                complete = complete_claws(Y)
-                if complete and complete[0] == i:
-                    later = [j for j in complete if j > i]
-                    return frozenset({b_of[later[0]]}) if later else frozenset()
-            return frozenset({b_of[i]}) & (Y - {u})
-        i = bottom[u]
+        i = top[u] if u in top else bottom[u]
         if e_inf not in Y:
-            complete = complete_claws(Y)
+            complete = [j for j in range(1, n + 1) if t_of[j] in Y and b_of[j] in Y]
             if complete and complete[0] == i:
                 later = [j for j in complete if j > i]
                 return frozenset({b_of[later[0]]}) if later else frozenset()
-        return frozenset()
+        return frozenset({b_of[i]}) & (Y - {u}) if u in top else frozenset()
 
     return ForbiddenSetOracle(rule, 2)
 
@@ -600,7 +589,7 @@ def _suite_equivalences(cases: int, seed: int) -> SuiteResult:
         g = random_graphic(nv, ne, rng)
         sched = draw_schedule(g.weights, rng)
         t_sc = run_trial("sample-contracted", g.view, g.weights, sched, p)
-        t_gf = run_trial(PolicySpec("greedy-framework"), g.view, g.weights, sched, p)
+        t_gf = run_trial("greedy-framework", g.view, g.weights, sched, p)
         if _records_key(t_sc, False) != _records_key(t_gf, False):
             result.failures.append(
                 f"run {run}: contracted sampling != reference framework on {ne} edges")

@@ -21,8 +21,9 @@ from . import instances
 from .analysis import (OracleError, SUITE_NAMES, certify_no_size1_strong_fs, estimate,
                        reference_bound, run_suite, three_sigma)
 from .instances import InstanceBundle
-from .matroid import DomainError, PreconditionError, dump_instance, parse_instance
-from .policies import POLICIES, PolicySpec
+from .matroid import (DomainError, PreconditionError, UniformMatroid, dump_instance,
+                      parse_instance)
+from .policies import POLICIES, build_policy
 from .simulate import (draw_schedule, dump_json_line, dump_schedule, dump_trace,
                        forced_schedule, json_ready, parse_schedule, run_trial,
                        trial_rng)
@@ -57,18 +58,17 @@ SIZED_FAMILIES = ", ".join(name for name, (_, sized) in FAMILIES.items() if size
 
 def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
     """Build the requested instance; returns (bundle, family), where the
-    family is None for an --instance-file, whatever the file is named."""
+    family is None for an --instance-file, whatever the file is named. A
+    --k given with a uniform file must match its rank."""
     if getattr(args, "instance_file", None):
         with open(args.instance_file) as fp:
             base, weights = parse_instance(fp)
+        if isinstance(base, UniformMatroid) and args.k not in (None, base.k):
+            raise ValueError(f"k={args.k} does not match the {base.k}-uniform instance")
         named = {weights.label(u): u for u in range(weights.count)}
         return instances._bundle(base, weights, named), None
     build, _ = FAMILIES[args.instance]
     return build(args), args.instance
-
-
-def _policy_spec(args) -> PolicySpec:
-    return PolicySpec(args.policy, k=args.k)
 
 
 def _out_stream(path):
@@ -107,13 +107,12 @@ def _add_run_args(sp) -> None:
 
 def _cmd_simulate(args) -> int:
     bundle, _ = _resolve_instance(args)
-    spec = _policy_spec(args)
     if args.schedule_file:
         with open(args.schedule_file) as fp:
             schedule = parse_schedule(fp)
     else:
         schedule = draw_schedule(bundle.weights, trial_rng(args.seed, args.trial))
-    trace = run_trial(spec, bundle.view, bundle.weights, schedule, args.p)
+    trace = run_trial(args.policy, bundle.view, bundle.weights, schedule, args.p)
     with _out_stream(args.out) as fp:
         dump_trace(trace, fp)
     if args.schedule_out:
@@ -137,12 +136,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     bundle, family = _resolve_instance(args)
-    spec = _policy_spec(args)
     bound, direction = args.bound, args.bound_direction
     if bound is None:
         bound = reference_bound(family, args.policy, args.p)
         direction = None if bound is None else "lower"
-    report = estimate(spec, bundle, args.p, args.trials, args.seed,
+    report = estimate(args.policy, bundle, args.p, args.trials, args.seed,
                       analytic_bound=bound, bound_direction=direction)
     with _out_stream(args.out) as fp:
         dump_json_line(report.to_json_obj(), fp)
@@ -160,12 +158,12 @@ def _grid(text: str, cast, flag: str):
 
 
 def _cmd_sweep(args) -> int:
-    spec = _policy_spec(args)
-    canonical = spec.canonical
+    canonical = build_policy(args.policy).name
     ps = _grid(args.p_grid, float, "--p-grid")
     ns = [None] if args.n_grid is None else _grid(args.n_grid, int, "--n-grid")
-    if ns != [None] and not FAMILIES[args.instance][1]:
-        raise DomainError(f"--n-grid does not apply to {args.instance}")
+    if ns != [None] and (args.instance_file or not FAMILIES[args.instance][1]):
+        where = "--instance-file" if args.instance_file else args.instance
+        raise DomainError(f"--n-grid does not apply to {where}")
     rows = []
     for n in ns:
         if n is not None:
@@ -175,7 +173,7 @@ def _cmd_sweep(args) -> int:
         size = args.n if family and FAMILIES[family][1] else bundle.weights.count
         label = bundle.weights.label
         for p in ps:
-            report = estimate(spec, bundle, p, args.trials, args.seed)
+            report = estimate(canonical, bundle, p, args.trials, args.seed)
             for u, freq in sorted(report.per_element_accept_freq.items()):
                 bound = reference_bound(family, canonical, p, label(u))
                 rows.append([name, size, canonical, f"{p:.9g}", args.trials,
@@ -208,7 +206,7 @@ def _fx_triangle(policy_name):
         expected = [("e3", "sample", False, None, None),
                     ("e2", "live", True, None, None),
                     ("e1", "live", False, None, None)]
-    return bundle, PolicySpec(policy_name), 0.5, sched, expected
+    return bundle, policy_name, 0.5, sched, expected
 
 
 def _fx_uniform_virtual():
@@ -221,7 +219,7 @@ def _fx_uniform_virtual():
                 ("4", "live", False, "2", False),
                 ("5", "live", True, "3", True),
                 ("6", "live", False, "4", False)]
-    return bundle, PolicySpec("virtual-msp"), 0.25, sched, expected
+    return bundle, "virtual-msp", 0.25, sched, expected
 
 
 def _fx_hat_claw():
@@ -233,7 +231,7 @@ def _fx_hat_claw():
                 ("t_2", "live", True, None, None),
                 ("b_2", "live", False, None, None),
                 ("e_inf", "live", True, "b_1", True)]
-    return bundle, PolicySpec("virtual-msp"), 0.25, sched, expected
+    return bundle, "virtual-msp", 0.25, sched, expected
 
 
 def _fx_modified_hat_trap():
@@ -250,7 +248,7 @@ def _fx_modified_hat_trap():
                 ("4_2", "live", True, "2_2", True),
                 ("e_inf", "live", False, "2_1", True),
                 ("1_1", "live", False, None, None)]
-    return bundle, PolicySpec("virtual-msp"), 0.25, sched, expected
+    return bundle, "virtual-msp", 0.25, sched, expected
 
 
 FIXTURES = {
@@ -263,11 +261,11 @@ FIXTURES = {
 
 
 def _cmd_replay(args) -> int:
-    bundle, spec, p, sched_pairs, expected = FIXTURES[args.fixture]()
+    bundle, policy, p, sched_pairs, expected = FIXTURES[args.fixture]()
     schedule = forced_schedule([(bundle.id_of(lab), t) for lab, t in sched_pairs])
-    trace = run_trial(spec, bundle.view, bundle.weights, schedule, p)
+    trace = run_trial(policy, bundle.view, bundle.weights, schedule, p)
     label = bundle.weights.label
-    print(f"fixture {args.fixture}: policy={spec.name} p={p}")
+    print(f"fixture {args.fixture}: policy={policy} p={p}")
     ok = True
     for rec, exp in zip(trace.records, expected, strict=True):
         got = (label(rec.element), rec.phase, rec.accepted,

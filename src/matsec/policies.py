@@ -304,44 +304,23 @@ class GreedyFrameworkPolicy(Policy):
 class VirtualMspPolicy(Policy):
     """Track the running max-weight basis of everything seen; accept u when
     the accepted set stays independent, u joins the running basis, and the
-    element u displaces (if any) was a sample.
-
-    cross_check=True recomputes the basis from scratch after every
-    insertion; meant for tests, quadratic in the arrival count.
-    """
+    element u displaces (if any) was a sample."""
 
     name = "virtual-msp"
 
-    def __init__(self, cross_check: bool = False):
-        self._cross_check = cross_check
-
     def start(self, view, weights, p):
-        self.view = view
-        self.weights = weights
         self._running = running_mwb(view, weights)
         self._tracker = AcceptedSetTracker(view)
         self._sampled: set[int] = set()
-        self._seen: set[int] = set()
         self.accepted: set[int] = set()
-
-    def _insert(self, u):
-        result = self._running.insert(u)
-        if self._cross_check:
-            self._seen.add(u)
-            expect = self.view.greedy_mwb(self.weights, self._seen)
-            got = self._running.basis()
-            if got != expect:
-                raise PolicyViolation(
-                    f"running basis drifted: {sorted(got)} != {sorted(expect)}")
-        return result
 
     def observe_sample(self, u):
         self._sampled.add(u)
-        self._insert(u)
+        self._running.insert(u)
 
     def decide(self, u):
         feasible = self._tracker.can_add(u)
-        in_mwb, kicked = self._insert(u)
+        in_mwb, kicked = self._running.insert(u)
         kicked_was_sample = None if kicked is None else kicked in self._sampled
         accept = feasible and in_mwb and (kicked is None or kicked_was_sample)
         if accept:
@@ -350,12 +329,10 @@ class VirtualMspPolicy(Policy):
         return _decision(accept, kicked, kicked_was_sample)
 
 
-def _effective_uniform_k(view: MatroidView, what: str, k: int | None = None) -> int:
-    """The view's slot count; a given k must match it."""
+def _effective_uniform_k(view: MatroidView, what: str) -> int:
+    """The view's slot count; the policy runs on uniform matroids only."""
     if not isinstance(view.base, UniformMatroid):
         raise ValueError(f"{what} runs on uniform matroids only")
-    if k is not None and k != view.free_rank:
-        raise ValueError(f"k={k} does not match the {view.free_rank}-uniform instance")
     return view.free_rank
 
 
@@ -398,11 +375,8 @@ class OptimisticPolicy(Policy):
 
     name = "optimistic"
 
-    def __init__(self, k: int | None = None):
-        self._k_param = k
-
     def start(self, view, weights, p):
-        self._k = _effective_uniform_k(view, "optimistic", self._k_param)
+        self._k = _effective_uniform_k(view, "optimistic")
         self._rank_of = weights.rank_of
         self._refs: list[int] = []          # ascending ranks, heaviest first
         self._ref_elem: dict[int, int] = {}
@@ -437,11 +411,8 @@ class VirtualUniformPolicy(Policy):
 
     name = "virtual-uniform"
 
-    def __init__(self, k: int | None = None):
-        self._k_param = k
-
     def start(self, view, weights, p):
-        self._k = _effective_uniform_k(view, "virtual-uniform", self._k_param)
+        self._k = _effective_uniform_k(view, "virtual-uniform")
         self._rank_of = weights.rank_of
         self._refs: list[int] = []
         self._ref_elem: dict[int, int] = {}
@@ -477,48 +448,19 @@ class VirtualUniformPolicy(Policy):
 
 # -- registry ----------------------------------------------------------------
 
-# name -> factory taking the slot count k; factories that need no k ignore it.
-# The aliases come last and share their policy's factory.
-POLICIES = {
-    "dynkin": lambda k: DynkinPolicy(),
-    "optimistic": OptimisticPolicy,
-    "virtual-uniform": VirtualUniformPolicy,
-    "sample": lambda k: SamplePolicy(),
-    "sample-contracted": lambda k: SampleContractedPolicy(),
-    "greedy-framework": lambda k: GreedyFrameworkPolicy(),
-    "virtual-msp": lambda k: VirtualMspPolicy(),
-}
+# name -> policy class; the aliases come last and share their policy's class
+POLICIES = {cls.name: cls for cls in (
+    DynkinPolicy, OptimisticPolicy, VirtualUniformPolicy, SamplePolicy,
+    SampleContractedPolicy, GreedyFrameworkPolicy, VirtualMspPolicy)}
 POLICY_NAMES = tuple(POLICIES)
-POLICIES["greedy"] = POLICIES["greedy-framework"]
-POLICIES["virtual"] = POLICIES["virtual-msp"]
+POLICIES["greedy"] = GreedyFrameworkPolicy
+POLICIES["virtual"] = VirtualMspPolicy
 
 
-@dataclass(frozen=True)
-class PolicySpec:
-    """Names one policy family plus parameters; build() returns a fresh
-    instance, so a single spec can seed many independent trials."""
-
-    name: str
-    k: int | None = None
-
-    def _factory(self):
-        if self.name not in POLICIES:
-            raise ValueError(f"unknown policy: {self.name!r}")
-        return POLICIES[self.name]
-
-    @property
-    def canonical(self) -> str:
-        """The policy's own name, with an alias resolved."""
-        factory = self._factory()
-        return next(name for name in POLICY_NAMES if POLICIES[name] is factory)
-
-    def build(self) -> Policy:
-        return self._factory()(self.k)
-
-
-def build_policy(spec) -> Policy:
-    if isinstance(spec, Policy):
-        return spec
-    if isinstance(spec, str):
-        spec = PolicySpec(spec)
-    return spec.build()
+def build_policy(policy) -> Policy:
+    """A fresh policy from its name or alias; a Policy instance passes through."""
+    if isinstance(policy, Policy):
+        return policy
+    if isinstance(policy, str) and policy in POLICIES:
+        return POLICIES[policy]()
+    raise ValueError(f"unknown policy: {policy!r}")

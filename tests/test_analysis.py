@@ -26,7 +26,6 @@ from matsec import (
     MatroidView,
     OracleError,
     Policy,
-    PolicySpec,
     SUITE_NAMES,
     UniformMatroid,
     alpha_p,
@@ -56,6 +55,7 @@ from matsec import (
     uniform_instance,
 )
 from matsec.instances import random_graphic
+from matsec.policies import OptimisticPolicy
 from matsec.simulate import PHASE_LIVE, PHASE_SAMPLE, draw_schedule
 
 
@@ -180,7 +180,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("policy, bundle", [
         ("virtual-msp", hat_graph(3)),
-        (PolicySpec("optimistic", k=2), uniform_instance(7, 2)),
+        (OptimisticPolicy(), uniform_instance(7, 2)),     # an instance passes through
         ("sample", uniform_instance(7, 2)),
     ])
     def test_matches_a_per_trial_resum(self, policy, bundle):

@@ -88,12 +88,34 @@ class TestExitCodes:
         (("verify", "forbidden-consistency", "--cases", "1"), "--cases does not apply"),
         (("simulate", "--instance", "uniform", "--n", "-2"), "n >= 0, got -2"),
         (("estimate", "--instance", "uniform", "--n", "-1", "--trials", "5"), "n >= 0"),
+        (("sweep", "--instance-file", "hat.inst", "--n-grid", "2,3", "--trials", "5"),
+         "--n-grid does not apply to --instance-file"),
+        (("sweep", "--instance", "hat", "--instance-file", "hat.inst", "--n-grid", "2,3",
+          "--trials", "5"), "--n-grid does not apply to --instance-file"),
     ])
-    def test_bad_input_is_one_line_error(self, capsys, argv, needle):
+    def test_bad_input_is_one_line_error(self, capsys, tmp_path, monkeypatch, argv, needle):
+        # hat.inst is a triangle: its name must not make it a hat family
+        (tmp_path / "hat.inst").write_text("matroid graphic 3 3\n"
+                                           "edge 0 0 1 1\nedge 1 1 2 2\nedge 2 2 0 3\n")
+        monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
+
+    def test_k_must_match_a_uniform_instance_file(self, capsys, tmp_path):
+        inst_path = tmp_path / "uni.inst"
+        code, _, _ = run_cli(capsys, "simulate", "--instance", "uniform", "--n", "5",
+                             "--k", "2", "--dump-instance", str(inst_path))
+        assert code == 0
+        for policy in ("optimistic", "sample"):     # whether or not the policy counts slots
+            code, out, err = run_cli(capsys, "estimate", "--instance-file", str(inst_path),
+                                     "--policy", policy, "--k", "3", "--trials", "5")
+            assert (code, out) == (2, "")
+            assert err == "error: k=3 does not match the 2-uniform instance\n"
+        code, out, _ = run_cli(capsys, "estimate", "--instance-file", str(inst_path),
+                               "--policy", "optimistic", "--k", "2", "--trials", "5")
+        assert code == 0 and json.loads(out)["trials"] == 5
 
     def test_zero_denominator_weight(self, capsys, tmp_path):
         inst_path = tmp_path / "tri.inst"

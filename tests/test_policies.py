@@ -8,24 +8,25 @@ from matsec import (
     GraphicMatroid,
     MatroidView,
     Policy,
-    PolicySpec,
     POLICY_NAMES,
     UniformMatroid,
     WeightedGroundSet,
     build_policy,
+    draw_schedule,
     forced_schedule,
     modified_hat_graph,
     random_graphic,
     run_trial,
     running_mwb,
+    trial_rng,
     triangle,
     uniform_instance,
 )
 from matsec.policies import (
     AcceptedSetTracker,
+    POLICIES,
     DynkinPolicy,
     GreedyFrameworkPolicy,
-    OptimisticPolicy,
     PolicyViolation,
     VirtualMspPolicy,
 )
@@ -50,6 +51,10 @@ def labels_of(bundle, ids):
 def run_forced(policy, bundle, pairs, p):
     schedule = forced_schedule([(bundle.id_of(lab), t) for lab, t in pairs])
     return run_trial(policy, bundle.view, bundle.weights, schedule, p)
+
+
+def _seeded_schedule(bundle, seed):
+    return draw_schedule(bundle.weights, trial_rng(seed, 0))
 
 
 # -- incremental max-weight basis kernels ---------------------------------------
@@ -86,7 +91,8 @@ class TestRunningMwb:
     def random_streams():
         """(view, weights, insertion order) cases: small instances, larger
         multigraphs with loops and parallel edges, a long cycle whose forest
-        grows deep, random contractions, and the modified hat graph."""
+        grows deep, random contractions, and the modified hat graph, some of
+        them in the arrival order of a seeded trial."""
         for case in range(40):
             rng = np.random.default_rng(case)
             if case % 3 == 0:
@@ -112,6 +118,12 @@ class TestRunningMwb:
             yield view, weights, list(range(40)) + list(40 + rng.permutation(20))
             b = modified_hat_graph(8)
             yield b.view, b.weights, rng.permutation(b.weights.count)
+        for seed in range(6):
+            b = random_graphic(5, 9, np.random.default_rng(seed))
+            yield b.view, b.weights, _seeded_schedule(b, seed).order
+        for seed in range(3):
+            b = modified_hat_graph(16)
+            yield b.view, b.weights, _seeded_schedule(b, seed).order
 
     def test_matches_greedy_on_random_streams(self):
         # the kernel must agree with from-scratch greedy after every insert,
@@ -208,7 +220,7 @@ class TestVirtualOnUniformStream:
     def test_virtual_uniform_twin_matches(self):
         b = uniform_instance(6, 2)
         a = run_forced("virtual-msp", b, UNIFORM6_STREAM, p=0.25)
-        c = run_forced(PolicySpec("virtual-uniform", k=2), b, UNIFORM6_STREAM, p=0.25)
+        c = run_forced("virtual-uniform", b, UNIFORM6_STREAM, p=0.25)
         assert [(r.element, r.accepted, r.kicked, r.kicked_was_sample)
                 for r in a.records] == \
                [(r.element, r.accepted, r.kicked, r.kicked_was_sample)
@@ -216,7 +228,7 @@ class TestVirtualOnUniformStream:
 
     def test_optimistic_differs_on_same_stream(self):
         b = uniform_instance(6, 2)
-        trace = run_forced(PolicySpec("optimistic", k=2), b, UNIFORM6_STREAM, p=0.25)
+        trace = run_forced("optimistic", b, UNIFORM6_STREAM, p=0.25)
         assert labels_of(b, trace.accepted) == ["2", "4"]
 
 
@@ -245,42 +257,19 @@ class TestOptimistic:
     def test_accepts_on_capacity_without_threshold(self):
         b = uniform_instance(4, 2)
         pairs = [("4", 0.3), ("1", 0.6), ("2", 0.7), ("3", 0.8)]
-        trace = run_forced(PolicySpec("optimistic", k=2), b, pairs, p=0.5)
+        trace = run_forced("optimistic", b, pairs, p=0.5)
         assert labels_of(b, trace.accepted) == ["1"]
         ref = run_forced("sample-contracted", b, pairs, p=0.5)
         assert trace.accepted == ref.accepted
 
-    def test_k_mismatch_is_rejected(self):
-        b = uniform_instance(5, 2)
-        pairs = [(str(i), i / 10) for i in range(1, 6)]
-        with pytest.raises(ValueError, match="does not match"):
-            run_forced(PolicySpec("optimistic", k=3), b, pairs, p=0.5)
-
     def test_k_defaults_to_instance(self):
-        b = uniform_instance(5, 2)
+        # with no samples both slot-count rules fill the instance's k slots
         pairs = [(str(i), i / 10) for i in range(1, 6)]
-        a = run_forced("optimistic", b, pairs, p=0.35)
-        c = run_forced(PolicySpec("optimistic", k=2), b, pairs, p=0.35)
-        assert a.accepted == c.accepted
-
-
-class TestVirtualCrossCheck:
-    def test_running_basis_never_drifts(self):
-        cases = [(random_graphic(5, 9, np.random.default_rng(seed)), seed, 0.4)
-                 for seed in range(6)]
-        cases += [(modified_hat_graph(16), seed, 0.5) for seed in range(3)]
-        for b, seed, p in cases:
-            plain = run_trial("virtual-msp", b.view, b.weights,
-                              _seeded_schedule(b, seed), p)
-            checked = run_trial(VirtualMspPolicy(cross_check=True), b.view,
-                                b.weights, _seeded_schedule(b, seed), p)
-            assert plain.accepted == checked.accepted
-            assert plain.records == checked.records
-
-
-def _seeded_schedule(bundle, seed):
-    from matsec import draw_schedule, trial_rng
-    return draw_schedule(bundle.weights, trial_rng(seed, 0))
+        for k in range(1, 5):
+            b = uniform_instance(5, k)
+            for policy in ("optimistic", "virtual-uniform"):
+                trace = run_forced(policy, b, pairs, p=0.0)
+                assert labels_of(b, trace.accepted) == [str(i) for i in range(1, k + 1)]
 
 
 # -- pairwise agreement across families -------------------------------------------
@@ -341,28 +330,30 @@ class TestEquivalences:
 class TestRegistry:
     def test_names_build(self):
         for name in POLICY_NAMES:
-            k = 2 if name in ("optimistic", "virtual-uniform") else None
-            assert isinstance(PolicySpec(name, k=k).build(), Policy)
+            assert isinstance(build_policy(name), Policy)
+        for cls in POLICIES.values():
+            assert isinstance(cls(), cls)       # every policy takes no arguments
 
     def test_aliases(self):
-        assert isinstance(PolicySpec("greedy").build(), GreedyFrameworkPolicy)
-        assert isinstance(PolicySpec("virtual").build(), VirtualMspPolicy)
-        assert PolicySpec("greedy").canonical == "greedy-framework"
-        assert PolicySpec("virtual").canonical == "virtual-msp"
+        assert isinstance(build_policy("greedy"), GreedyFrameworkPolicy)
+        assert isinstance(build_policy("virtual"), VirtualMspPolicy)
+        assert build_policy("greedy").name == "greedy-framework"
+        assert build_policy("virtual").name == "virtual-msp"
+        assert tuple(POLICIES) == POLICY_NAMES + ("greedy", "virtual")
 
     def test_canonical_names_match_the_built_policies(self):
         assert POLICY_NAMES == ("dynkin", "optimistic", "virtual-uniform", "sample",
                                 "sample-contracted", "greedy-framework", "virtual-msp")
         for name in POLICY_NAMES:
-            spec = PolicySpec(name, k=2)
-            assert spec.canonical == spec.build().name == name
+            assert build_policy(name).name == POLICIES[name].name == name
 
     def test_build_policy_accepts_all_forms(self):
         p = DynkinPolicy()
         assert build_policy(p) is p
-        assert isinstance(build_policy("sample"), Policy)
-        assert isinstance(build_policy(PolicySpec("optimistic", k=1)), OptimisticPolicy)
+        a, b = build_policy("sample"), build_policy("sample")
+        assert isinstance(a, Policy) and a is not b     # a name gives a fresh instance
 
     def test_unknown_names_rejected(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            PolicySpec("secretary").build()
+        for bad in ("secretary", "", "Dynkin", None, 3, DynkinPolicy):
+            with pytest.raises(ValueError, match="unknown policy"):
+                build_policy(bad)
