@@ -232,6 +232,37 @@ class TestVirtualOnUniformStream:
         assert labels_of(b, trace.accepted) == ["2", "4"]
 
 
+class TestVirtualCrossCheck:
+    def test_running_basis_never_drifts(self):
+        # replay each live decision against a from-scratch basis: the kick
+        # must be the basis diff and the verdict must follow from it
+        cases = [(random_graphic(5, 9, np.random.default_rng(seed)), seed, 0.4)
+                 for seed in range(6)]
+        cases += [(modified_hat_graph(16), seed, 0.5) for seed in range(3)]
+        for b, seed, p in cases:
+            sched = _seeded_schedule(b, seed)
+            trace = run_trial("virtual-msp", b.view, b.weights, sched, p)
+            live = [r for r in trace.records if r.phase == "live"]
+            sampled = {u for u, t in zip(sched.order, sched.arrival) if t < p}
+            seen = set(sampled)
+            tracker = AcceptedSetTracker(b.view)
+            for r in live:
+                before = b.view.greedy_mwb(b.weights, seen)
+                seen.add(r.element)
+                after = b.view.greedy_mwb(b.weights, seen)
+                assert r.in_current_mwb == (r.element in after)
+                dropped = before - after
+                assert r.kicked == (next(iter(dropped)) if dropped else None)
+                assert r.kicked_was_sample == (
+                    None if r.kicked is None else r.kicked in sampled)
+                assert r.accepted == (tracker.can_add(r.element)
+                                      and r.element in after
+                                      and r.kicked_was_sample is not False)
+                if r.accepted:
+                    tracker.add(r.element)
+            assert {r.element for r in live if r.accepted} == trace.accepted
+
+
 class TestDynkin:
     def test_threshold_rule(self):
         b = uniform_instance(5, 1)
