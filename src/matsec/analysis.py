@@ -2,7 +2,8 @@
 exhaustive size-1 impossibility certificate.
 
 brute_force_mwb is the trusted oracle for everything greedy computes: it
-enumerates subsets outright and never shares code with the greedy path.
+enumerates subsets outright and shares only the independence test (the
+one AcceptedSetTracker, which the matroid-axioms suite guards) with greedy.
 The checker functions consume traces and re-derive what they need from the
 schedule rather than trusting any policy bookkeeping.
 """

@@ -43,31 +43,41 @@ def _random_graphic(args) -> InstanceBundle:
     return instances.random_graphic(args.vertices, args.edges, trial_rng(args.seed, 0xE5E5))
 
 
-# family -> (builder(args), sized by --n); an unsized family's size is its element count
+# family -> (builder(args), {size flag it reads: default}); one without n is sized by its count
 FAMILIES = {
-    "triangle": (lambda args: instances.triangle(), False),
-    "double-triangle": (lambda args: instances.double_triangle(), False),
-    "hat": (lambda args: instances.hat_graph(args.n), True),
-    "modified-hat": (lambda args: instances.modified_hat_graph(args.n), True),
-    "uniform": (lambda args: instances.uniform_instance(
-        args.n, args.k if args.k is not None else 1), True),
-    "random-graphic": (_random_graphic, False),
+    "triangle": (lambda args: instances.triangle(), {}),
+    "double-triangle": (lambda args: instances.double_triangle(), {}),
+    "hat": (lambda args: instances.hat_graph(args.n), {"n": 5}),
+    "modified-hat": (lambda args: instances.modified_hat_graph(args.n), {"n": 5}),
+    "uniform": (lambda args: instances.uniform_instance(args.n, args.k), {"n": 5, "k": 1}),
+    "random-graphic": (_random_graphic, {"vertices": 5, "edges": 8}),
 }
-SIZED_FAMILIES = ", ".join(name for name, (_, sized) in FAMILIES.items() if sized)
+SIZED_FAMILIES = ", ".join(name for name, (_, reads) in FAMILIES.items() if "n" in reads)
+INSTANCE_FLAGS = ("n", "k", "vertices", "edges")
 
 
 def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
     """Build the requested instance; returns (bundle, family), where the
     family is None for an --instance-file, whatever the file is named. A
-    --k given with a uniform file must match its rank."""
+    size flag the family does not read is an error, one it reads defaults;
+    a file reads none, but a --k given with a uniform file must match its rank."""
     if getattr(args, "instance_file", None):
         with open(args.instance_file) as fp:
             base, weights = parse_instance(fp)
-        if isinstance(base, UniformMatroid) and args.k not in (None, base.k):
+        uniform = isinstance(base, UniformMatroid)
+        for flag in INSTANCE_FLAGS:
+            if getattr(args, flag) is not None and not (flag == "k" and uniform):
+                raise DomainError(f"--{flag} does not apply to --instance-file")
+        if uniform and args.k not in (None, base.k):
             raise ValueError(f"k={args.k} does not match the {base.k}-uniform instance")
         named = {weights.label(u): u for u in range(weights.count)}
         return instances._bundle(base, weights, named), None
-    build, _ = FAMILIES[args.instance]
+    build, reads = FAMILIES[args.instance]
+    for flag in INSTANCE_FLAGS:
+        if getattr(args, flag) is None:
+            setattr(args, flag, reads.get(flag))
+        elif flag not in reads:
+            raise DomainError(f"--{flag} does not apply to {args.instance}")
     return build(args), args.instance
 
 
@@ -80,13 +90,13 @@ def _add_instance_args(sp) -> None:
                     help="named instance family (default: triangle)")
     sp.add_argument("--instance-file", metavar="PATH",
                     help="load the instance from a file instead")
-    sp.add_argument("--n", type=int, default=5,
+    sp.add_argument("--n", type=int, default=None,
                     help=f"size parameter for {SIZED_FAMILIES}")
     sp.add_argument("--k", type=int, default=None,
-                    help="rank of the uniform instance; slot-count policies reuse it")
-    sp.add_argument("--vertices", type=int, default=5,
+                    help="rank of the uniform family; must match a uniform --instance-file")
+    sp.add_argument("--vertices", type=int, default=None,
                     help="vertex count for random-graphic")
-    sp.add_argument("--edges", type=int, default=8,
+    sp.add_argument("--edges", type=int, default=None,
                     help="edge count for random-graphic")
 
 
@@ -137,6 +147,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     bundle, family = _resolve_instance(args)
     bound, direction = args.bound, args.bound_direction
+    if bound is None and direction is not None:
+        raise ValueError("--bound-direction needs --bound")
     if bound is None:
         bound = reference_bound(family, args.policy, args.p)
         direction = None if bound is None else "lower"
@@ -161,7 +173,7 @@ def _cmd_sweep(args) -> int:
     canonical = build_policy(args.policy).name
     ps = _grid(args.p_grid, float, "--p-grid")
     ns = [None] if args.n_grid is None else _grid(args.n_grid, int, "--n-grid")
-    if ns != [None] and (args.instance_file or not FAMILIES[args.instance][1]):
+    if ns != [None] and (args.instance_file or "n" not in FAMILIES[args.instance][1]):
         where = "--instance-file" if args.instance_file else args.instance
         raise DomainError(f"--n-grid does not apply to {where}")
     rows = []
@@ -170,7 +182,7 @@ def _cmd_sweep(args) -> int:
             args.n = n
         bundle, family = _resolve_instance(args)
         name = family or Path(args.instance_file).stem
-        size = args.n if family and FAMILIES[family][1] else bundle.weights.count
+        size = args.n if family and "n" in FAMILIES[family][1] else bundle.weights.count
         label = bundle.weights.label
         for p in ps:
             report = estimate(canonical, bundle, p, args.trials, args.seed)

@@ -113,6 +113,8 @@ class GraphicMatroid:
     endpoints: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.num_vertices < 0:
+            raise ValueError("num_vertices must be nonnegative")
         object.__setattr__(self, "endpoints",
                            tuple((int(a), int(b)) for a, b in self.endpoints))
         for a, b in self.endpoints:
@@ -155,14 +157,37 @@ class UnionFind:
         return True
 
 
-def _base_independent(base: BaseMatroid, elements: frozenset) -> bool:
-    if isinstance(base, UniformMatroid):
-        return len(elements) <= base.k
-    uf = UnionFind(base.num_vertices)
-    for u in elements:
-        if not uf.union(*base.endpoints[u]):
-            return False
-    return True
+class AcceptedSetTracker:
+    """The one independence test: a set grown from the view's contraction,
+    as a slot count on a uniform base (uf is None) or a union-find on a
+    graphic one. View queries, policies and the trial harness all use it."""
+
+    def __init__(self, view: "MatroidView"):
+        base = view.base
+        if isinstance(base, UniformMatroid):
+            self._slots = base.k
+            self.uf = None
+        else:
+            self.uf = UnionFind(base.num_vertices)
+            self._endpoints = base.endpoints
+        if not all(self.add(u) for u in view.contraction):
+            raise PreconditionError("contraction set must be independent in the base")
+
+    def can_add(self, u: int) -> bool:
+        if self.uf is None:
+            return self._slots > 0
+        a, b = self._endpoints[u]
+        return self.uf.find(a) != self.uf.find(b)
+
+    def add(self, u: int) -> bool:
+        """Add u and return True; return False and change nothing when u
+        would make the set dependent."""
+        if self.uf is None:
+            if self._slots <= 0:
+                return False
+            self._slots -= 1
+            return True
+        return self.uf.union(*self._endpoints[u])
 
 
 @dataclass(frozen=True)
@@ -185,8 +210,7 @@ class MatroidView:
         for u in self.restriction | self.contraction:
             if not 0 <= u < n:
                 raise DomainError(f"element {u} outside base ground set")
-        if not _base_independent(self.base, self.contraction):
-            raise PreconditionError("contraction set must be independent in the base")
+        AcceptedSetTracker(self)        # raises PreconditionError on a dependent contraction
         object.__setattr__(self, "_ground", self.restriction - self.contraction)
 
     @classmethod
@@ -197,35 +221,25 @@ class MatroidView:
     def ground(self) -> frozenset:
         return self._ground
 
-    def _check_domain(self, S: frozenset) -> None:
+    def _checked(self, S: Iterable[int]) -> frozenset:
+        S = frozenset(S)
         if not S <= self._ground:
             bad = sorted(S - self._ground)
             raise DomainError(f"elements outside effective ground set: {bad}")
+        return S
 
     @property
     def free_rank(self) -> int:
         """Uniform views only: the slots the contraction leaves, k - |contraction|."""
         return self.base.k - len(self.contraction)
 
-    def seeded_union_find(self) -> UnionFind:
-        """Graphic views only: union-find on the base vertices, contracted edges joined."""
-        uf = UnionFind(self.base.num_vertices)
-        for u in self.contraction:
-            uf.union(*self.base.endpoints[u])
-        return uf
-
     def is_independent(self, S: Iterable[int]) -> bool:
-        S = frozenset(S)
-        self._check_domain(S)
-        return _base_independent(self.base, S | self.contraction)
+        S = self._checked(S)
+        return all(map(AcceptedSetTracker(self).add, S))
 
     def rank(self, S: Iterable[int]) -> int:
-        S = frozenset(S)
-        self._check_domain(S)
-        if isinstance(self.base, UniformMatroid):
-            return min(len(S), self.free_rank)
-        uf = self.seeded_union_find()
-        return sum(1 for u in S if uf.union(*self.base.endpoints[u]))
+        S = self._checked(S)
+        return sum(map(AcceptedSetTracker(self).add, S))
 
     def span(self, S: Iterable[int]) -> frozenset:
         """Elements whose addition to S does not raise its rank.
@@ -234,19 +248,11 @@ class MatroidView:
         loop (self-loop edges, or everything when the view has no free
         capacity left).
         """
-        S = frozenset(S)
-        self._check_domain(S)
-        if isinstance(self.base, UniformMatroid):
-            return frozenset(self._ground) if len(S) >= self.free_rank else S
-        uf = self.seeded_union_find()
+        S = self._checked(S)
+        tracker = AcceptedSetTracker(self)
         for u in S:
-            uf.union(*self.base.endpoints[u])
-        spanned = []
-        for u in self._ground:
-            a, b = self.base.endpoints[u]
-            if uf.find(a) == uf.find(b):
-                spanned.append(u)
-        return frozenset(spanned)
+            tracker.add(u)
+        return S | frozenset(u for u in self._ground if not tracker.can_add(u))
 
     def greedy_mwb(self, weights: WeightedGroundSet,
                    S: Iterable[int] | None = None) -> frozenset:
@@ -255,25 +261,15 @@ class MatroidView:
         Standard greedy: scan S heaviest first, keep whatever stays
         independent. Unique because weights are pairwise distinct.
         """
-        S = self._ground if S is None else frozenset(S)
-        self._check_domain(S)
-        if isinstance(self.base, UniformMatroid):
-            return frozenset(weights.sort_desc(S)[:max(self.free_rank, 0)])
-        uf = self.seeded_union_find()
-        return frozenset(u for u in weights.sort_desc(S)
-                         if uf.union(*self.base.endpoints[u]))
+        S = self._checked(self._ground if S is None else S)
+        return frozenset(filter(AcceptedSetTracker(self).add, weights.sort_desc(S)))
 
     def restrict(self, S: Iterable[int]) -> "MatroidView":
-        S = frozenset(S)
-        self._check_domain(S)
-        return MatroidView(self.base, S, self.contraction)
+        return MatroidView(self.base, self._checked(S), self.contraction)
 
     def contract(self, I: Iterable[int]) -> "MatroidView":
-        I = frozenset(I)
-        self._check_domain(I)
-        if not self.is_independent(I):
-            raise PreconditionError("cannot contract a dependent set")
-        return MatroidView(self.base, self.restriction, self.contraction | I)
+        """The minor with I contracted too; a dependent I raises PreconditionError."""
+        return MatroidView(self.base, self.restriction, self.contraction | self._checked(I))
 
 
 # -- instance file format ---------------------------------------------------
@@ -348,6 +344,8 @@ def parse_instance(fp: TextIO) -> tuple[BaseMatroid, WeightedGroundSet]:
         return UniformMatroid(n, k), WeightedGroundSet.from_weights(weights)
     if kind == "graphic":
         nv, ne = int(header[2]), int(header[3])
+        if ne < 0:
+            raise ValueError(f"edge count must be nonnegative, got {ne}")
         ends: list[tuple[int, int] | None] = [None] * ne
         weights = [None] * ne
         for ln in lines[1:]:

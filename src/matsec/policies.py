@@ -12,7 +12,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .matroid import DomainError, MatroidView, UniformMatroid, WeightedGroundSet
+from .matroid import (AcceptedSetTracker, DomainError, MatroidView, UniformMatroid,
+                      WeightedGroundSet)
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ class _GraphicRunningMwb(RunningMwb):
         self._endpoints = base.endpoints
         self._rank_of = weights.rank_of
         # collapse contracted edges so the basis forest lives on component roots
-        uf = view.seeded_union_find()
+        uf = AcceptedSetTracker(view).uf
         self._root = [uf.find(v) for v in range(base.num_vertices)]
         self._parent: list[int | None] = [None] * base.num_vertices
         self._parent_edge: list[int | None] = [None] * base.num_vertices
@@ -159,33 +160,6 @@ def running_mwb(view: MatroidView, weights: WeightedGroundSet) -> RunningMwb:
     if isinstance(view.base, UniformMatroid):
         return _UniformRunningMwb(view, weights)
     return _GraphicRunningMwb(view, weights)
-
-
-class AcceptedSetTracker:
-    """Incremental independence check for a growing accepted set."""
-
-    def __init__(self, view: MatroidView):
-        if isinstance(view.base, UniformMatroid):
-            self._slots = view.free_rank
-            self._count = 0
-            self._uf = None
-        else:
-            self._uf = view.seeded_union_find()
-            self._endpoints = view.base.endpoints
-
-    def can_add(self, u: int) -> bool:
-        if self._uf is None:
-            return self._count < self._slots
-        a, b = self._endpoints[u]
-        return self._uf.find(a) != self._uf.find(b)
-
-    def add(self, u: int) -> None:
-        if self._uf is None:
-            if self._count >= self._slots:
-                raise PolicyViolation("accepted past capacity")
-            self._count += 1
-        elif not self._uf.union(*self._endpoints[u]):
-            raise PolicyViolation("accepted a dependence-creating element")
 
 
 # -- policies ----------------------------------------------------------------
@@ -319,12 +293,10 @@ class VirtualMspPolicy(Policy):
         self._running.insert(u)
 
     def decide(self, u):
-        feasible = self._tracker.can_add(u)
         in_mwb, kicked = self._running.insert(u)
         kicked_was_sample = None if kicked is None else kicked in self._sampled
-        accept = feasible and in_mwb and (kicked is None or kicked_was_sample)
+        accept = in_mwb and (kicked is None or kicked_was_sample) and self._tracker.add(u)
         if accept:
-            self._tracker.add(u)
             self.accepted.add(u)
         return _decision(accept, kicked, kicked_was_sample)
 

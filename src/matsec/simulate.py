@@ -19,8 +19,8 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .matroid import DomainError, MatroidView, WeightedGroundSet
-from .policies import AcceptedSetTracker, build_policy, running_mwb
+from .matroid import AcceptedSetTracker, DomainError, MatroidView, WeightedGroundSet
+from .policies import build_policy, running_mwb
 
 PHASE_SAMPLE = "sample"
 PHASE_LIVE = "live"
@@ -125,20 +125,18 @@ def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
         raise DomainError("schedule must cover exactly the effective ground set")
     policy = build_policy(policy)
     policy.start(view, weights, p)
-    tracker = AcceptedSetTracker(view)
     m = bisect_left(schedule.arrival, p)     # samples arrive before p; one at p is live
     for u in order[:m]:
         policy.observe_sample(u)
-    decide, can_add, add = policy.decide, tracker.can_add, tracker.add
+    decide, add = policy.decide, AcceptedSetTracker(view).add
     accepted, decisions = [], []
     for u in order[m:]:
         d = decide(u)
         if d.accept:
-            if not can_add(u):
+            if not add(u):
                 raise HarnessViolation(
                     f"policy {policy.name!r} accepted element {u} but the "
                     f"accepted set would become dependent")
-            add(u)
             accepted.append(u)
         decisions.append(d)
     records = ()

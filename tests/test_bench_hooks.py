@@ -47,6 +47,9 @@ def test_traced_run_counts_every_layer_and_restores_bindings():
     for name in ("policies.mwb_insert.calls", "policies.decide.calls",
                  "matroid.union_find.finds"):
         assert counts[name] > 0, name
+    # the tracker is defined in matroid; the tracer hooks it as policies.AcceptedSetTracker
+    assert policies.AcceptedSetTracker is matroid.AcceptedSetTracker
+    assert t.calls["policies.tracker"] > 0
     for owner, attrs in before.items():     # every rebound attribute is the original again
         now = vars(owner)
         assert now.keys() == attrs.keys(), owner

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from matsec import SUITE_NAMES, load_records, parse_instance, parse_schedule
 from matsec.analysis import CASE_SUITES
-from matsec.cli import FIXTURES, main
+from matsec.cli import FAMILIES, FIXTURES, INSTANCE_FLAGS, main
 
 
 def run_cli(capsys, *argv):
@@ -92,11 +92,27 @@ class TestExitCodes:
          "--n-grid does not apply to --instance-file"),
         (("sweep", "--instance", "hat", "--instance-file", "hat.inst", "--n-grid", "2,3",
           "--trials", "5"), "--n-grid does not apply to --instance-file"),
+        (("estimate", "--instance", "triangle", "--n", "9", "--k", "3", "--vertices", "0",
+          "--trials", "5"), "error: --n does not apply to triangle"),
+        (("estimate", "--instance", "triangle", "--policy", "sample", "--k", "3",
+          "--trials", "5"), "error: --k does not apply to triangle"),
+        (("estimate", "--instance", "hat", "--n", "2", "--vertices", "0", "--trials", "5"),
+         "error: --vertices does not apply to hat"),
+        (("estimate", "--instance-file", "hat.inst", "--k", "2", "--trials", "5"),
+         "error: --k does not apply to --instance-file"),
+        (("estimate", "--instance", "hat", "--n", "3", "--bound-direction", "upper",
+          "--trials", "5"), "error: --bound-direction needs --bound"),
+        (("simulate", "--instance-file", "neg_vertices.inst"),
+         "num_vertices must be nonnegative"),
+        (("simulate", "--instance-file", "neg_edges.inst"),
+         "edge count must be nonnegative, got -1"),
     ])
     def test_bad_input_is_one_line_error(self, capsys, tmp_path, monkeypatch, argv, needle):
         # hat.inst is a triangle: its name must not make it a hat family
         (tmp_path / "hat.inst").write_text("matroid graphic 3 3\n"
                                            "edge 0 0 1 1\nedge 1 1 2 2\nedge 2 2 0 3\n")
+        (tmp_path / "neg_vertices.inst").write_text("matroid graphic -1 0\n")
+        (tmp_path / "neg_edges.inst").write_text("matroid graphic 2 -1\n")
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
@@ -164,13 +180,19 @@ def cli_argv(draw):
         suite = draw(st.sampled_from(SUITE_NAMES))
         count = "--cases" if suite in CASE_SUITES else "--trials"
         argv = [command, suite, count, draw(SMALL_INTS)]
+        optional = OPTIONAL[command]
     else:
-        argv = [command]
-        for flag in ("--instance", "--policy", "--n"):
-            argv += [flag, draw(FLAGS[flag])]
+        # only the instance flags the family reads, so examples reach the policies
+        instance = draw(FLAGS["--instance"])
+        reads = FAMILIES[instance][1]
+        argv = [command, "--instance", instance, "--policy", draw(FLAGS["--policy"])]
+        if "n" in reads:
+            argv += ["--n", draw(SMALL_INTS)]
         if command != "simulate":
             argv += ["--trials", draw(SMALL_INTS)]
-    for flag in draw(st.lists(st.sampled_from(OPTIONAL[command]), max_size=3, unique=True)):
+        optional = [flag for flag in OPTIONAL[command]
+                    if flag[2:] not in INSTANCE_FLAGS or flag[2:] in reads]
+    for flag in draw(st.lists(st.sampled_from(optional), max_size=3, unique=True)):
         argv += [flag, draw(FLAGS[flag])]
     return argv
 

@@ -1,8 +1,11 @@
 """Ground sets, base matroids, views, greedy, and the instance file format."""
 
 import io
+import itertools
+from collections import defaultdict, deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +17,7 @@ from matsec import (
     UniformMatroid,
     WeightedGroundSet,
     dump_instance,
+    fuzz_corpus,
     parse_instance,
 )
 from matsec.matroid import format_weight
@@ -234,6 +238,68 @@ def test_independence_is_downward_closed(base, data):
     if view.is_independent(S):
         assert view.is_independent(sub)
     assert view.rank(S) <= len(S)
+
+
+# -- an independence oracle that shares no union-find with the views ---------
+
+
+def forest_size(base, edges):
+    """|V(edges)| - c(edges): the rank of a graphic edge set, by BFS components."""
+    adj = defaultdict(list)
+    for u in edges:
+        a, b = base.endpoints[u]
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, components = set(), 0
+    for start in adj:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        queue = deque([start])
+        while queue:
+            for y in adj[queue.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+    return len(adj) - components
+
+
+def oracle_rank(view, S):
+    C = view.contraction
+    if isinstance(view.base, UniformMatroid):
+        return min(len(S), view.base.k - len(C))
+    return forest_size(view.base, S | C) - forest_size(view.base, C)
+
+
+def check_against_oracle(view):
+    ground = sorted(view.ground)
+    subsets = [frozenset(c) for r in range(len(ground) + 1)
+               for c in itertools.combinations(ground, r)]
+    rank = {S: oracle_rank(view, S) for S in subsets}
+    for S in subsets:
+        assert view.rank(S) == rank[S], (view, S)
+        assert view.is_independent(S) == (rank[S] == len(S)), (view, S)
+        assert view.span(S) == frozenset(u for u in ground if rank[S | {u}] == rank[S]), \
+            (view, S)
+
+
+def test_views_and_minors_match_a_bfs_oracle():
+    rng = np.random.default_rng(11)
+    minors = 0
+    for bundle in fuzz_corpus(40, seed=4):
+        view = bundle.view
+        check_against_oracle(view)
+        ground = sorted(view.ground)
+        for _ in range(4):
+            C = frozenset(u for u in ground if rng.random() < 0.4)
+            if oracle_rank(view, C) == len(C):
+                check_against_oracle(view.contract(C))
+                minors += 1
+            else:
+                with pytest.raises(PreconditionError):
+                    view.contract(C)
+    assert minors >= 40
 
 
 # -- file format ----------------------------------------------------------------

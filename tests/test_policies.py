@@ -1,5 +1,7 @@
 """Policy decision procedures and the incremental basis kernels behind them."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from matsec import (
     MatroidView,
     Policy,
     POLICY_NAMES,
+    PreconditionError,
     UniformMatroid,
     WeightedGroundSet,
     build_policy,
@@ -27,7 +30,6 @@ from matsec.policies import (
     POLICIES,
     DynkinPolicy,
     GreedyFrameworkPolicy,
-    PolicyViolation,
     VirtualMspPolicy,
 )
 
@@ -164,21 +166,65 @@ class TestRunningMwb:
 
 
 class TestAcceptedSetTracker:
+    @staticmethod
+    def answers(tracker, view):
+        return {u: tracker.can_add(u) for u in view.ground}
+
     def test_uniform_capacity(self):
-        tracker = AcceptedSetTracker(MatroidView.full(UniformMatroid(3, 1)))
+        view = MatroidView.full(UniformMatroid(3, 1))
+        tracker = AcceptedSetTracker(view)
+        assert tracker.uf is None
         assert tracker.can_add(0)
-        tracker.add(0)
-        assert not tracker.can_add(1)
-        with pytest.raises(PolicyViolation):
-            tracker.add(1)
+        assert tracker.add(0) is True
+        before = self.answers(tracker, view)
+        assert before == {0: False, 1: False, 2: False}
+        assert tracker.add(1) is False      # dependent: refused, nothing changes
+        assert self.answers(tracker, view) == before
 
     def test_graphic_cycles(self):
-        tracker = AcceptedSetTracker(triangle().view)
-        tracker.add(0)
-        tracker.add(1)
-        assert not tracker.can_add(2)
-        with pytest.raises(PolicyViolation):
-            tracker.add(2)
+        view = triangle().view
+        tracker = AcceptedSetTracker(view)
+        assert tracker.uf is not None
+        assert tracker.add(0) is True and tracker.add(1) is True
+        before = self.answers(tracker, view)
+        assert before == {0: False, 1: False, 2: False}
+        assert tracker.add(2) is False      # closes the triangle
+        assert self.answers(tracker, view) == before
+
+    def test_uniform_contraction_leaves_k_minus_c_slots(self):
+        for k in range(5):
+            for c in range(k + 1):
+                view = MatroidView(UniformMatroid(6, k), frozenset(range(6)),
+                                   frozenset(range(c)))
+                tracker = AcceptedSetTracker(view)
+                assert sum(tracker.add(u) for u in sorted(view.ground)) == k - c
+                assert not any(self.answers(tracker, view).values())
+
+    def test_graphic_contraction_refuses_a_parallel_edge(self):
+        # edges 0 and 1 are parallel on 0-1; edge 2 hangs off vertex 1
+        base = GraphicMatroid(3, ((0, 1), (0, 1), (1, 2)))
+        view = MatroidView(base, frozenset({0, 1, 2}), frozenset({0}))
+        tracker = AcceptedSetTracker(view)
+        assert self.answers(tracker, view) == {1: False, 2: True}
+        assert tracker.add(1) is False
+        assert self.answers(tracker, view) == {1: False, 2: True}
+        assert tracker.add(2) is True
+
+    @pytest.mark.parametrize("base, contraction", [
+        (UniformMatroid(4, 1), {0, 1}),
+        (GraphicMatroid(3, ((0, 1), (1, 2), (2, 0))), {0, 1, 2}),
+        (GraphicMatroid(2, ((0, 1), (0, 1))), {0, 1}),
+        (GraphicMatroid(2, ((1, 1), (0, 1))), {0}),
+    ], ids=["uniform", "cycle", "parallel", "loop"])
+    def test_dependent_contraction_raises(self, base, contraction):
+        # the tracker reads only base and contraction, so it is handed the
+        # dependent pair directly: a MatroidView would refuse to exist
+        with pytest.raises(PreconditionError):
+            AcceptedSetTracker(SimpleNamespace(base=base, contraction=frozenset(contraction)))
+        with pytest.raises(PreconditionError):
+            MatroidView(base, frozenset(range(base.size)), frozenset(contraction))
+        with pytest.raises(PreconditionError):
+            MatroidView.full(base).contract(contraction)
 
 
 # -- individual policies ----------------------------------------------------------
