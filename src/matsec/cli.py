@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -149,6 +150,10 @@ def _cmd_estimate(args) -> int:
     bound, direction = args.bound, args.bound_direction
     if bound is None and direction is not None:
         raise ValueError("--bound-direction needs --bound")
+    if bound is not None and direction is None:
+        raise ValueError("--bound needs --bound-direction")
+    if bound is not None and not math.isfinite(bound):
+        raise ValueError(f"--bound must be finite, got {bound}")
     if bound is None:
         bound = reference_bound(family, args.policy, args.p)
         direction = None if bound is None else "lower"

@@ -13,7 +13,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, TextIO
 
@@ -153,11 +153,98 @@ def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
 def trial_stream(policy, view: MatroidView, weights: WeightedGroundSet,
                  p: float, trials: int, seed: int, *,
                  record: bool = False) -> Iterator[DecisionTrace]:
-    """One trace per trial; trial i always consumes trial_rng(seed, i)."""
+    """One trace per trial; trial i always consumes trial_rng(seed, i)'s stream."""
     policy = build_policy(policy)
-    for i in range(trials):
-        schedule = draw_schedule(weights, trial_rng(seed, i))
-        yield run_trial(policy, view, weights, schedule, p, record=record)
+    for rng in _trial_rngs(seed, trials):
+        yield run_trial(policy, view, weights, draw_schedule(weights, rng), p, record=record)
+
+
+# -- trial seeds in blocks -----------------------------------------------------
+# trial_rng(seed, i) is default_rng(SeedSequence((seed, i))). _trial_rngs gives
+# the same streams without building a SeedSequence and a PCG64 per trial: it
+# runs SeedSequence's pool hash over a block of indices at once (the hash
+# constants do not depend on the data, so numpy uint32 arithmetic does it), then
+# PCG64's seeding step per trial, and sets the state of one reused generator.
+
+_SEED_BLOCK = 1024
+_M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list:
+    """n >= 0 as SeedSequence splits it: 32-bit words, least significant first."""
+    words = [n & _M32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hashmix with its running constant; takes ints or uint32 arrays."""
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _pcg64_states(seed_words: list, start: int, count: int) -> Iterator[dict]:
+    """PCG64 state of trial_rng(seed, i) for i in [start, start + count), a
+    range that must not cross a multiple of 2**32, so every i splits into as
+    many words; seed_words is _words(seed)."""
+    low = np.arange(start & _M32, (start & _M32) + count, dtype=np.uint32)
+    entropy = seed_words + [low] + _words(start)[1:]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)     # generate_state(4, np.uint64)
+    words = np.stack([hashmix(pool[k % 4]) for k in range(8)], axis=1)
+    for s_hi, s_lo, q_hi, q_lo in words.astype("<u4").view("<u8").tolist():
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _M128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+@cache
+def _block_seeding_matches() -> bool:
+    """Once per process: does the derivation still agree with this numpy's?"""
+    seed, i = 2**96 + 12345, 2**32 + 7      # 6 entropy words: pool and tail mixing
+    ours = next(_pcg64_states(_words(seed), i, 1))
+    return ours == np.random.PCG64(np.random.SeedSequence((seed, i))).state
+
+
+def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
+    """trial_rng(seed, i)'s stream for each i in range(trials). The generator
+    yielded is reused: each trial sets its state."""
+    if trials <= 0:
+        return
+    np.random.SeedSequence((seed, 0))       # raises what trial_rng(seed, i) would
+    if not isinstance(seed, (int, np.integer)) or not _block_seeding_matches():
+        yield from (trial_rng(seed, i) for i in range(trials))
+        return
+    seed_words, bit_gen = _words(int(seed)), np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for start in range(0, trials, _SEED_BLOCK):     # _SEED_BLOCK divides 2**32
+        for state in _pcg64_states(seed_words, start, min(_SEED_BLOCK, trials - start)):
+            bit_gen.state = state
+            yield rng
 
 
 # -- serialization ------------------------------------------------------------

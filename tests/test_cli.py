@@ -106,6 +106,12 @@ class TestExitCodes:
          "num_vertices must be nonnegative"),
         (("simulate", "--instance-file", "neg_edges.inst"),
          "edge count must be nonnegative, got -1"),
+        (("estimate", "--instance", "hat", "--n", "3", "--bound", "0.2", "--trials", "5"),
+         "error: --bound needs --bound-direction"),
+        (("estimate", "--instance", "hat", "--n", "3", "--bound", "nan",
+          "--bound-direction", "lower", "--trials", "5"), "error: --bound must be finite"),
+        (("estimate", "--instance", "hat", "--n", "3", "--bound", "inf",
+          "--bound-direction", "upper", "--trials", "5"), "error: --bound must be finite"),
     ])
     def test_bad_input_is_one_line_error(self, capsys, tmp_path, monkeypatch, argv, needle):
         # hat.inst is a triangle: its name must not make it a hat family
@@ -160,13 +166,18 @@ FLAGS = {
     "--policy": st.sampled_from(["virtual-msp", "virtual", "greedy", "dynkin", "optimistic",
                                  "virtual-uniform", "sample-contracted", "psychic"]),
     "--n": SMALL_INTS, "--k": SMALL_INTS, "--vertices": SMALL_INTS,
-    "--edges": SMALL_INTS, "--seed": SMALL_INTS, "--trial": SMALL_INTS,
+    "--edges": SMALL_INTS, "--trial": SMALL_INTS,
+    # seeds of two and three 32-bit words too: the multi-word entropy path
+    "--seed": SMALL_INTS | st.sampled_from(["4294967296", "18446744073709551623"]),
+    "--bound": st.sampled_from(["0.2", "nan", "inf"]),
+    "--bound-direction": st.sampled_from(["lower", "upper"]),
     "--p": st.sampled_from(["0.5", "0.25", "0", "1", "nan", "-0.5", "2"]),
     "--p-grid": st.sampled_from(["0.5", "0.5,nan", "", "2"]),
     "--n-grid": st.sampled_from(["2,3", "-1", "", "x"]),
 }
 OPTIONAL = {"simulate": ["--k", "--vertices", "--edges", "--seed", "--p", "--trial"],
-            "estimate": ["--k", "--vertices", "--edges", "--seed", "--p"],
+            "estimate": ["--k", "--vertices", "--edges", "--seed", "--p", "--bound",
+                         "--bound-direction"],
             "sweep": ["--k", "--vertices", "--edges", "--seed", "--p-grid", "--n-grid"],
             "verify": ["--n", "--seed", "--p"]}
 

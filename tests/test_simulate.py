@@ -18,6 +18,7 @@ from matsec import (
     dump_schedule,
     dump_trace,
     forced_schedule,
+    hat_graph,
     load_records,
     parse_schedule,
     random_graphic,
@@ -28,7 +29,9 @@ from matsec import (
     triangle,
     uniform_instance,
 )
-from matsec.simulate import PHASE_LIVE, PHASE_SAMPLE, dump_json_line, json_ready
+from matsec import simulate
+from matsec.simulate import (PHASE_LIVE, PHASE_SAMPLE, _pcg64_states, _words,
+                             dump_json_line, json_ready)
 
 
 class AcceptEveryLive(Policy):
@@ -62,6 +65,70 @@ class TestTrialRng:
         streamed = list(trial_stream("sample", b.view, b.weights, 0.5, 5, seed=11))
         direct = draw_schedule(b.weights, trial_rng(11, 3))
         assert streamed[3].schedule.times == direct.times
+
+
+class TestBlockSeeding:
+    """trial_stream derives each trial's PCG64 state in blocks of indices; every
+    state and stream must be trial_rng(seed, i)'s, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 99, 2**32 - 1, 2**32, 2**64 + 7])
+    @pytest.mark.parametrize("start, count", [
+        (0, 5), (1023, 1), (1024, 2),           # across trial_stream's block boundary
+        (2**32 - 2, 2), (2**32, 2),             # i grows from one 32-bit word to two
+        (2**64 - 1, 1), (2**64, 1),             # ... and from two to three
+    ])
+    def test_states_and_streams_equal_numpy(self, seed, start, count):
+        bit_gen = np.random.PCG64(0)
+        rng = np.random.Generator(bit_gen)
+        states = list(_pcg64_states(_words(seed), start, count))
+        assert len(states) == count
+        for i, state in enumerate(states, start):
+            assert state == np.random.PCG64(np.random.SeedSequence((seed, i))).state
+            bit_gen.state = state
+            assert rng.random(64).tolist() == trial_rng(seed, i).random(64).tolist()
+
+    def test_self_check_agrees_with_this_numpy(self):
+        assert simulate._block_seeding_matches()
+
+    @pytest.mark.parametrize("seed", [5, 2**64 + 7])
+    def test_stream_equals_trial_rng_trace_by_trace(self, seed):
+        b = hat_graph(3)
+        streamed = trial_stream("virtual-msp", b.view, b.weights, 0.5, 1030, seed, record=True)
+        for i, trace in enumerate(streamed):    # 1030 trials span the first block boundary
+            direct = run_trial("virtual-msp", b.view, b.weights,
+                               draw_schedule(b.weights, trial_rng(seed, i)), 0.5)
+            assert trace.schedule.arrival == direct.schedule.arrival, i
+            assert trace.records == direct.records, i
+        assert i == 1029
+
+    def test_seed_errors_and_empty_stream(self):
+        b = triangle()
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            next(trial_stream("sample", b.view, b.weights, 0.5, 3, -2))
+        with pytest.raises(TypeError):
+            next(trial_stream("sample", b.view, b.weights, 0.5, 3, 1.5))
+        assert list(trial_stream("sample", b.view, b.weights, 0.5, 0, 3)) == []
+
+    @pytest.mark.parametrize("seed", [np.int64(7), (4, 5)])
+    def test_numpy_and_sequence_seeds_keep_their_streams(self, seed):
+        b = triangle()
+        streamed = trial_stream("sample", b.view, b.weights, 0.5, 3, seed)
+        assert [t.schedule.arrival for t in streamed] == \
+               [draw_schedule(b.weights, trial_rng(seed, i)).arrival for i in range(3)]
+
+    def test_self_check_mismatch_falls_back_to_trial_rng(self, monkeypatch):
+        b = hat_graph(3)
+
+        def arrivals():
+            return [t.schedule.arrival
+                    for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 40, 9)]
+
+        derived, real_trial_rng, calls = arrivals(), simulate.trial_rng, []
+        monkeypatch.setattr(simulate, "_block_seeding_matches", lambda: False)
+        monkeypatch.setattr(simulate, "trial_rng",
+                            lambda seed, i: calls.append(i) or real_trial_rng(seed, i))
+        assert arrivals() == derived
+        assert calls == list(range(40))
 
 
 class TestDrawSchedule:
