@@ -33,9 +33,12 @@ from .simulate import (draw_schedule, dump_json_line, dump_schedule, dump_trace,
 def _seed_default() -> int:
     text = os.environ.get("MATSEC_SEED", "0")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
-        raise ValueError(f"MATSEC_SEED must be an integer, got {text!r}") from None
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"MATSEC_SEED must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _random_graphic(args) -> InstanceBundle:
@@ -71,8 +74,7 @@ def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
                 raise DomainError(f"--{flag} does not apply to --instance-file")
         if uniform and args.k not in (None, base.k):
             raise ValueError(f"k={args.k} does not match the {base.k}-uniform instance")
-        named = {weights.label(u): u for u in range(weights.count)}
-        return instances._bundle(base, weights, named), None
+        return instances._bundle(base, weights), None
     build, reads = FAMILIES[args.instance]
     for flag in INSTANCE_FLAGS:
         if getattr(args, flag) is None:
@@ -207,84 +209,55 @@ def _cmd_sweep(args) -> int:
 
 # -- replay ------------------------------------------------------------------
 #
-# Each fixture pins one hand-checked run: the exact arrival schedule and, for
-# every arrival, the expected (phase, accepted, kicked, kicked-was-sample)
-# tuple. Replays recompute the run and fail loudly on any drift.
-
-
-def _fx_triangle(policy_name):
-    bundle = instances.triangle()
-    sched = [("e3", 0.2), ("e2", 0.6), ("e1", 0.8)]
-    if policy_name == "sample":
-        expected = [("e3", "sample", False, None, None),
-                    ("e2", "live", True, None, None),
-                    ("e1", "live", True, None, None)]
-    else:
-        expected = [("e3", "sample", False, None, None),
-                    ("e2", "live", True, None, None),
-                    ("e1", "live", False, None, None)]
-    return bundle, policy_name, 0.5, sched, expected
-
-
-def _fx_uniform_virtual():
-    bundle = instances.uniform_instance(6, 2)
-    sched = [("1", 0.05), ("3", 0.15), ("2", 0.40),
-             ("4", 0.55), ("5", 0.70), ("6", 0.85)]
-    expected = [("1", "sample", False, None, None),
-                ("3", "sample", False, None, None),
-                ("2", "live", True, "1", True),
-                ("4", "live", False, "2", False),
-                ("5", "live", True, "3", True),
-                ("6", "live", False, "4", False)]
-    return bundle, "virtual-msp", 0.25, sched, expected
-
-
-def _fx_hat_claw():
-    bundle = instances.hat_graph(2)
-    sched = [("t_1", 0.05), ("b_1", 0.15), ("t_2", 0.40),
-             ("b_2", 0.55), ("e_inf", 0.80)]
-    expected = [("t_1", "sample", False, None, None),
-                ("b_1", "sample", False, None, None),
-                ("t_2", "live", True, None, None),
-                ("b_2", "live", False, None, None),
-                ("e_inf", "live", True, "b_1", True)]
-    return bundle, "virtual-msp", 0.25, sched, expected
-
-
-def _fx_modified_hat_trap():
-    bundle = instances.modified_hat_graph(2)
-    sched = [("2_1", 0.05), ("3_1", 0.10), ("4_1", 0.15), ("2_2", 0.20),
-             ("1_2", 0.40), ("3_2", 0.50), ("4_2", 0.60),
-             ("e_inf", 0.75), ("1_1", 0.90)]
-    expected = [("2_1", "sample", False, None, None),
-                ("3_1", "sample", False, None, None),
-                ("4_1", "sample", False, None, None),
-                ("2_2", "sample", False, None, None),
-                ("1_2", "live", True, None, None),
-                ("3_2", "live", False, "1_2", False),
-                ("4_2", "live", True, "2_2", True),
-                ("e_inf", "live", False, "2_1", True),
-                ("1_1", "live", False, None, None)]
-    return bundle, "virtual-msp", 0.25, sched, expected
-
+# Each fixture pins one hand-checked run: its instance builder, policy and
+# cutoff, and one row per arrival in time order, (label, time, phase,
+# accepted, kicked, kicked-was-sample). The times make the schedule; replays
+# recompute the run and fail loudly on any drift from the rest of the row.
 
 FIXTURES = {
-    "triangle-sample": lambda: _fx_triangle("sample"),
-    "triangle-greedy": lambda: _fx_triangle("greedy-framework"),
-    "uniform-virtual-stream": _fx_uniform_virtual,
-    "hat-claw": _fx_hat_claw,
-    "modified-hat-trap": _fx_modified_hat_trap,
+    "triangle-sample": (instances.triangle, "sample", 0.5, (
+        ("e3", 0.2, "sample", False, None, None),
+        ("e2", 0.6, "live", True, None, None),
+        ("e1", 0.8, "live", True, None, None))),
+    "triangle-greedy": (instances.triangle, "greedy-framework", 0.5, (
+        ("e3", 0.2, "sample", False, None, None),
+        ("e2", 0.6, "live", True, None, None),
+        ("e1", 0.8, "live", False, None, None))),
+    "uniform-virtual-stream": (lambda: instances.uniform_instance(6, 2), "virtual-msp", 0.25, (
+        ("1", 0.05, "sample", False, None, None),
+        ("3", 0.15, "sample", False, None, None),
+        ("2", 0.40, "live", True, "1", True),
+        ("4", 0.55, "live", False, "2", False),
+        ("5", 0.70, "live", True, "3", True),
+        ("6", 0.85, "live", False, "4", False))),
+    "hat-claw": (lambda: instances.hat_graph(2), "virtual-msp", 0.25, (
+        ("t_1", 0.05, "sample", False, None, None),
+        ("b_1", 0.15, "sample", False, None, None),
+        ("t_2", 0.40, "live", True, None, None),
+        ("b_2", 0.55, "live", False, None, None),
+        ("e_inf", 0.80, "live", True, "b_1", True))),
+    "modified-hat-trap": (lambda: instances.modified_hat_graph(2), "virtual-msp", 0.25, (
+        ("2_1", 0.05, "sample", False, None, None),
+        ("3_1", 0.10, "sample", False, None, None),
+        ("4_1", 0.15, "sample", False, None, None),
+        ("2_2", 0.20, "sample", False, None, None),
+        ("1_2", 0.40, "live", True, None, None),
+        ("3_2", 0.50, "live", False, "1_2", False),
+        ("4_2", 0.60, "live", True, "2_2", True),
+        ("e_inf", 0.75, "live", False, "2_1", True),
+        ("1_1", 0.90, "live", False, None, None))),
 }
 
 
 def _cmd_replay(args) -> int:
-    bundle, policy, p, sched_pairs, expected = FIXTURES[args.fixture]()
-    schedule = forced_schedule([(bundle.id_of(lab), t) for lab, t in sched_pairs])
+    build, policy, p, rows = FIXTURES[args.fixture]
+    bundle = build()
+    schedule = forced_schedule([(bundle.id_of(row[0]), row[1]) for row in rows])
     trace = run_trial(policy, bundle.view, bundle.weights, schedule, p)
     label = bundle.weights.label
     print(f"fixture {args.fixture}: policy={policy} p={p}")
     ok = True
-    for rec, exp in zip(trace.records, expected, strict=True):
+    for rec, row in zip(trace.records, rows, strict=True):
         got = (label(rec.element), rec.phase, rec.accepted,
                None if rec.kicked is None else label(rec.kicked),
                rec.kicked_was_sample)
@@ -296,9 +269,9 @@ def _cmd_replay(args) -> int:
                 tag = "sample" if rec.kicked_was_sample else "live"
                 verdict += f"  kicked {label(rec.kicked)} ({tag})"
         line = f"  t={rec.time:.2f}  {got[0]:<8} {verdict}"
-        if got != exp:
+        if got != row[:1] + row[2:]:
             ok = False
-            line += f"   << expected {exp[1:]}"
+            line += f"   << expected {row[2:]}"
         print(line)
     print(f"accepted: {', '.join(sorted(label(u) for u in trace.accepted))}")
     if args.out:
@@ -420,6 +393,9 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _seed_default()    # read here, so a bad MATSEC_SEED exits 2
+        for flag in ("seed", "trial"):
+            if getattr(args, flag, 0) < 0:
+                raise ValueError(f"--{flag} must be non-negative, got {getattr(args, flag)}")
         return args.func(args)
     except (DomainError, PreconditionError, OracleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

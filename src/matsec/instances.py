@@ -1,8 +1,9 @@
 """Benchmark instance families with their exact weight orders.
 
 Every generator emits positive integer weights (pairwise distinct), so
-utility ratios downstream stay exact rationals. Named elements let tests
-and fixtures talk about edges by role ("e_inf", "t_3") instead of raw ids.
+utility ratios downstream stay exact rationals. Element labels double as
+names, so tests and fixtures talk about edges by role ("e_inf", "t_3")
+instead of raw ids.
 """
 
 from __future__ import annotations
@@ -30,16 +31,20 @@ class InstanceBundle:
         return [self.named[n] for n in names]
 
 
-def _bundle(base, weights, named) -> InstanceBundle:
+def _bundle(base, weights) -> InstanceBundle:
+    """The full view of base; each element is named by its weight label."""
+    named = {label: u for u, label in enumerate(weights.labels)}
+    if len(named) != weights.count:
+        raise ValueError("weight labels collide; pass distinct weights")
     view = MatroidView.full(base)
-    return InstanceBundle(view, weights, dict(named), view.greedy_mwb(weights))
+    return InstanceBundle(view, weights, named, view.greedy_mwb(weights))
 
 
 def triangle() -> InstanceBundle:
     """Three edges on a 3-cycle, weights 1 < 2 < 3; optimum is {e2, e3}."""
     base = GraphicMatroid(3, ((0, 1), (1, 2), (2, 0)))
     weights = WeightedGroundSet.from_weights([1, 2, 3], ("e1", "e2", "e3"))
-    return _bundle(base, weights, {"e1": 0, "e2": 1, "e3": 2})
+    return _bundle(base, weights)
 
 
 def double_triangle() -> InstanceBundle:
@@ -55,7 +60,7 @@ def double_triangle() -> InstanceBundle:
             weights.append(i + 3 * (j - 1))
     base = GraphicMatroid(3, tuple(endpoints))
     ws = WeightedGroundSet.from_weights(weights, tuple(names))
-    return _bundle(base, ws, {name: u for u, name in enumerate(names)})
+    return _bundle(base, ws)
 
 
 def hat_graph(n: int) -> InstanceBundle:
@@ -82,7 +87,7 @@ def hat_graph(n: int) -> InstanceBundle:
         weights.append(n - i + 1)
     base = GraphicMatroid(n + 2, tuple(endpoints))
     ws = WeightedGroundSet.from_weights(weights, tuple(names))
-    return _bundle(base, ws, {name: u for u, name in enumerate(names)})
+    return _bundle(base, ws)
 
 
 def modified_hat_graph(n: int) -> InstanceBundle:
@@ -114,7 +119,7 @@ def modified_hat_graph(n: int) -> InstanceBundle:
             weights.append(g * n - i + 1)
     base = GraphicMatroid(2 * n + 2, tuple(endpoints))
     ws = WeightedGroundSet.from_weights(weights, tuple(names))
-    return _bundle(base, ws, {name: u for u, name in enumerate(names)})
+    return _bundle(base, ws)
 
 
 def uniform_instance(n: int, k: int, weights=None) -> InstanceBundle:
@@ -126,10 +131,7 @@ def uniform_instance(n: int, k: int, weights=None) -> InstanceBundle:
         weights = list(range(1, n + 1))
     ws = WeightedGroundSet.from_weights(
         weights, tuple(str(w) for w in weights))
-    named = {ws.label(u): u for u in range(n)}
-    if len(named) != n:
-        raise ValueError("weight labels collide; pass distinct weights")
-    return _bundle(UniformMatroid(n, k), ws, named)
+    return _bundle(UniformMatroid(n, k), ws)
 
 
 def random_graphic(num_vertices: int, num_edges: int, rng) -> InstanceBundle:
@@ -143,7 +145,7 @@ def random_graphic(num_vertices: int, num_edges: int, rng) -> InstanceBundle:
     base = GraphicMatroid(num_vertices, endpoints)
     labels = tuple(f"e{u}" for u in range(num_edges))
     ws = WeightedGroundSet.from_weights(weights, labels)
-    return _bundle(base, ws, {lab: u for u, lab in enumerate(labels)})
+    return _bundle(base, ws)
 
 
 def fuzz_corpus(count: int, seed: int, max_vertices: int = 5,

@@ -12,8 +12,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 
-from .matroid import (AcceptedSetTracker, DomainError, MatroidView, UniformMatroid,
-                      WeightedGroundSet)
+from .matroid import (AcceptedSetTracker, DomainError, GraphicMatroid, MatroidView,
+                      UniformMatroid, WeightedGroundSet)
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,11 @@ class RunningMwb:
     which equals the max-weight basis of the whole inserted set: at most
     one element is displaced per insertion and a displaced element never
     returns, so the small update is exact. insert() reports whether u
-    entered the basis and which element (if any) it displaced. The uniform
-    kernel keeps a sorted rank list; the graphic kernel keeps a rooted
-    forest and pays O(tree depth) per insert, not O(component size).
+    entered the basis and which element (if any) it displaced. A graphic
+    view with nothing contracted gets a rooted forest that pays O(tree
+    depth) per insert; every other view, uniform or contracted, re-runs
+    greedy on B + u. So the list-based virtual-uniform rule shares no code
+    with virtual-msp's kernel and stays an independent twin of it.
     """
 
     def insert(self, u: int) -> tuple[bool, int | None]:
@@ -58,38 +60,34 @@ class RunningMwb:
         raise NotImplementedError
 
 
-class _UniformRunningMwb(RunningMwb):
+class _GreedyRunningMwb(RunningMwb):
+    """Any view: the new basis is greedy_mwb(B + u), exact by the
+    basis-of-basis lemma MWB(S + u) = MWB(MWB(S) + u)."""
+
     def __init__(self, view: MatroidView, weights: WeightedGroundSet):
-        self._ground = view.ground
-        self._k = view.free_rank
-        self._rank_of = weights.rank_of
-        self._ranks: list[int] = []      # ascending rank values, heaviest first
-        self._by_rank: dict[int, int] = {}
+        self._view = view
+        self._weights = weights
+        self._inserted: set[int] = set()
+        self._basis = frozenset()
 
     def insert(self, u: int) -> tuple[bool, int | None]:
-        if u not in self._ground:
+        if u not in self._view.ground:
             raise DomainError(f"element {u} outside effective ground set")
-        r = self._rank_of(u)
-        if r in self._by_rank:
+        if u in self._inserted:
             raise ValueError(f"element {u} inserted twice")
-        if len(self._ranks) < self._k:
-            bisect.insort(self._ranks, r)
-            self._by_rank[r] = u
-            return True, None
-        if self._k == 0 or r > self._ranks[-1]:
-            return False, None           # lighter than the whole basis
-        kicked = self._by_rank.pop(self._ranks.pop())
-        bisect.insort(self._ranks, r)
-        self._by_rank[r] = u
-        return True, kicked
+        self._inserted.add(u)
+        basis = self._view.greedy_mwb(self._weights, self._basis | {u})
+        kicked = next(iter(self._basis - basis), None)
+        self._basis = basis
+        return u in basis, kicked
 
     def basis(self) -> frozenset:
-        return frozenset(self._by_rank.values())
+        return self._basis
 
 
 class _GraphicRunningMwb(RunningMwb):
-    """The basis as a rooted forest on the vertices left after contraction:
-    each vertex stores its parent and the edge to it.
+    """The basis as a rooted forest on the vertices of a graphic view with
+    nothing contracted: each vertex stores its parent and the edge to it.
 
     The circuit u closes is the tree path between its endpoints a and b,
     found by marking a's ancestors and walking up from b to the first marked
@@ -103,9 +101,6 @@ class _GraphicRunningMwb(RunningMwb):
         self._ground = view.ground
         self._endpoints = base.endpoints
         self._rank_of = weights.rank_of
-        # collapse contracted edges so the basis forest lives on component roots
-        uf = AcceptedSetTracker(view).uf
-        self._root = [uf.find(v) for v in range(base.num_vertices)]
         self._parent: list[int | None] = [None] * base.num_vertices
         self._parent_edge: list[int | None] = [None] * base.num_vertices
         self._edges: set[int] = set()
@@ -116,10 +111,9 @@ class _GraphicRunningMwb(RunningMwb):
         if u in self._edges:
             raise ValueError(f"element {u} inserted twice")
         self._edges.add(u)
-        ea, eb = self._endpoints[u]
-        a, b = self._root[ea], self._root[eb]
+        a, b = self._endpoints[u]
         if a == b:
-            return False, None           # loop after contraction: never independent
+            return False, None           # self-loop: never independent
         parent, parent_edge = self._parent, self._parent_edge
         marked = set()
         x = a
@@ -157,9 +151,11 @@ class _GraphicRunningMwb(RunningMwb):
 
 
 def running_mwb(view: MatroidView, weights: WeightedGroundSet) -> RunningMwb:
-    if isinstance(view.base, UniformMatroid):
-        return _UniformRunningMwb(view, weights)
-    return _GraphicRunningMwb(view, weights)
+    """The forest kernel for a graphic view with nothing contracted, the
+    greedy update for every other view."""
+    if isinstance(view.base, GraphicMatroid) and not view.contraction:
+        return _GraphicRunningMwb(view, weights)
+    return _GreedyRunningMwb(view, weights)
 
 
 # -- policies ----------------------------------------------------------------

@@ -112,6 +112,12 @@ class TestExitCodes:
           "--bound-direction", "lower", "--trials", "5"), "error: --bound must be finite"),
         (("estimate", "--instance", "hat", "--n", "3", "--bound", "inf",
           "--bound-direction", "upper", "--trials", "5"), "error: --bound must be finite"),
+        (("estimate", "--instance", "hat", "--n", "3", "--trials", "5", "--seed", "-1"),
+         "error: --seed must be non-negative, got -1"),
+        (("simulate", "--instance", "hat", "--n", "3", "--trial", "-1"),
+         "error: --trial must be non-negative, got -1"),
+        (("verify", "claw-blocker", "--trials", "5", "--seed", "-3"),
+         "error: --seed must be non-negative, got -3"),
     ])
     def test_bad_input_is_one_line_error(self, capsys, tmp_path, monkeypatch, argv, needle):
         # hat.inst is a triangle: its name must not make it a hat family
@@ -156,24 +162,41 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "estimate", "--trials", "5", "--seed", "3")
         assert code == 0
 
+    def test_negative_seed_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("MATSEC_SEED", "-1")
+        code, out, err = run_cli(capsys, "estimate", "--trials", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: MATSEC_SEED must be a non-negative integer, got '-1'\n"
+
 
 # -- the exit-code contract over generated argv ------------------------------
 
-SMALL_INTS = st.integers(-2, 3).map(str)
+def mostly(valid, invalid):
+    """Each valid value three times as likely as each invalid one, so most
+    examples reach a policy and every rejection stays reachable."""
+    return st.sampled_from([*valid] * 3 + [*invalid])
+
+
+def sized(low, high):
+    """A count or size flag: low..high, or one of the two values below low."""
+    return mostly(map(str, range(low, high + 1)), (str(low - 2), str(low - 1)))
+
+
+# policies for every family; the slot-count rules run on uniform instances only
+ANY_FAMILY = ["virtual-msp", "virtual", "greedy", "sample-contracted"]
+UNIFORM_ONLY = ["dynkin", "optimistic", "virtual-uniform"]
 FLAGS = {
     "--instance": st.sampled_from(["triangle", "double-triangle", "hat", "modified-hat",
                                    "uniform", "random-graphic"]),
-    "--policy": st.sampled_from(["virtual-msp", "virtual", "greedy", "dynkin", "optimistic",
-                                 "virtual-uniform", "sample-contracted", "psychic"]),
-    "--n": SMALL_INTS, "--k": SMALL_INTS, "--vertices": SMALL_INTS,
-    "--edges": SMALL_INTS, "--trial": SMALL_INTS,
+    "--n": sized(1, 4), "--k": sized(1, 2), "--vertices": sized(1, 4),
+    "--edges": sized(0, 6), "--trial": sized(0, 3),
     # seeds of two and three 32-bit words too: the multi-word entropy path
-    "--seed": SMALL_INTS | st.sampled_from(["4294967296", "18446744073709551623"]),
-    "--bound": st.sampled_from(["0.2", "nan", "inf"]),
+    "--seed": sized(0, 3) | st.sampled_from(["4294967296", "18446744073709551623"]),
+    "--bound": mostly(["0.2"], ["nan", "inf"]),
     "--bound-direction": st.sampled_from(["lower", "upper"]),
-    "--p": st.sampled_from(["0.5", "0.25", "0", "1", "nan", "-0.5", "2"]),
-    "--p-grid": st.sampled_from(["0.5", "0.5,nan", "", "2"]),
-    "--n-grid": st.sampled_from(["2,3", "-1", "", "x"]),
+    "--p": mostly(["0.5", "0.25", "0", "1"], ["nan", "-0.5", "2"]),
+    "--p-grid": mostly(["0.5"], ["0.5,nan", "", "2"]),
+    "--n-grid": mostly(["2,3"], ["-1", "", "x"]),
 }
 OPTIONAL = {"simulate": ["--k", "--vertices", "--edges", "--seed", "--p", "--trial"],
             "estimate": ["--k", "--vertices", "--edges", "--seed", "--p", "--bound",
@@ -190,17 +213,21 @@ def cli_argv(draw):
         # thousands of trials
         suite = draw(st.sampled_from(SUITE_NAMES))
         count = "--cases" if suite in CASE_SUITES else "--trials"
-        argv = [command, suite, count, draw(SMALL_INTS)]
-        optional = OPTIONAL[command]
+        argv = [command, suite, count, draw(sized(1, 3))]
+        # like the instance flags below: a case suite reads no --n or --p
+        optional = ["--seed"] if suite in CASE_SUITES else OPTIONAL[command]
     else:
         # only the instance flags the family reads, so examples reach the policies
         instance = draw(FLAGS["--instance"])
         reads = FAMILIES[instance][1]
-        argv = [command, "--instance", instance, "--policy", draw(FLAGS["--policy"])]
+        valid, invalid = ANY_FAMILY, ["psychic"] + UNIFORM_ONLY
+        if instance == "uniform":
+            valid, invalid = ANY_FAMILY + UNIFORM_ONLY, ["psychic"]
+        argv = [command, "--instance", instance, "--policy", draw(mostly(valid, invalid))]
         if "n" in reads:
-            argv += ["--n", draw(SMALL_INTS)]
+            argv += ["--n", draw(FLAGS["--n"])]
         if command != "simulate":
-            argv += ["--trials", draw(SMALL_INTS)]
+            argv += ["--trials", draw(sized(1, 5))]
         optional = [flag for flag in OPTIONAL[command]
                     if flag[2:] not in INSTANCE_FLAGS or flag[2:] in reads]
     for flag in draw(st.lists(st.sampled_from(optional), max_size=3, unique=True)):
@@ -228,6 +255,19 @@ class TestReplay:
         code, out, _ = run_cli(capsys, "replay", fixture)
         assert code == 0
         assert out.strip().endswith("PASS")
+
+    def test_drift_fails_and_names_the_expected_row(self, capsys, monkeypatch):
+        # flip one pinned verdict: the replay must flag exactly that row and fail
+        build, policy, p, rows = FIXTURES["uniform-virtual-stream"]
+        assert rows[3] == ("4", 0.55, "live", False, "2", False)
+        flipped = rows[:3] + (("4", 0.55, "live", True, "2", False),) + rows[4:]
+        monkeypatch.setitem(FIXTURES, "uniform-virtual-stream", (build, policy, p, flipped))
+        code, out, _ = run_cli(capsys, "replay", "uniform-virtual-stream")
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[-1] == "FAIL"
+        assert [ln for ln in lines if "<<" in ln] == [
+            "  t=0.55  4        reject  kicked 2 (live)   << expected ('live', True, '2', False)"]
 
     def test_trace_export(self, capsys, tmp_path):
         path = tmp_path / "trace.jsonl"

@@ -31,11 +31,14 @@ from matsec.policies import (
     DynkinPolicy,
     GreedyFrameworkPolicy,
     VirtualMspPolicy,
+    _GraphicRunningMwb,
+    _GreedyRunningMwb,
 )
 
 
 def forest_depth(kernel):
-    """Longest parent chain in a graphic kernel's forest; 0 for uniform."""
+    """Longest parent chain in the forest kernel; 0 for the greedy kernel,
+    which keeps no forest."""
     parent = getattr(kernel, "_parent", [])
     depth = 0
     for v in range(len(parent)):
@@ -73,13 +76,32 @@ class TestRunningMwb:
         assert kernel.basis() == frozenset({2, 5})
 
     def test_rejects_duplicates_and_strangers(self):
-        b = uniform_instance(3, 1)
-        kernel = running_mwb(b.view, b.weights)
-        kernel.insert(1)
-        with pytest.raises(ValueError, match="twice"):
+        tri, uni = triangle(), uniform_instance(3, 1)
+        for view, weights in ((uni.view, uni.weights), (tri.view, tri.weights),
+                              (tri.view.contract([2]), tri.weights)):
+            kernel = running_mwb(view, weights)
             kernel.insert(1)
-        with pytest.raises(DomainError):
-            kernel.insert(9)
+            with pytest.raises(ValueError, match="twice"):
+                kernel.insert(1)
+            with pytest.raises(DomainError):
+                kernel.insert(9)
+            assert kernel.basis() == {1}            # a failed insert changes nothing
+            assert kernel.insert(0)[0] == (0 in view.greedy_mwb(weights, {0, 1}))
+            with pytest.raises(ValueError, match="twice"):
+                kernel.insert(0)                    # inserted, whether or not it entered
+
+    def test_forest_serves_exactly_the_uncontracted_graphic_views(self):
+        # every benchmark insert goes into a full graphic view: it must stay on the forest
+        tri, hat, uni = triangle(), modified_hat_graph(3), uniform_instance(5, 2)
+        cases = [(tri.view, tri.weights, True), (hat.view, hat.weights, True),
+                 (tri.view.restrict([0, 1]), tri.weights, True),
+                 (tri.view.contract([2]), tri.weights, False),
+                 (hat.view.contract([0]), hat.weights, False),
+                 (uni.view, uni.weights, False),
+                 (uni.view.contract([4]), uni.weights, False)]
+        for view, weights, forest in cases:
+            kernel = type(running_mwb(view, weights))
+            assert kernel is (_GraphicRunningMwb if forest else _GreedyRunningMwb)
 
     def test_graphic_circuit_eviction(self):
         b = triangle()
@@ -279,23 +301,42 @@ class TestVirtualOnUniformStream:
 
 
 class TestVirtualCrossCheck:
+    @staticmethod
+    def drift_cases():
+        """(view, weights, schedule, p): full graphic views, which run the
+        forest kernel, then contracted graphic minors and uniform instances,
+        which run the greedy one."""
+        for seed in range(6):
+            b = random_graphic(5, 9, np.random.default_rng(seed))
+            yield b.view, b.weights, _seeded_schedule(b, seed), 0.4
+        for seed in range(3):
+            b = modified_hat_graph(16)
+            yield b.view, b.weights, _seeded_schedule(b, seed), 0.5
+        for seed in range(6):
+            rng = np.random.default_rng(50 + seed)
+            b = random_graphic(6, 12, rng)
+            minor = b.view.contract(b.view.greedy_mwb(
+                b.weights, [u for u in range(12) if rng.random() < 0.3]))
+            sched = _seeded_schedule(b, seed)
+            yield minor, b.weights, forced_schedule(
+                (u, t) for u, t in zip(sched.order, sched.arrival) if u in minor.ground), 0.4
+        for seed in range(6):
+            b = uniform_instance(8 + seed, 1 + seed % 3)
+            yield b.view, b.weights, _seeded_schedule(b, seed), 0.4
+
     def test_running_basis_never_drifts(self):
         # replay each live decision against a from-scratch basis: the kick
         # must be the basis diff and the verdict must follow from it
-        cases = [(random_graphic(5, 9, np.random.default_rng(seed)), seed, 0.4)
-                 for seed in range(6)]
-        cases += [(modified_hat_graph(16), seed, 0.5) for seed in range(3)]
-        for b, seed, p in cases:
-            sched = _seeded_schedule(b, seed)
-            trace = run_trial("virtual-msp", b.view, b.weights, sched, p)
+        for view, weights, sched, p in self.drift_cases():
+            trace = run_trial("virtual-msp", view, weights, sched, p)
             live = [r for r in trace.records if r.phase == "live"]
             sampled = {u for u, t in zip(sched.order, sched.arrival) if t < p}
             seen = set(sampled)
-            tracker = AcceptedSetTracker(b.view)
+            tracker = AcceptedSetTracker(view)
             for r in live:
-                before = b.view.greedy_mwb(b.weights, seen)
+                before = view.greedy_mwb(weights, seen)
                 seen.add(r.element)
-                after = b.view.greedy_mwb(b.weights, seen)
+                after = view.greedy_mwb(weights, seen)
                 assert r.in_current_mwb == (r.element in after)
                 dropped = before - after
                 assert r.kicked == (next(iter(dropped)) if dropped else None)
