@@ -26,5 +26,6 @@ for n in (2, 4, 8, 16, 32, 64):
 
 print("\nceiling = 1 - rejection bound; the bound integrates the chance a")
 print("sampled low claw arms the trap against the hub edge's arrival time.")
-print("Every policy deciding one arrival at a time without foresight is")
-print("subject to it, so no fixed acceptance guarantee survives n -> inf")
+print("The trap is built against virtual-msp's rule, and no other policy is")
+print("checked against the ceiling here, so what it shows is that no fixed")
+print("acceptance guarantee for virtual-msp survives n -> inf.")

@@ -217,34 +217,41 @@ def hat_forbidden_oracle(bundle: InstanceBundle) -> ForbiddenSetOracle:
     return ForbiddenSetOracle(rule, 2)
 
 
+def _check_recorded(trace: DecisionTrace, view: MatroidView, what: str) -> None:
+    if not trace.records:
+        raise ValueError(f"{what} needs a recorded trace")
+    if stray := {rec.element for rec in trace.records} - view.ground:
+        raise DomainError(f"elements outside effective ground set: {sorted(stray)}")
+
+
 def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle,
                                 view: MatroidView, weights: WeightedGroundSet
                                 ) -> tuple[bool, DecisionRecord | None]:
     """Replay a recorded trace against a blocked-set table.
 
     Whenever a live arrival u belongs to the max-weight basis of everything
-    seen (recomputed here, not read from the trace) and no earlier live
-    arrival lies in rule(seen + u, u), the trace must show u accepted.
+    seen and no earlier live arrival lies in rule(seen + u, u), the trace
+    must show u accepted. The table is validated at every live arrival; the
+    basis is computed from scratch, but only for a rejected, unexcused one.
     Returns (True, None) or (False, first offending record).
     """
-    if not trace.records:
-        raise ValueError("consistency check needs a recorded trace")
+    _check_recorded(trace, view, "consistency check")
     arrived: set[int] = set()
     earlier_live: list[int] = []
     for rec in trace.records:
         u = rec.element
-        Y = frozenset(arrived | {u})
+        arrived.add(u)
         if rec.phase == PHASE_LIVE:
+            Y = frozenset(arrived)
             blocked = oracle.rule(Y, u)
-            if not blocked <= Y - {u}:
+            if u in blocked or not blocked <= Y:
                 raise OracleError("blocked set must be drawn from the seen elements")
             if len(blocked) > oracle.size_bound:
                 raise OracleError(f"blocked set exceeds size bound {oracle.size_bound}")
-            if u in view.greedy_mwb(weights, Y):
-                if not rec.accepted and all(v not in blocked for v in earlier_live):
-                    return (False, rec)
+            if (not rec.accepted and blocked.isdisjoint(earlier_live)
+                    and u in view.greedy_mwb(weights, Y)):
+                return (False, rec)
             earlier_live.append(u)
-        arrived.add(u)
     return (True, None)
 
 
@@ -253,14 +260,11 @@ def check_first_live_accepted(trace: DecisionTrace, view: MatroidView,
     """The first live arrival must be accepted whenever it belongs to the
     max-weight basis of the samples plus itself (no earlier live arrival
     can excuse rejecting it, whatever the blocked-set table says)."""
-    if not trace.records:
-        raise ValueError("check needs a recorded trace")
-    seen: set[int] = set()
-    for rec in trace.records:
+    _check_recorded(trace, view, "check")
+    for i, rec in enumerate(trace.records):
         if rec.phase == PHASE_LIVE:
-            premise = rec.element in view.greedy_mwb(weights, seen | {rec.element})
-            return rec.accepted or not premise
-        seen.add(rec.element)
+            return rec.accepted or rec.element not in view.greedy_mwb(
+                weights, (r.element for r in trace.records[:i + 1]))
     return True
 
 
@@ -302,13 +306,10 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
     if e_inf in S:
         return True
     t_hub = times[e_inf]
-    sampled_claws = [j for j in range(1, n + 1)
-                     if named[f"2_{j}"] in S and named[f"3_{j}"] in S
-                     and named[f"4_{j}"] in S]
-    for i in range(1, n + 1):
+    first_sampled = next((j for j in range(1, n + 1) if named[f"2_{j}"] in S
+                          and named[f"3_{j}"] in S and named[f"4_{j}"] in S), n)
+    for i in range(first_sampled + 1, n + 1):
         if named[f"2_{i}"] not in S:
-            continue
-        if not any(j < i for j in sampled_claws):
             continue
         e1, e3, e4 = named[f"1_{i}"], named[f"3_{i}"], named[f"4_{i}"]
         if any(e in S for e in (e1, e3, e4)):

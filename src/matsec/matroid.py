@@ -9,7 +9,7 @@ and a view can be shared freely across simulation trials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, TextIO, Union
 
@@ -35,6 +35,7 @@ class WeightedGroundSet:
 
     weights: tuple[Fraction, ...]
     labels: tuple[str, ...]
+    ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.weights):
@@ -48,11 +49,9 @@ class WeightedGroundSet:
             raise ValueError("weights must be pairwise distinct")
         order = tuple(sorted(range(len(self.weights)),
                              key=self.weights.__getitem__, reverse=True))
-        rank = [0] * len(order)
-        for pos, u in enumerate(order):
-            rank[u] = pos
         object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_rank", tuple(rank))
+        # argsorting a permutation inverts it: ranks[u] is u's place in order
+        object.__setattr__(self, "ranks", tuple(sorted(range(len(order)), key=order.__getitem__)))
 
     @classmethod
     def from_weights(cls, weights: Iterable[WeightLike],
@@ -79,13 +78,13 @@ class WeightedGroundSet:
 
     def rank_of(self, u: int) -> int:
         """Position of u in the descending weight order; 0 is the heaviest."""
-        return self._rank[u]
+        return self.ranks[u]
 
     def heavier(self, u: int, v: int) -> bool:
-        return self._rank[u] < self._rank[v]
+        return self.ranks[u] < self.ranks[v]
 
     def sort_desc(self, elements: Iterable[int]) -> list[int]:
-        return sorted(elements, key=self._rank.__getitem__)
+        return sorted(elements, key=self.ranks.__getitem__)
 
     def total(self, elements: Iterable[int]) -> Fraction:
         return sum((self.weights[u] for u in elements), Fraction(0))

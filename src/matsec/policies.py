@@ -89,20 +89,21 @@ class _GraphicRunningMwb(RunningMwb):
     """The basis as a rooted forest on the vertices of a graphic view with
     nothing contracted: each vertex stores its parent and the edge to it.
 
-    The circuit u closes is the tree path between its endpoints a and b,
-    found by marking a's ancestors and walking up from b to the first marked
-    vertex, so an insert costs O(tree depth) instead of a search of the
-    whole component. The displaced edge is cut at its child endpoint, and u
-    is linked by re-rooting a's tree at a and hanging it below b.
+    The circuit u closes is the tree path between its endpoints a and b:
+    stamp a's ancestors with the insert count and walk up from b to the
+    first stamped vertex. Stamps are never cleared, so an insert allocates
+    nothing and costs O(tree depth). The displaced edge is cut at its child
+    endpoint, and u is linked by re-rooting a's tree at a below b.
     """
 
     def __init__(self, view: MatroidView, weights: WeightedGroundSet):
         base = view.base
         self._ground = view.ground
         self._endpoints = base.endpoints
-        self._rank_of = weights.rank_of
+        self._ranks = weights.ranks
         self._parent: list[int | None] = [None] * base.num_vertices
         self._parent_edge: list[int | None] = [None] * base.num_vertices
+        self._stamps = [0] * base.num_vertices   # insert count when last stamped
         self._edges: set[int] = set()
 
     def insert(self, u: int) -> tuple[bool, int | None]:
@@ -112,25 +113,23 @@ class _GraphicRunningMwb(RunningMwb):
             raise ValueError(f"element {u} inserted twice")
         self._edges.add(u)
         a, b = self._endpoints[u]
-        if a == b:
-            return False, None           # self-loop: never independent
-        parent, parent_edge = self._parent, self._parent_edge
-        marked = set()
+        parent, parent_edge, stamps = self._parent, self._parent_edge, self._stamps
+        stamp = len(self._edges)             # this insert's count: fresh, never 0
         x = a
         while x is not None:
-            marked.add(x)
+            stamps[x] = stamp
             x = parent[x]
         lca = b
-        while lca is not None and lca not in marked:
+        while lca is not None and stamps[lca] != stamp:
             lca = parent[lca]
         kicked = None
         if lca is not None:
-            # unique circuit = path a..lca..b + u; the lightest circuit edge leaves
-            rank_of = self._rank_of
-            worst_rank, worst_child = rank_of(u), None
+            # circuit = path a..lca..b + u (u alone if a == b); its lightest edge leaves
+            ranks = self._ranks
+            worst_rank, worst_child = ranks[u], None
             for x in (a, b):
                 while x != lca:
-                    r = rank_of(parent_edge[x])
+                    r = ranks[parent_edge[x]]
                     if r > worst_rank:
                         worst_rank, worst_child = r, x
                     x = parent[x]

@@ -493,6 +493,145 @@ class TestFirstLiveAccepted:
         assert check_first_live_accepted(trace_from_records(recs), b.view, b.weights)
 
 
+# -- the lazy basis ---------------------------------------------------------------
+
+
+def eager_forbidden_consistency(trace, oracle, view, weights):
+    """check_forbidden_consistency as it was before its basis went lazy: a
+    from-scratch basis for every live arrival. The reference the lazy
+    checker must match verdict for verdict."""
+    if not trace.records:
+        raise ValueError("consistency check needs a recorded trace")
+    arrived: set[int] = set()
+    earlier_live: list[int] = []
+    for rec in trace.records:
+        u = rec.element
+        Y = frozenset(arrived | {u})
+        if rec.phase == PHASE_LIVE:
+            blocked = oracle.rule(Y, u)
+            if not blocked <= Y - {u}:
+                raise OracleError("blocked set must be drawn from the seen elements")
+            if len(blocked) > oracle.size_bound:
+                raise OracleError(f"blocked set exceeds size bound {oracle.size_bound}")
+            if u in view.greedy_mwb(weights, Y):
+                if not rec.accepted and all(v not in blocked for v in earlier_live):
+                    return (False, rec)
+            earlier_live.append(u)
+        arrived.add(u)
+    return (True, None)
+
+
+def eager_first_live_accepted(trace, view, weights):
+    """check_first_live_accepted as it was before its basis went lazy."""
+    if not trace.records:
+        raise ValueError("check needs a recorded trace")
+    seen: set[int] = set()
+    for rec in trace.records:
+        if rec.phase == PHASE_LIVE:
+            premise = rec.element in view.greedy_mwb(weights, seen | {rec.element})
+            return rec.accepted or not premise
+        seen.add(rec.element)
+    return True
+
+
+class TestCheckersRejectStrangers:
+    """A trace element outside the view raises DomainError wherever it sits,
+    even where neither checker would compute a basis."""
+
+    def test_lone_stranger_sample(self):
+        b = hat_graph(2)
+        trace = trace_from_records([DecisionRecord(99, 0.1, PHASE_SAMPLE, False, True)])
+        with pytest.raises(DomainError, match="99"):
+            check_forbidden_consistency(trace, hat_forbidden_oracle(b), b.view, b.weights)
+        with pytest.raises(DomainError, match="99"):
+            check_first_live_accepted(trace, b.view, b.weights)
+
+    def test_stranger_after_first_live(self):
+        b = hat_graph(2)
+        trace = trace_from_records([
+            DecisionRecord(b.id_of("t_1"), 0.1, PHASE_SAMPLE, False, True),
+            DecisionRecord(b.id_of("e_inf"), 0.6, PHASE_LIVE, True, True),
+            DecisionRecord(99, 0.7, PHASE_LIVE, False, False)])
+        with pytest.raises(DomainError, match="99"):
+            check_first_live_accepted(trace, b.view, b.weights)
+        with pytest.raises(DomainError, match="99"):
+            check_forbidden_consistency(trace, empty_oracle(), b.view, b.weights)
+
+
+class TestLazyBasis:
+    @staticmethod
+    def cases():
+        """(view, weights, table, trace): seeded virtual-msp streams on
+        hat_graph(2..5) under the hat table and the empty table, the same
+        with every live arrival rejected, random graphic streams under the
+        empty table, and the two pinned gap schedules."""
+        for n in range(2, 6):
+            b = hat_graph(n)
+            for table in (hat_forbidden_oracle(b), empty_oracle()):
+                for policy in ("virtual-msp", RejectEverything()):
+                    for trace in trial_stream(policy, b.view, b.weights, 0.5,
+                                              trials=150, seed=n, record=True):
+                        yield b.view, b.weights, table, trace
+        for seed in range(40):
+            g = random_graphic(5, 9, np.random.default_rng(seed))
+            for policy in ("virtual-msp", RejectEverything()):
+                for trace in trial_stream(policy, g.view, g.weights, 0.4,
+                                          trials=5, seed=seed, record=True):
+                    yield g.view, g.weights, empty_oracle(), trace
+        b = hat_graph(5)
+        for pairs in (TestKnownTableGaps.HUB_GAP, TestKnownTableGaps.FEAS_GAP):
+            trace = run_forced("virtual-msp", b, pairs, 0.5)
+            for table in (hat_forbidden_oracle(b), empty_oracle()):
+                yield b.view, b.weights, table, trace
+
+    def test_verdicts_match_the_eager_checkers(self):
+        seen = set()
+        for view, weights, table, trace in self.cases():
+            ok, rec = check_forbidden_consistency(trace, table, view, weights)
+            eager_ok, eager_rec = eager_forbidden_consistency(trace, table, view, weights)
+            assert ok == eager_ok and rec is eager_rec
+            first_live = check_first_live_accepted(trace, view, weights)
+            assert first_live == eager_first_live_accepted(trace, view, weights)
+            seen.add((ok, first_live))
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_suite_computes_a_basis_only_where_a_verdict_reads_it(self, monkeypatch):
+        # count from the traces, before greedy_mwb is counted: one basis per
+        # rejected live arrival that no earlier live arrival excuses, up to
+        # the first offending one, plus one per trace whose first live
+        # arrival was rejected
+        b = hat_graph(5)
+        table = hat_forbidden_oracle(b)
+        expected = 0
+        for trace in trial_stream("virtual-msp", b.view, b.weights, 0.5,
+                                  trials=200, seed=0, record=True):
+            arrived, earlier_live = set(), []
+            for rec in trace.records:
+                arrived.add(rec.element)
+                if rec.phase != PHASE_LIVE:
+                    continue
+                blocked = table.rule(frozenset(arrived), rec.element)
+                if not rec.accepted and blocked.isdisjoint(earlier_live):
+                    expected += 1
+                    if rec.element in b.view.greedy_mwb(b.weights, arrived):
+                        break
+                earlier_live.append(rec.element)
+            live = [rec for rec in trace.records if rec.phase == PHASE_LIVE]
+            expected += bool(live) and not live[0].accepted
+        calls = []
+        greedy_mwb = MatroidView.greedy_mwb
+
+        def counted(view, weights, S=None):
+            calls.append(S)
+            return greedy_mwb(view, weights, S)
+
+        monkeypatch.setattr(MatroidView, "greedy_mwb", counted)
+        result = run_suite("forbidden-consistency", trials=200, seed=0)
+        assert result.failures                      # C8's gap shows at this size too
+        assert calls[0] is None                     # building hat_graph(5): its optimum
+        assert 0 < len(calls) - 1 == expected
+
+
 class TestClawBlocker:
     def test_live_run_respects_blocking(self):
         b = hat_graph(2)

@@ -10,7 +10,9 @@ demo here, and the acceptance checks C5 and C7 already run their
 estimates on the same instances with more trials.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,3 +34,16 @@ def test_demo_runs_clean(demo):
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
     assert done.stdout
+
+
+def test_demo05_closing_sentence_names_virtual_msp():
+    # the ceiling comes from virtual-msp's trap alone; reading the source
+    # keeps this cheap, since running demo 05 takes seconds
+    tree = ast.parse((ROOT / "demos" / "05_modified_hat_degradation.py").read_text())
+    printed = " ".join(node.value.args[0].value for node in tree.body
+                       if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+                       and getattr(node.value.func, "id", None) == "print"
+                       and isinstance(node.value.args[0], ast.Constant))
+    closing = re.split(r"(?<=\.)\s+", printed.strip())[-1]
+    assert "virtual-msp" in closing, closing
+    assert "every policy" not in printed.lower()

@@ -111,6 +111,17 @@ class TestRunningMwb:
         assert kernel.insert(2) == (True, 0)        # e3 evicts the light e1
         assert kernel.basis() == frozenset({1, 2})
 
+    def test_forest_self_loops_change_nothing(self):
+        # a heavy loop at either end of a path closes an empty tree path: it
+        # never enters, and the next chord still finds its whole circuit
+        edges = ((0, 1), (1, 2), (2, 3), (3, 3), (0, 0), (3, 0))
+        view = MatroidView.full(GraphicMatroid(4, edges))
+        kernel = running_mwb(view, WeightedGroundSet.from_weights([5, 4, 3, 9, 8, 6]))
+        assert [kernel.insert(u) for u in range(5)] == [(True, None)] * 3 + [(False, None)] * 2
+        assert forest_depth(kernel) == 3
+        assert kernel.insert(5) == (True, 2)        # the chord evicts the lightest path edge
+        assert kernel.basis() == frozenset({0, 1, 5})
+
     @staticmethod
     def random_streams():
         """(view, weights, insertion order) cases: small instances, larger
