@@ -217,11 +217,17 @@ def hat_forbidden_oracle(bundle: InstanceBundle) -> ForbiddenSetOracle:
     return ForbiddenSetOracle(rule, 2)
 
 
+def _check_elements(trace: DecisionTrace, view: MatroidView) -> None:
+    """Every scheduled element, recorded or not, must lie in the view."""
+    if not view.ground.issuperset(trace.schedule.order):
+        stray = set(trace.schedule.order) - view.ground
+        raise DomainError(f"elements outside effective ground set: {sorted(stray)}")
+
+
 def _check_recorded(trace: DecisionTrace, view: MatroidView, what: str) -> None:
     if not trace.records:
         raise ValueError(f"{what} needs a recorded trace")
-    if stray := {rec.element for rec in trace.records} - view.ground:
-        raise DomainError(f"elements outside effective ground set: {sorted(stray)}")
+    _check_elements(trace, view)
 
 
 def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle,
@@ -275,6 +281,7 @@ def check_claw_blocker(trace: DecisionTrace, bundle: InstanceBundle) -> bool:
     """Hat instances: vacuously true unless the first claw was fully sampled
     and the hub edge arrived live; then the hub edge must be accepted and no
     claw may have both of its edges accepted before the hub edge arrives."""
+    _check_elements(trace, bundle.view)
     named = bundle.named
     e_inf = named["e_inf"]
     n = (bundle.weights.count - 1) // 2
@@ -298,13 +305,14 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
     4_i and the hub edge all live in that time order, and some earlier claw
     j < i has 2_j, 3_j, 4_j all sampled, the trace must accept both 1_i and
     4_i (which together with the hub edge would close a cycle, trapping it)."""
+    _check_elements(trace, bundle.view)
     named = bundle.named
     e_inf = named["e_inf"]
     n = (bundle.weights.count - 1) // 4
     S = trace.sample_set
-    times = trace.schedule.times
     if e_inf in S:
         return True
+    times = trace.schedule.times
     t_hub = times[e_inf]
     first_sampled = next((j for j in range(1, n + 1) if named[f"2_{j}"] in S
                           and named[f"3_{j}"] in S and named[f"4_{j}"] in S), n)

@@ -148,10 +148,10 @@ def random_graphic(num_vertices: int, num_edges: int, rng) -> InstanceBundle:
     return _bundle(base, ws)
 
 
-def fuzz_corpus(count: int, seed: int, max_vertices: int = 5,
-                max_edges: int = 8) -> list[InstanceBundle]:
+def fuzz_corpus(count: int, seed: int) -> list[InstanceBundle]:
     """Seeded mix of small random graphic and uniform instances for
     property suites; deterministic for a given (count, seed)."""
+    max_vertices, max_edges = 5, 8
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF0)))
     bundles = []
     for idx in range(count):

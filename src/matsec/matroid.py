@@ -47,10 +47,9 @@ class WeightedGroundSet:
                 raise ValueError(f"weights must be positive, got {w}")
         if len(set(self.weights)) != len(self.weights):
             raise ValueError("weights must be pairwise distinct")
-        order = tuple(sorted(range(len(self.weights)),
-                             key=self.weights.__getitem__, reverse=True))
-        object.__setattr__(self, "_order", order)
-        # argsorting a permutation inverts it: ranks[u] is u's place in order
+        order = sorted(range(len(self.weights)), key=self.weights.__getitem__, reverse=True)
+        # argsorting a permutation inverts it: ranks[u] is u's place in the
+        # descending weight order, 0 the heaviest
         object.__setattr__(self, "ranks", tuple(sorted(range(len(order)), key=order.__getitem__)))
 
     @classmethod
@@ -71,17 +70,6 @@ class WeightedGroundSet:
 
     def label(self, u: int) -> str:
         return self.labels[u]
-
-    def order(self) -> tuple[int, ...]:
-        """All element ids, heaviest first."""
-        return self._order
-
-    def rank_of(self, u: int) -> int:
-        """Position of u in the descending weight order; 0 is the heaviest."""
-        return self.ranks[u]
-
-    def heavier(self, u: int, v: int) -> bool:
-        return self.ranks[u] < self.ranks[v]
 
     def sort_desc(self, elements: Iterable[int]) -> list[int]:
         return sorted(elements, key=self.ranks.__getitem__)
@@ -226,11 +214,6 @@ class MatroidView:
             bad = sorted(S - self._ground)
             raise DomainError(f"elements outside effective ground set: {bad}")
         return S
-
-    @property
-    def free_rank(self) -> int:
-        """Uniform views only: the slots the contraction leaves, k - |contraction|."""
-        return self.base.k - len(self.contraction)
 
     def is_independent(self, S: Iterable[int]) -> bool:
         S = self._checked(S)

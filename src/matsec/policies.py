@@ -165,7 +165,7 @@ class Policy:
 
     name = "?"
 
-    def start(self, view: MatroidView, weights: WeightedGroundSet, p: float) -> None:
+    def start(self, view: MatroidView, weights: WeightedGroundSet) -> None:
         raise NotImplementedError
 
     def observe_sample(self, u: int) -> None:
@@ -175,21 +175,29 @@ class Policy:
         raise NotImplementedError
 
 
-class SamplePolicy(Policy):
+class _SampleRule(Policy):
+    """The start and sample bookkeeping the three sample-basis rules share:
+    the view and weights of the trial, the samples seen and the accepted set."""
+
+    def start(self, view, weights):
+        self.view = view
+        self.weights = weights
+        self.samples: set[int] = set()
+        self.accepted: set[int] = set()
+
+    def observe_sample(self, u):
+        self.samples.add(u)
+
+
+class SamplePolicy(_SampleRule):
     """Accept u when the accepted set stays independent and u belongs to the
     max-weight basis of the samples plus u."""
 
     name = "sample"
 
-    def start(self, view, weights, p):
-        self.view = view
-        self.weights = weights
-        self.samples: set[int] = set()
-        self.accepted: set[int] = set()
+    def start(self, view, weights):
+        super().start(view, weights)
         self._tracker = AcceptedSetTracker(view)
-
-    def observe_sample(self, u):
-        self.samples.add(u)
 
     def decide(self, u):
         feasible = self._tracker.can_add(u)
@@ -200,20 +208,11 @@ class SamplePolicy(Policy):
         return _REJECT
 
 
-class SampleContractedPolicy(Policy):
+class SampleContractedPolicy(_SampleRule):
     """Like SamplePolicy, but the basis query runs in the matroid contracted
     by the accepted set, so earlier acceptances consume capacity."""
 
     name = "sample-contracted"
-
-    def start(self, view, weights, p):
-        self.view = view
-        self.weights = weights
-        self.samples: set[int] = set()
-        self.accepted: set[int] = set()
-
-    def observe_sample(self, u):
-        self.samples.add(u)
 
     def decide(self, u):
         minor = self.view.contract(self.accepted)
@@ -223,7 +222,7 @@ class SampleContractedPolicy(Policy):
         return _REJECT
 
 
-class GreedyFrameworkPolicy(Policy):
+class GreedyFrameworkPolicy(_SampleRule):
     """Reference-set framework: keep an independent reference set I with
     A <= I <= A + S whose span covers everything seen; accept u iff u enters
     the max-weight basis of I + u after contracting the accepted set.
@@ -236,16 +235,13 @@ class GreedyFrameworkPolicy(Policy):
 
     name = "greedy-framework"
 
-    def start(self, view, weights, p):
-        self.view = view
-        self.weights = weights
-        self.samples: set[int] = set()
-        self.accepted: set[int] = set()
+    def start(self, view, weights):
+        super().start(view, weights)
         self.arrived: set[int] = set()
         self._reference: set[int] | None = None
 
     def observe_sample(self, u):
-        self.samples.add(u)
+        super().observe_sample(u)
         self.arrived.add(u)
 
     def _rebuild(self) -> set[int]:
@@ -277,7 +273,7 @@ class VirtualMspPolicy(Policy):
 
     name = "virtual-msp"
 
-    def start(self, view, weights, p):
+    def start(self, view, weights):
         self._running = running_mwb(view, weights)
         self._tracker = AcceptedSetTracker(view)
         self._sampled: set[int] = set()
@@ -297,10 +293,11 @@ class VirtualMspPolicy(Policy):
 
 
 def _effective_uniform_k(view: MatroidView, what: str) -> int:
-    """The view's slot count; the policy runs on uniform matroids only."""
+    """The slots a uniform view leaves, k - |contraction|; the policy runs
+    on uniform matroids only."""
     if not isinstance(view.base, UniformMatroid):
         raise ValueError(f"{what} runs on uniform matroids only")
-    return view.free_rank
+    return view.base.k - len(view.contraction)
 
 
 class DynkinPolicy(Policy):
@@ -309,26 +306,22 @@ class DynkinPolicy(Policy):
 
     name = "dynkin"
 
-    def start(self, view, weights, p):
+    def start(self, view, weights):
         if _effective_uniform_k(view, "dynkin") != 1:
             raise ValueError("dynkin needs a 1-uniform instance")
-        self._rank_of = weights.rank_of
-        self._best_sample: int | None = None   # weight rank; lower is heavier
+        self._ranks = weights.ranks
+        self._best_sample = weights.count   # weight rank, lower is heavier; no sample yet
         self.accepted: set[int] = set()
 
     def observe_sample(self, u):
-        r = self._rank_of(u)
-        if self._best_sample is None or r < self._best_sample:
-            self._best_sample = r
+        if self._ranks[u] < self._best_sample:
+            self._best_sample = self._ranks[u]
 
     def decide(self, u):
-        if self.accepted:
+        if self.accepted or self._ranks[u] > self._best_sample:
             return _REJECT
-        r = self._rank_of(u)
-        if self._best_sample is None or r < self._best_sample:
-            self.accepted.add(u)
-            return _ACCEPT
-        return _REJECT
+        self.accepted.add(u)
+        return _ACCEPT
 
 
 class OptimisticPolicy(Policy):
@@ -342,19 +335,16 @@ class OptimisticPolicy(Policy):
 
     name = "optimistic"
 
-    def start(self, view, weights, p):
+    def start(self, view, weights):
         self._k = _effective_uniform_k(view, "optimistic")
-        self._rank_of = weights.rank_of
-        self._refs: list[int] = []          # ascending ranks, heaviest first
-        self._ref_elem: dict[int, int] = {}
+        self._ranks = weights.ranks
+        self._refs: list[int] = []          # the k heaviest samples, heaviest first
         self.accepted: set[int] = set()
 
     def observe_sample(self, u):
-        r = self._rank_of(u)
-        bisect.insort(self._refs, r)
-        self._ref_elem[r] = u
+        bisect.insort(self._refs, u, key=self._ranks.__getitem__)
         if len(self._refs) > self._k:
-            self._ref_elem.pop(self._refs.pop())
+            self._refs.pop()
 
     def decide(self, u):
         slots = self._k - len(self.accepted)
@@ -363,8 +353,8 @@ class OptimisticPolicy(Policy):
         if slots > len(self._refs):
             self.accepted.add(u)            # no threshold to beat
             return _ACCEPT
-        if self._rank_of(u) < self._refs[slots - 1]:
-            kicked = self._ref_elem.pop(self._refs.pop())
+        if self._ranks[u] < self._ranks[self._refs[slots - 1]]:
+            kicked = self._refs.pop()
             self.accepted.add(u)
             return Decision(True, kicked, True)
         return _REJECT
@@ -378,25 +368,20 @@ class VirtualUniformPolicy(Policy):
 
     name = "virtual-uniform"
 
-    def start(self, view, weights, p):
+    def start(self, view, weights):
         self._k = _effective_uniform_k(view, "virtual-uniform")
-        self._rank_of = weights.rank_of
-        self._refs: list[int] = []
-        self._ref_elem: dict[int, int] = {}
+        self._ranks = weights.ranks
+        self._refs: list[int] = []          # the k heaviest arrivals, heaviest first
         self._sampled: set[int] = set()
         self.accepted: set[int] = set()
 
     def _absorb(self, u) -> tuple[bool, int | None]:
-        r = self._rank_of(u)
-        if len(self._refs) < self._k:
-            bisect.insort(self._refs, r)
-            self._ref_elem[r] = u
-            return True, None
-        if self._k == 0 or r > self._refs[-1]:
-            return False, None
-        kicked = self._ref_elem.pop(self._refs.pop())
-        bisect.insort(self._refs, r)
-        self._ref_elem[r] = u
+        ranks, kicked = self._ranks, None
+        if len(self._refs) >= self._k:
+            if self._k == 0 or ranks[u] > ranks[self._refs[-1]]:
+                return False, None
+            kicked = self._refs.pop()
+        bisect.insort(self._refs, u, key=ranks.__getitem__)
         return True, kicked
 
     def observe_sample(self, u):

@@ -124,7 +124,7 @@ def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
     if len(order) != len(view.ground) or set(order) != view.ground:
         raise DomainError("schedule must cover exactly the effective ground set")
     policy = build_policy(policy)
-    policy.start(view, weights, p)
+    policy.start(view, weights)
     m = bisect_left(schedule.arrival, p)     # samples arrive before p; one at p is live
     for u in order[:m]:
         policy.observe_sample(u)

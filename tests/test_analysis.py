@@ -11,6 +11,7 @@ vanish once the first claw is fully sampled.
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,7 +68,7 @@ def run_forced(policy, bundle, pairs, p):
 class RejectEverything(Policy):
     name = "reject-everything"
 
-    def start(self, view, weights, p):
+    def start(self, view, weights):
         pass
 
     def observe_sample(self, u):
@@ -556,6 +557,44 @@ class TestCheckersRejectStrangers:
             check_first_live_accepted(trace, b.view, b.weights)
         with pytest.raises(DomainError, match="99"):
             check_forbidden_consistency(trace, empty_oracle(), b.view, b.weights)
+
+    # the instance checkers read trace.schedule, so they also catch a
+    # stranger in an unrecorded trace
+
+    def test_claw_blocker_stranger_sample(self):
+        trace = trace_from_records([DecisionRecord(99, 0.1, PHASE_SAMPLE, False, True)])
+        with pytest.raises(DomainError, match="99"):
+            check_claw_blocker(trace, hat_graph(2))
+
+    def test_claw_blocker_stranger_live(self):
+        b = hat_graph(2)
+        trace = trace_from_records([
+            DecisionRecord(b.id_of("t_1"), 0.1, PHASE_SAMPLE, False, True),
+            DecisionRecord(99, 0.7, PHASE_LIVE, True, True)])
+        with pytest.raises(DomainError, match="99"):
+            check_claw_blocker(trace, b)
+
+    def test_modified_hat_trap_stranger_sample(self):
+        trace = trace_from_records([DecisionRecord(99, 0.1, PHASE_SAMPLE, False, True)])
+        with pytest.raises(DomainError, match="99"):
+            check_modified_hat_trap(trace, modified_hat_graph(2))
+
+    def test_modified_hat_trap_stranger_live(self):
+        b = modified_hat_graph(2)
+        trace = trace_from_records([
+            DecisionRecord(b.id_of("2_1"), 0.1, PHASE_SAMPLE, False, True),
+            DecisionRecord(99, 0.7, PHASE_LIVE, True, True)])
+        with pytest.raises(DomainError, match="99"):
+            check_modified_hat_trap(trace, b)
+
+    def test_unrecorded_stranger(self):
+        b = hat_graph(2)
+        trace = replace(trace_from_records([DecisionRecord(99, 0.7, PHASE_LIVE, True, True)]),
+                        records=())
+        with pytest.raises(DomainError, match="99"):
+            check_claw_blocker(trace, b)
+        with pytest.raises(DomainError, match="99"):
+            check_modified_hat_trap(trace, modified_hat_graph(2))
 
 
 class TestLazyBasis:

@@ -30,10 +30,10 @@ class TestWeightedGroundSet:
     def test_order_and_ranks(self):
         ws = WeightedGroundSet.from_weights([3, 1, 4, 2])
         assert ws.count == 4
-        assert ws.order() == (2, 0, 3, 1)
-        assert [ws.rank_of(u) for u in range(4)] == [1, 3, 0, 2]
-        assert ws.heavier(0, 1)
-        assert not ws.heavier(1, 0)
+        assert ws.sort_desc(range(4)) == [2, 0, 3, 1]
+        assert ws.ranks == (1, 3, 0, 2)
+        assert ws.ranks[0] < ws.ranks[1]        # 0 is the heavier of the two
+        assert not ws.ranks[1] < ws.ranks[0]
         assert ws.sort_desc([1, 3]) == [3, 1]
         assert ws.total([0, 3]) == Fraction(5)
         assert ws.total([]) == Fraction(0)
@@ -70,12 +70,12 @@ class TestWeightedGroundSet:
     @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=12, unique=True))
     def test_order_is_descending_permutation(self, raw):
         ws = WeightedGroundSet.from_weights(raw)
-        order = ws.order()
+        order = ws.sort_desc(range(len(raw)))
         assert sorted(order) == list(range(len(raw)))
         values = [ws.weight(u) for u in order]
         assert values == sorted(values, reverse=True)
         for pos, u in enumerate(order):
-            assert ws.rank_of(u) == pos
+            assert ws.ranks[u] == pos
 
 
 # -- base matroids and views ---------------------------------------------------

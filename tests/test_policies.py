@@ -1,5 +1,7 @@
 """Policy decision procedures and the incremental basis kernels behind them."""
 
+import hashlib
+import io
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,12 +18,15 @@ from matsec import (
     WeightedGroundSet,
     build_policy,
     draw_schedule,
+    dump_trace,
     forced_schedule,
+    hat_graph,
     modified_hat_graph,
     random_graphic,
     run_trial,
     running_mwb,
     trial_rng,
+    trial_stream,
     triangle,
     uniform_instance,
 )
@@ -451,6 +456,53 @@ class TestEquivalences:
             c = run_trial("sample", b.view, b.weights, sched, p)
             d = run_trial("sample-contracted", b.view, b.weights, sched, p)
             assert a.accepted == c.accepted == d.accepted
+
+
+# -- golden traces --------------------------------------------------------------------
+
+
+# sha256 prefix of dump_trace over 60 seeded record=True trials at p = 0.3, then 0.6;
+# the deliberate twins share a digest wherever their records coincide
+GOLDEN_TRACES = {
+    ("sample", "u9k1"): "5333ffd6cba4caa9",
+    ("sample-contracted", "u9k1"): "5333ffd6cba4caa9",
+    ("greedy-framework", "u9k1"): "5333ffd6cba4caa9",
+    ("virtual-msp", "u9k1"): "3ff48a977dc9894f",
+    ("dynkin", "u9k1"): "5333ffd6cba4caa9",
+    ("optimistic", "u9k1"): "3dd22fba5d55e3d3",
+    ("virtual-uniform", "u9k1"): "3ff48a977dc9894f",
+    ("sample", "u9k3"): "8f07c8a74c695ef1",
+    ("sample-contracted", "u9k3"): "325165e521ebed4f",
+    ("greedy-framework", "u9k3"): "325165e521ebed4f",
+    ("virtual-msp", "u9k3"): "5c7af24ddf2f3a32",
+    ("optimistic", "u9k3"): "72c42682d370d4b9",
+    ("virtual-uniform", "u9k3"): "5c7af24ddf2f3a32",
+    ("sample", "hat3"): "c223aba8ad9989ed",
+    ("sample-contracted", "hat3"): "c97747b92b96b6da",
+    ("greedy-framework", "hat3"): "c97747b92b96b6da",
+    ("virtual-msp", "hat3"): "94debaeb17c2da00",
+    ("sample", "rg59"): "333889f9a00bad9e",
+    ("sample-contracted", "rg59"): "c98915030339598f",
+    ("greedy-framework", "rg59"): "c98915030339598f",
+    ("virtual-msp", "rg59"): "b967c0c741d4bc39",
+}
+
+
+def test_golden_traces_are_unchanged():
+    """Every record field of every policy, kicks included, pinned byte for byte."""
+    assert {name for name, _ in GOLDEN_TRACES} == set(POLICY_NAMES)
+    bundles = {"u9k1": uniform_instance(9, 1), "u9k3": uniform_instance(9, 3),
+               "hat3": hat_graph(3), "rg59": random_graphic(5, 9, 4)}
+    got = {}
+    for (name, key) in GOLDEN_TRACES:
+        b, h = bundles[key], hashlib.sha256()
+        for p in (0.3, 0.6):
+            buf = io.StringIO()
+            for trace in trial_stream(name, b.view, b.weights, p, 60, 7, record=True):
+                dump_trace(trace, buf)
+            h.update(buf.getvalue().encode())
+        got[name, key] = h.hexdigest()[:16]
+    assert got == GOLDEN_TRACES
 
 
 # -- registry -----------------------------------------------------------------------

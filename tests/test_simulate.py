@@ -40,7 +40,7 @@ class AcceptEveryLive(Policy):
 
     name = "accept-every-live"
 
-    def start(self, view, weights, p):
+    def start(self, view, weights):
         pass
 
     def observe_sample(self, u):
@@ -282,7 +282,7 @@ class TestRunTrial:
         class TakeEverything(Policy):
             name = "take-everything"
 
-            def start(self, view, weights, p):
+            def start(self, view, weights):
                 pass
 
             def observe_sample(self, u):
