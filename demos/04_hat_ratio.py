@@ -13,8 +13,7 @@ from matsec import estimate, hat_graph, three_sigma
 bundle = hat_graph(10)
 p = 0.5
 trials = 20_000
-report = estimate("virtual-msp", bundle, p, trials, seed=0,
-                  analytic_bound=0.25, bound_direction="lower")
+report = estimate("virtual-msp", bundle, p, trials, seed=0)
 
 label = bundle.weights.label
 print(f"hat(10), p = {p}, {trials} trials, policy virtual-msp\n")

@@ -96,11 +96,10 @@ class EstimateReport:
         }
 
 
-def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int,
-             *, analytic_bound: float | None = None,
-             bound_direction: str | None = None) -> EstimateReport:
+def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int) -> EstimateReport:
     """Acceptance frequency of each optimum element plus the mean utility
-    ratio, over `trials` independent schedules.
+    ratio, over `trials` independent schedules. The report carries no
+    analytic bound; a caller attaches one with dataclasses.replace.
 
     Deterministic given (seed, trials): trial i always consumes the stream
     trial_rng(seed, i), whatever order trials execute in.
@@ -119,7 +118,7 @@ def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int,
     min_freq = min(freqs.values())
     return EstimateReport(trials, freqs, min_freq,
                           float(value_sum / (bundle.weights.total(bundle.mwb) * trials)),
-                          three_sigma(min_freq, trials), analytic_bound, bound_direction)
+                          three_sigma(min_freq, trials))
 
 
 # -- analytic values -----------------------------------------------------------
@@ -197,22 +196,19 @@ def hat_forbidden_oracle(bundle: InstanceBundle) -> ForbiddenSetOracle:
     to Y - {u}: unseen elements can never be earlier arrivals.
     """
     e_inf = bundle.named["e_inf"]
-    n = (bundle.weights.count - 1) // 2
-    top = {bundle.named[f"t_{i}"]: i for i in range(1, n + 1)}
-    bottom = {bundle.named[f"b_{i}"]: i for i in range(1, n + 1)}
-    t_of = {i: u for u, i in top.items()}
-    b_of = {i: u for u, i in bottom.items()}
+    claws = bundle.claws
+    top = {t: i for i, (t, _) in enumerate(claws)}
+    bottom = {b: i for i, (_, b) in enumerate(claws)}
 
     def rule(Y: frozenset, u: int) -> frozenset:
         if u == e_inf:
-            return frozenset({t_of[1], b_of[1]}) & (Y - {u})
+            return frozenset(claws[0]) & (Y - {u})
         i = top[u] if u in top else bottom[u]
         if e_inf not in Y:
-            complete = [j for j in range(1, n + 1) if t_of[j] in Y and b_of[j] in Y]
+            complete = [j for j, (t, b) in enumerate(claws) if t in Y and b in Y]
             if complete and complete[0] == i:
-                later = [j for j in complete if j > i]
-                return frozenset({b_of[later[0]]}) if later else frozenset()
-        return frozenset({b_of[i]}) & (Y - {u}) if u in top else frozenset()
+                return frozenset({claws[complete[1]][1]}) if complete[1:] else frozenset()
+        return frozenset({claws[i][1]}) & (Y - {u}) if u in top else frozenset()
 
     return ForbiddenSetOracle(rule, 2)
 
@@ -282,20 +278,19 @@ def check_claw_blocker(trace: DecisionTrace, bundle: InstanceBundle) -> bool:
     and the hub edge arrived live; then the hub edge must be accepted and no
     claw may have both of its edges accepted before the hub edge arrives."""
     _check_elements(trace, bundle.view)
-    named = bundle.named
-    e_inf = named["e_inf"]
-    n = (bundle.weights.count - 1) // 2
+    e_inf = bundle.named["e_inf"]
+    claws = bundle.claws
+    t_1, b_1 = claws[0]
     S = trace.sample_set
-    if not (named["t_1"] in S and named["b_1"] in S and e_inf not in S):
+    if not (t_1 in S and b_1 in S and e_inf not in S):
         return True
     if e_inf not in trace.accepted:
         return False
     times = trace.schedule.times
     t_hub = times[e_inf]
-    for i in range(1, n + 1):
-        ti, bi = named[f"t_{i}"], named[f"b_{i}"]
-        if (ti in trace.accepted and bi in trace.accepted
-                and times[ti] < t_hub and times[bi] < t_hub):
+    for t, b in claws:
+        if (t in trace.accepted and b in trace.accepted
+                and times[t] < t_hub and times[b] < t_hub):
             return False
     return True
 
@@ -306,20 +301,18 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
     j < i has 2_j, 3_j, 4_j all sampled, the trace must accept both 1_i and
     4_i (which together with the hub edge would close a cycle, trapping it)."""
     _check_elements(trace, bundle.view)
-    named = bundle.named
-    e_inf = named["e_inf"]
-    n = (bundle.weights.count - 1) // 4
+    e_inf = bundle.named["e_inf"]
+    claws = bundle.claws
     S = trace.sample_set
     if e_inf in S:
         return True
     times = trace.schedule.times
     t_hub = times[e_inf]
-    first_sampled = next((j for j in range(1, n + 1) if named[f"2_{j}"] in S
-                          and named[f"3_{j}"] in S and named[f"4_{j}"] in S), n)
-    for i in range(first_sampled + 1, n + 1):
-        if named[f"2_{i}"] not in S:
+    first = next((j for j, (_, e2, e3, e4) in enumerate(claws)
+                  if e2 in S and e3 in S and e4 in S), len(claws))
+    for e1, e2, e3, e4 in claws[first + 1:]:
+        if e2 not in S:
             continue
-        e1, e3, e4 = named[f"1_{i}"], named[f"3_{i}"], named[f"4_{i}"]
         if any(e in S for e in (e1, e3, e4)):
             continue
         if not times[e1] < times[e3] < times[e4] < t_hub:

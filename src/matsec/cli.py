@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import instances
@@ -121,10 +122,12 @@ def _add_run_args(sp) -> None:
 def _cmd_simulate(args) -> int:
     bundle, _ = _resolve_instance(args)
     if args.schedule_file:
+        if args.trial is not None:
+            raise ValueError("--trial does not apply to --schedule-file")
         with open(args.schedule_file) as fp:
             schedule = parse_schedule(fp)
     else:
-        schedule = draw_schedule(bundle.weights, trial_rng(args.seed, args.trial))
+        schedule = draw_schedule(bundle.weights, trial_rng(args.seed, args.trial or 0))
     trace = run_trial(args.policy, bundle.view, bundle.weights, schedule, args.p)
     with _out_stream(args.out) as fp:
         dump_trace(trace, fp)
@@ -159,8 +162,8 @@ def _cmd_estimate(args) -> int:
     if bound is None:
         bound = reference_bound(family, args.policy, args.p)
         direction = None if bound is None else "lower"
-    report = estimate(args.policy, bundle, args.p, args.trials, args.seed,
-                      analytic_bound=bound, bound_direction=direction)
+    report = replace(estimate(args.policy, bundle, args.p, args.trials, args.seed),
+                     analytic_bound=bound, bound_direction=direction)
     with _out_stream(args.out) as fp:
         dump_json_line(report.to_json_obj(), fp)
     return 0
@@ -328,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_instance_args(sp)
     _add_policy_args(sp)
     _add_run_args(sp)
-    sp.add_argument("--trial", type=int, default=0,
+    sp.add_argument("--trial", type=int, default=None,
                     help="trial index within the seeded stream")
     sp.add_argument("--schedule-file", metavar="PATH",
                     help="replay a fixed arrival schedule")
@@ -394,10 +397,11 @@ def main(argv=None) -> int:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _seed_default()    # read here, so a bad MATSEC_SEED exits 2
         for flag in ("seed", "trial"):
-            if getattr(args, flag, 0) < 0:
+            if (getattr(args, flag, None) or 0) < 0:
                 raise ValueError(f"--{flag} must be non-negative, got {getattr(args, flag)}")
         return args.func(args)
-    except (DomainError, PreconditionError, OracleError, ValueError, OSError) as exc:
+    except (DomainError, PreconditionError, OracleError, ValueError, OverflowError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ class InstanceBundle:
     weights: WeightedGroundSet
     named: dict
     mwb: frozenset
+    claws: tuple = ()   # ids per claw: (t_i, b_i) for hat, (1_i, ..., 4_i) for modified hat
 
     def id_of(self, name: str) -> int:
         return self.named[name]
@@ -31,13 +32,13 @@ class InstanceBundle:
         return [self.named[n] for n in names]
 
 
-def _bundle(base, weights) -> InstanceBundle:
+def _bundle(base, weights, claws=()) -> InstanceBundle:
     """The full view of base; each element is named by its weight label."""
     named = {label: u for u, label in enumerate(weights.labels)}
     if len(named) != weights.count:
         raise ValueError("weight labels collide; pass distinct weights")
     view = MatroidView.full(base)
-    return InstanceBundle(view, weights, named, view.greedy_mwb(weights))
+    return InstanceBundle(view, weights, named, view.greedy_mwb(weights), claws)
 
 
 def triangle() -> InstanceBundle:
@@ -77,17 +78,16 @@ def hat_graph(n: int) -> InstanceBundle:
     endpoints = [(0, 1)]
     names = ["e_inf"]
     weights = [1 + n * (2 * n + 1)]  # 1 + sum of all claw-edge weights
-    for i in range(1, n + 1):
-        endpoints.append((0, 1 + i))
-        names.append(f"t_{i}")
-        weights.append(2 * n - i + 1)
-    for i in range(1, n + 1):
-        endpoints.append((1, 1 + i))
-        names.append(f"b_{i}")
-        weights.append(n - i + 1)
+    roles = []                       # per role, the ids of its n edges
+    for role, hub, heaviest in (("t", 0, 2 * n), ("b", 1, n)):
+        roles.append(range(len(names), len(names) + n))
+        for i in range(1, n + 1):
+            endpoints.append((hub, 1 + i))
+            names.append(f"{role}_{i}")
+            weights.append(heaviest - i + 1)
     base = GraphicMatroid(n + 2, tuple(endpoints))
     ws = WeightedGroundSet.from_weights(weights, tuple(names))
-    return _bundle(base, ws)
+    return _bundle(base, ws, tuple(zip(*roles)))
 
 
 def modified_hat_graph(n: int) -> InstanceBundle:
@@ -112,14 +112,16 @@ def modified_hat_graph(n: int) -> InstanceBundle:
         (3, lambda i: (2 * i, 2 * i + 1)),
         (4, lambda i: (1, 2 * i + 1)),
     )
+    roles = []                       # per group, the ids of its n edges
     for g, ends in groups:
+        roles.append(range(len(names), len(names) + n))
         for i in range(1, n + 1):
             endpoints.append(ends(i))
             names.append(f"{g}_{i}")
             weights.append(g * n - i + 1)
     base = GraphicMatroid(2 * n + 2, tuple(endpoints))
     ws = WeightedGroundSet.from_weights(weights, tuple(names))
-    return _bundle(base, ws)
+    return _bundle(base, ws, tuple(zip(*roles)))
 
 
 def uniform_instance(n: int, k: int, weights=None) -> InstanceBundle:

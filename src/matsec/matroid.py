@@ -312,36 +312,36 @@ def parse_instance(fp: TextIO) -> tuple[BaseMatroid, WeightedGroundSet]:
     kind = header[1]
     if kind == "uniform":
         n, k = int(header[2]), int(header[3])
-        weights: list[Fraction | None] = [None] * n
+        weights: dict[int, Fraction] = {}     # keyed by id: no list sized by the header
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != 3 or parts[0] != "elem":
                 raise ValueError(f"bad elem line: {ln!r}")
             u = int(parts[1])
-            if not 0 <= u < n or weights[u] is not None:
+            if not 0 <= u < n or u in weights:
                 raise ValueError(f"bad or duplicate element id {u}")
             weights[u] = _parse_weight(parts[2], ln)
-        if any(w is None for w in weights):
+        if len(weights) < n:
             raise ValueError("missing elem lines")
-        return UniformMatroid(n, k), WeightedGroundSet.from_weights(weights)
+        return UniformMatroid(n, k), WeightedGroundSet.from_weights(map(weights.get, range(n)))
     if kind == "graphic":
         nv, ne = int(header[2]), int(header[3])
         if ne < 0:
             raise ValueError(f"edge count must be nonnegative, got {ne}")
-        ends: list[tuple[int, int] | None] = [None] * ne
-        weights = [None] * ne
+        ends: dict[int, tuple[int, int]] = {}
+        weights = {}
         for ln in lines[1:]:
             parts = ln.split()
             if len(parts) != 5 or parts[0] != "edge":
                 raise ValueError(f"bad edge line: {ln!r}")
             u = int(parts[1])
-            if not 0 <= u < ne or ends[u] is not None:
+            if not 0 <= u < ne or u in ends:
                 raise ValueError(f"bad or duplicate edge id {u}")
             ends[u] = (int(parts[2]), int(parts[3]))
             weights[u] = _parse_weight(parts[4], ln)
-        if any(e is None for e in ends):
+        if len(ends) < ne:
             raise ValueError("missing edge lines")
         labels = tuple(f"e{u}" for u in range(ne))
-        return (GraphicMatroid(nv, tuple(ends)),
-                WeightedGroundSet.from_weights(weights, labels))
+        return (GraphicMatroid(nv, tuple(map(ends.get, range(ne)))),
+                WeightedGroundSet.from_weights(map(weights.get, range(ne)), labels))
     raise ValueError(f"unknown matroid kind: {kind!r}")

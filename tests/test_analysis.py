@@ -8,6 +8,7 @@ guarantee stops; the conditioned sweep in the same class shows the gaps
 vanish once the first claw is fully sampled.
 """
 
+import itertools
 import math
 import subprocess
 import sys
@@ -160,8 +161,8 @@ class TestEstimate:
 
     def test_json_shape(self):
         b = triangle()
-        rep = estimate("sample", b, 0.5, trials=10, seed=0,
-                       analytic_bound=0.25, bound_direction="lower")
+        rep = replace(estimate("sample", b, 0.5, trials=10, seed=0),
+                      analytic_bound=0.25, bound_direction="lower")
         obj = rep.to_json_obj()
         assert list(obj) == ["trials", "perElementAcceptFreq", "minOverMwb",
                              "utilityRatioMean", "ciRadius3Sigma",
@@ -743,6 +744,118 @@ class TestModifiedHatTrap:
                            False, True)
             for lab, t in self.trap_pairs())
         assert not check_modified_hat_trap(trace_from_records(recs), b)
+
+
+# -- the claw layout -------------------------------------------------------------
+#
+# The checkers and the blocked-set table read each claw's ids from
+# bundle.claws. The references below find them from the role labels
+# instead, as the checkers once did; on valid hat traces the two must
+# agree verdict for verdict (the references skip the stranger check).
+
+
+def label_claw_blocker(trace, bundle):
+    named = bundle.named
+    e_inf = named["e_inf"]
+    n = (bundle.weights.count - 1) // 2
+    S = trace.sample_set
+    if not (named["t_1"] in S and named["b_1"] in S and e_inf not in S):
+        return True
+    if e_inf not in trace.accepted:
+        return False
+    times = trace.schedule.times
+    t_hub = times[e_inf]
+    for i in range(1, n + 1):
+        ti, bi = named[f"t_{i}"], named[f"b_{i}"]
+        if (ti in trace.accepted and bi in trace.accepted
+                and times[ti] < t_hub and times[bi] < t_hub):
+            return False
+    return True
+
+
+def label_modified_hat_trap(trace, bundle):
+    named = bundle.named
+    e_inf = named["e_inf"]
+    n = (bundle.weights.count - 1) // 4
+    S = trace.sample_set
+    if e_inf in S:
+        return True
+    times = trace.schedule.times
+    t_hub = times[e_inf]
+    first_sampled = next((j for j in range(1, n + 1) if named[f"2_{j}"] in S
+                          and named[f"3_{j}"] in S and named[f"4_{j}"] in S), n)
+    for i in range(first_sampled + 1, n + 1):
+        if named[f"2_{i}"] not in S:
+            continue
+        e1, e3, e4 = named[f"1_{i}"], named[f"3_{i}"], named[f"4_{i}"]
+        if any(e in S for e in (e1, e3, e4)):
+            continue
+        if not times[e1] < times[e3] < times[e4] < t_hub:
+            continue
+        if e1 not in trace.accepted or e4 not in trace.accepted:
+            return False
+    return True
+
+
+def label_forbidden_rule(bundle):
+    e_inf = bundle.named["e_inf"]
+    n = (bundle.weights.count - 1) // 2
+    top = {bundle.named[f"t_{i}"]: i for i in range(1, n + 1)}
+    bottom = {bundle.named[f"b_{i}"]: i for i in range(1, n + 1)}
+    t_of = {i: u for u, i in top.items()}
+    b_of = {i: u for u, i in bottom.items()}
+
+    def rule(Y, u):
+        if u == e_inf:
+            return frozenset({t_of[1], b_of[1]}) & (Y - {u})
+        i = top[u] if u in top else bottom[u]
+        if e_inf not in Y:
+            complete = [j for j in range(1, n + 1) if t_of[j] in Y and b_of[j] in Y]
+            if complete and complete[0] == i:
+                later = [j for j in complete if j > i]
+                return frozenset({b_of[later[0]]}) if later else frozenset()
+        return frozenset({b_of[i]}) & (Y - {u}) if u in top else frozenset()
+
+    return rule
+
+
+def claw_streams(family, sizes, trials):
+    """(bundle, trace) over seeded streams of three policies at three
+    cutoffs, each with records on and off."""
+    for n in sizes:
+        b = family(n)
+        for policy in ("virtual-msp", "sample", "sample-contracted"):
+            for p in (0.3, 0.5, 0.7):
+                for record in (False, True):
+                    for trace in trial_stream(policy, b.view, b.weights, p, trials,
+                                              seed=n, record=record):
+                        yield b, trace
+
+
+class TestClawLayout:
+    def test_claw_blocker_matches_the_label_reference(self):
+        verdicts = []
+        for b, trace in claw_streams(hat_graph, range(1, 7), trials=40):
+            verdicts.append(check_claw_blocker(trace, b))
+            assert verdicts[-1] == label_claw_blocker(trace, b)
+        assert set(verdicts) == {True, False}
+
+    def test_modified_hat_trap_matches_the_label_reference(self):
+        verdicts = []
+        for b, trace in claw_streams(modified_hat_graph, range(1, 17), trials=25):
+            verdicts.append(check_modified_hat_trap(trace, b))
+            assert verdicts[-1] == label_modified_hat_trap(trace, b)
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_blocked_sets_match_the_label_reference(self, n):
+        b = hat_graph(n)
+        rule, reference = hat_forbidden_oracle(b).rule, label_forbidden_rule(b)
+        ground = sorted(b.view.ground)
+        for r in range(len(ground) + 1):
+            for Y in map(frozenset, itertools.combinations(ground, r)):
+                for u in ground:
+                    assert rule(Y, u) == reference(Y, u), (sorted(Y), u)
 
 
 class TestKnownTrapGap:

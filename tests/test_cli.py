@@ -118,6 +118,13 @@ class TestExitCodes:
          "error: --trial must be non-negative, got -1"),
         (("verify", "claw-blocker", "--trials", "5", "--seed", "-3"),
          "error: --seed must be non-negative, got -3"),
+        # counts of 2**63 and up fail before anything is sized by them
+        (("simulate", "--instance-file", "huge_elems.inst"), "error: missing elem lines"),
+        (("simulate", "--instance-file", "huge_edges.inst"), "error: missing edge lines"),
+        (("simulate", "--instance-file", "huge_vertices.inst"), "too large"),
+        # a fixed schedule has no trial index, not even the default one
+        (("simulate", "--instance-file", "hat.inst", "--schedule-file", "tri.sched",
+          "--trial", "0"), "error: --trial does not apply to --schedule-file"),
     ])
     def test_bad_input_is_one_line_error(self, capsys, tmp_path, monkeypatch, argv, needle):
         # hat.inst is a triangle: its name must not make it a hat family
@@ -125,6 +132,12 @@ class TestExitCodes:
                                            "edge 0 0 1 1\nedge 1 1 2 2\nedge 2 2 0 3\n")
         (tmp_path / "neg_vertices.inst").write_text("matroid graphic -1 0\n")
         (tmp_path / "neg_edges.inst").write_text("matroid graphic 2 -1\n")
+        (tmp_path / "tri.sched").write_text("schedule 0 0.2\nschedule 1 0.5\nschedule 2 0.7\n")
+        huge = "10000000000000000000"
+        (tmp_path / "huge_elems.inst").write_text(f"matroid uniform {huge} 1\nelem 0 1\n")
+        (tmp_path / "huge_edges.inst").write_text(f"matroid graphic 2 {huge}\nedge 0 0 1 1\n")
+        (tmp_path / "huge_vertices.inst").write_text(f"matroid graphic {huge} 1\n"
+                                                     "edge 0 0 1 1\n")
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")

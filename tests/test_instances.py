@@ -5,6 +5,7 @@ brute_force_mwb oracle, so the generators and greedy cannot drift
 together unnoticed.
 """
 
+from argparse import Namespace
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from matsec import (
     UniformMatroid,
     brute_force_mwb,
     double_triangle,
+    dump_instance,
     fuzz_corpus,
     hat_graph,
     modified_hat_graph,
@@ -22,6 +24,7 @@ from matsec import (
     triangle,
     uniform_instance,
 )
+from matsec.cli import _resolve_instance
 
 
 def assert_bundle_coherent(bundle):
@@ -185,3 +188,36 @@ class TestFuzzCorpus:
     def test_all_coherent(self):
         for b in fuzz_corpus(12, seed=5):
             assert_bundle_coherent(b)
+
+
+class TestClaws:
+    """bundle.claws is the one record of which ids form each claw; the
+    hat checkers and the blocked-set table read nothing else."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_hat_claws_match_role_labels(self, n):
+        b = hat_graph(n)
+        assert b.claws == tuple(tuple(b.ids_of(f"t_{i}", f"b_{i}"))
+                                for i in range(1, n + 1))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_modified_hat_claws_match_role_labels(self, n):
+        b = modified_hat_graph(n)
+        assert b.claws == tuple(tuple(b.ids_of(f"1_{i}", f"2_{i}", f"3_{i}", f"4_{i}"))
+                                for i in range(1, n + 1))
+
+    def test_other_families_have_none(self):
+        others = [triangle(), double_triangle(), uniform_instance(5, 2),
+                  random_graphic(4, 6, np.random.default_rng(0)), *fuzz_corpus(4, seed=1)]
+        assert all(b.claws == () for b in others)
+
+    def test_a_parsed_file_has_none(self, tmp_path):
+        # a dumped hat graph keeps its structure but not its roles
+        b = hat_graph(3)
+        path = tmp_path / "hat3.inst"
+        with open(path, "w") as fp:
+            dump_instance(b.view.base, b.weights, fp)
+        args = Namespace(instance_file=str(path), n=None, k=None, vertices=None, edges=None)
+        parsed, family = _resolve_instance(args)
+        assert family is None
+        assert parsed.view.base == b.view.base and parsed.claws == ()
