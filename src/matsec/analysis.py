@@ -23,7 +23,7 @@ from .instances import (InstanceBundle, double_triangle, fuzz_corpus, hat_graph,
 from .matroid import DomainError, GraphicMatroid, MatroidView, WeightedGroundSet
 from .policies import build_policy
 from .simulate import (PHASE_LIVE, DecisionRecord, DecisionTrace, draw_schedule,
-                       run_trial, trial_stream)
+                       forced_schedule, run_trial, trial_rng, trial_stream)
 
 
 class OracleError(ValueError):
@@ -185,6 +185,15 @@ class ForbiddenSetOracle:
     size_bound: int
 
 
+def _hat_layout(bundle: InstanceBundle, what: str, family: str, width: int) -> tuple:
+    """(e_inf, claws) of a bundle of the given hat family, whose claws hold
+    `width` ids each; any other bundle raises ValueError naming `what`."""
+    claws = bundle.claws
+    if "e_inf" not in bundle.named or not claws or len(claws[0]) != width:
+        raise ValueError(f"{what} needs a {family} instance")
+    return bundle.named["e_inf"], claws
+
+
 def hat_forbidden_oracle(bundle: InstanceBundle) -> ForbiddenSetOracle:
     """Size-2 blocked-set table for hat instances under the virtual policy.
 
@@ -195,8 +204,7 @@ def hat_forbidden_oracle(bundle: InstanceBundle) -> ForbiddenSetOracle:
     closes a cycle it is the lightest edge on it). Blocked sets are clipped
     to Y - {u}: unseen elements can never be earlier arrivals.
     """
-    e_inf = bundle.named["e_inf"]
-    claws = bundle.claws
+    e_inf, claws = _hat_layout(bundle, "hat_forbidden_oracle", "hat", 2)
     top = {t: i for i, (t, _) in enumerate(claws)}
     bottom = {b: i for i, (_, b) in enumerate(claws)}
 
@@ -278,8 +286,7 @@ def check_claw_blocker(trace: DecisionTrace, bundle: InstanceBundle) -> bool:
     and the hub edge arrived live; then the hub edge must be accepted and no
     claw may have both of its edges accepted before the hub edge arrives."""
     _check_elements(trace, bundle.view)
-    e_inf = bundle.named["e_inf"]
-    claws = bundle.claws
+    e_inf, claws = _hat_layout(bundle, "check_claw_blocker", "hat", 2)
     t_1, b_1 = claws[0]
     S = trace.sample_set
     if not (t_1 in S and b_1 in S and e_inf not in S):
@@ -301,8 +308,7 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
     j < i has 2_j, 3_j, 4_j all sampled, the trace must accept both 1_i and
     4_i (which together with the hub edge would close a cycle, trapping it)."""
     _check_elements(trace, bundle.view)
-    e_inf = bundle.named["e_inf"]
-    claws = bundle.claws
+    e_inf, claws = _hat_layout(bundle, "check_modified_hat_trap", "modified-hat", 4)
     S = trace.sample_set
     if e_inf in S:
         return True
@@ -352,33 +358,15 @@ class ImpossibilityCertificate:
                 "violations": [v.to_json_obj() for v in self.violations]}
 
 
-def _forced_acceptances(view, weights, schedule_pairs, p, pinned) -> frozenset:
-    """Elements every policy honoring the pinned blocked sets must accept.
-
-    An arrival is forced when it lies in the max-weight basis of the seen
-    elements (brute-forced) and either no live element preceded it or its
-    pinned blocked set avoids every earlier live arrival. Unpinned arrivals
-    with live predecessors are never treated as forced: a size-1 table may
-    block any single one of them, so only provable forcings count.
-    """
-    arrived: set[int] = set()
-    earlier_live: list[int] = []
-    forced: list[int] = []
-    for u, t in sorted(schedule_pairs, key=lambda pair: pair[1]):
-        if t >= p:
-            Y = frozenset(arrived | {u})
-            if u in brute_force_mwb(view, weights, Y):
-                if not earlier_live:
-                    forced.append(u)
-                elif u in pinned and not any(v in pinned[u] for v in earlier_live):
-                    forced.append(u)
-            earlier_live.append(u)
-        arrived.add(u)
-    return frozenset(forced)
-
-
 def certify_no_size1_strong_fs() -> ImpossibilityCertificate:
     """Exhaustively refute size-1 blocked-set tables on the doubled triangle.
+
+    Each case pins part of a table and forces one schedule. An arrival is
+    forced, for every policy honoring the pinned sets, when it lies in the
+    max-weight basis of the seen elements (brute-forced) and either it is
+    the first live arrival or its pinned blocked set avoids every earlier
+    live arrival. Unpinned arrivals with live predecessors are never forced:
+    a size-1 table may block any single one of them.
 
     Stage 1: for each parallel pair, any blocked-set choice for the heavy
     copy other than its light twin (one other element, or nothing) admits a
@@ -392,37 +380,32 @@ def certify_no_size1_strong_fs() -> ImpossibilityCertificate:
     view, weights = bundle.view, bundle.weights
     label = weights.label
     p = 0.25
-    violations = []
-    checked = 0
     lights = [bundle.named[f"e_{i}_1"] for i in (1, 2, 3)]
     heavies = [bundle.named[f"e_{i}_2"] for i in (1, 2, 3)]
-    for i in range(3):
-        target, twin = heavies[i], lights[i]
-        others = [f for f in sorted(view.ground) if f not in (target, twin)]
-        for f in [None] + others:
-            checked += 1
-            pinned = {target: frozenset() if f is None else frozenset({f})}
-            pairs = [(twin, 0.4), (target, 0.8)]
-            if f is not None:
-                pairs.insert(0, (f, 0.1))
-            forced = _forced_acceptances(view, weights, pairs, p, pinned)
-            if not view.is_independent(forced):
-                blocked = "nothing" if f is None else label(f)
-                violations.append(CertifiedViolation(
-                    f"blocked({label(target)}) = {blocked}",
-                    tuple((label(u), t) for u, t in pairs),
-                    tuple(sorted(label(u) for u in forced))))
-    checked += 1
-    pinned = {heavies[i]: frozenset({lights[i]}) for i in range(3)}
-    pairs = ([(lights[i], 0.05 * (i + 1)) for i in range(3)]
-             + [(heavies[i], 0.4 + 0.2 * i) for i in range(3)])
-    forced = _forced_acceptances(view, weights, pairs, p, pinned)
-    if not view.is_independent(forced):
-        violations.append(CertifiedViolation(
-            "blocked(e_i_2) = e_i_1 for every pair i",
-            tuple((label(u), t) for u, t in pairs),
-            tuple(sorted(label(u) for u in forced))))
-    return ImpossibilityCertificate(checked, tuple(violations))
+    cases = []      # (assignment text, pinned table, schedule pairs)
+    for target, twin in zip(heavies, lights):
+        cases.append((f"blocked({label(target)}) = nothing", {target: frozenset()},
+                      [(twin, 0.4), (target, 0.8)]))
+        cases += [(f"blocked({label(target)}) = {label(f)}", {target: frozenset({f})},
+                   [(f, 0.1), (twin, 0.4), (target, 0.8)])
+                  for f in sorted(view.ground) if f not in (target, twin)]
+    cases.append(("blocked(e_i_2) = e_i_1 for every pair i",
+                  {heavy: frozenset({light}) for heavy, light in zip(heavies, lights)},
+                  [(light, 0.05 * (i + 1)) for i, light in enumerate(lights)]
+                  + [(heavy, 0.4 + 0.2 * i) for i, heavy in enumerate(heavies)]))
+    violations = []
+    for assignment, pinned, pairs in cases:
+        schedule = forced_schedule(pairs)
+        order, m = schedule.order, schedule.first_live(p)
+        forced = frozenset(
+            u for i, u in enumerate(order[m:], m)
+            if u in brute_force_mwb(view, weights, order[:i + 1])
+            and (i == m or (u in pinned and pinned[u].isdisjoint(order[m:i]))))
+        if not view.is_independent(forced):
+            violations.append(CertifiedViolation(
+                assignment, tuple((label(u), t) for u, t in pairs),
+                tuple(sorted(label(u) for u in forced))))
+    return ImpossibilityCertificate(len(cases), tuple(violations))
 
 
 # -- verification suites ----------------------------------------------------------
@@ -487,7 +470,7 @@ def _suite_matroid_axioms(cases: int, seed: int) -> SuiteResult:
             result.cases += 1
             result.failures += check_matroid_axioms(
                 uniform_instance(n, k).view)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA1)))
+    rng = trial_rng(seed, 0xA1)
     corpus = fuzz_corpus(cases, seed)
     for bundle in corpus:
         view = bundle.view
@@ -512,7 +495,7 @@ def _suite_mwb_lemmas(cases: int, seed: int) -> SuiteResult:
     every policy implementation leans on."""
     result = SuiteResult("mwb-lemmas", cases)
     corpus = fuzz_corpus(30, seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB2)))
+    rng = trial_rng(seed, 0xB2)
     for _ in range(cases):
         bundle = corpus[int(rng.integers(len(corpus)))]
         view, weights = bundle.view, bundle.weights
@@ -583,7 +566,7 @@ def _suite_equivalences(cases: int, seed: int) -> SuiteResult:
     contracted sampling rule against the reference-set framework on graphic
     instances, and the three uniform-matroid reductions."""
     result = SuiteResult("equivalences", cases)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC3)))
+    rng = trial_rng(seed, 0xC3)
     for run in range(cases):
         p = 0.2 + 0.6 * float(rng.random())
 

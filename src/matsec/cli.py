@@ -23,8 +23,8 @@ from . import instances
 from .analysis import (OracleError, SUITE_NAMES, certify_no_size1_strong_fs, estimate,
                        reference_bound, run_suite, three_sigma)
 from .instances import InstanceBundle
-from .matroid import (DomainError, PreconditionError, UniformMatroid, dump_instance,
-                      parse_instance)
+from .matroid import (DomainError, GraphicMatroid, PreconditionError, UniformMatroid,
+                      dump_instance, parse_instance)
 from .policies import POLICIES, build_policy
 from .simulate import (draw_schedule, dump_json_line, dump_schedule, dump_trace,
                        forced_schedule, json_ready, parse_schedule, run_trial,
@@ -59,16 +59,20 @@ FAMILIES = {
 }
 SIZED_FAMILIES = ", ".join(name for name, (_, reads) in FAMILIES.items() if "n" in reads)
 INSTANCE_FLAGS = ("n", "k", "vertices", "edges")
+MAX_SIZE = 100_000      # cap on every size flag and on a graphic file's vertex count
 
 
 def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
     """Build the requested instance; returns (bundle, family), where the
     family is None for an --instance-file, whatever the file is named. A
     size flag the family does not read is an error, one it reads defaults;
-    a file reads none, but a --k given with a uniform file must match its rank."""
+    a file reads none, but a --k given with a uniform file must match its rank.
+    Sizes above MAX_SIZE are rejected before anything is sized by them."""
     if getattr(args, "instance_file", None):
         with open(args.instance_file) as fp:
             base, weights = parse_instance(fp)
+        if isinstance(base, GraphicMatroid) and base.num_vertices > MAX_SIZE:
+            raise ValueError(f"vertex count {base.num_vertices} is too large (limit {MAX_SIZE})")
         uniform = isinstance(base, UniformMatroid)
         for flag in INSTANCE_FLAGS:
             if getattr(args, flag) is not None and not (flag == "k" and uniform):
@@ -78,10 +82,13 @@ def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
         return instances._bundle(base, weights), None
     build, reads = FAMILIES[args.instance]
     for flag in INSTANCE_FLAGS:
-        if getattr(args, flag) is None:
+        value = getattr(args, flag)
+        if value is None:
             setattr(args, flag, reads.get(flag))
         elif flag not in reads:
             raise DomainError(f"--{flag} does not apply to {args.instance}")
+        elif value > MAX_SIZE:
+            raise ValueError(f"--{flag} {value} is too large (limit {MAX_SIZE})")
     return build(args), args.instance
 
 

@@ -301,6 +301,10 @@ def _parse_weight(text: str, line: str) -> Fraction:
         raise ValueError(f"zero denominator in weight: {line!r}") from None
 
 
+# kind -> (body line keyword, fields per line, noun for its ids)
+_BODY = {"uniform": ("elem", 3, "element"), "graphic": ("edge", 5, "edge")}
+
+
 def parse_instance(fp: TextIO) -> tuple[BaseMatroid, WeightedGroundSet]:
     lines = [ln.strip() for ln in fp]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -310,38 +314,27 @@ def parse_instance(fp: TextIO) -> tuple[BaseMatroid, WeightedGroundSet]:
     if len(header) != 4 or header[0] != "matroid":
         raise ValueError(f"bad header: {lines[0]!r}")
     kind = header[1]
+    if kind not in _BODY:
+        raise ValueError(f"unknown matroid kind: {kind!r}")
+    keyword, fields, noun = _BODY[kind]
+    a, b = int(header[2]), int(header[3])       # uniform: n, k; graphic: vertices, edges
+    count = a if kind == "uniform" else b
+    if kind == "graphic" and count < 0:
+        raise ValueError(f"edge count must be nonnegative, got {count}")
+    body: dict[int, tuple] = {}     # keyed by id: no list sized by the header
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != fields or parts[0] != keyword:
+            raise ValueError(f"bad {keyword} line: {ln!r}")
+        u = int(parts[1])
+        if not 0 <= u < count or u in body:
+            raise ValueError(f"bad or duplicate {noun} id {u}")
+        body[u] = (*map(int, parts[2:-1]), _parse_weight(parts[-1], ln))   # (ends..., weight)
+    if len(body) < count:
+        raise ValueError(f"missing {keyword} lines")
+    rows = [body[u] for u in range(count)]
+    weights = [row[-1] for row in rows]
     if kind == "uniform":
-        n, k = int(header[2]), int(header[3])
-        weights: dict[int, Fraction] = {}     # keyed by id: no list sized by the header
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 3 or parts[0] != "elem":
-                raise ValueError(f"bad elem line: {ln!r}")
-            u = int(parts[1])
-            if not 0 <= u < n or u in weights:
-                raise ValueError(f"bad or duplicate element id {u}")
-            weights[u] = _parse_weight(parts[2], ln)
-        if len(weights) < n:
-            raise ValueError("missing elem lines")
-        return UniformMatroid(n, k), WeightedGroundSet.from_weights(map(weights.get, range(n)))
-    if kind == "graphic":
-        nv, ne = int(header[2]), int(header[3])
-        if ne < 0:
-            raise ValueError(f"edge count must be nonnegative, got {ne}")
-        ends: dict[int, tuple[int, int]] = {}
-        weights = {}
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 5 or parts[0] != "edge":
-                raise ValueError(f"bad edge line: {ln!r}")
-            u = int(parts[1])
-            if not 0 <= u < ne or u in ends:
-                raise ValueError(f"bad or duplicate edge id {u}")
-            ends[u] = (int(parts[2]), int(parts[3]))
-            weights[u] = _parse_weight(parts[4], ln)
-        if len(ends) < ne:
-            raise ValueError("missing edge lines")
-        labels = tuple(f"e{u}" for u in range(ne))
-        return (GraphicMatroid(nv, tuple(map(ends.get, range(ne)))),
-                WeightedGroundSet.from_weights(map(weights.get, range(ne)), labels))
-    raise ValueError(f"unknown matroid kind: {kind!r}")
+        return UniformMatroid(a, b), WeightedGroundSet.from_weights(weights)
+    return (GraphicMatroid(a, tuple(row[:2] for row in rows)),
+            WeightedGroundSet.from_weights(weights, tuple(f"e{u}" for u in range(count))))

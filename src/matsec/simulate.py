@@ -40,6 +40,11 @@ class ArrivalSchedule:
         """Read-only element id -> arrival time, built on first use."""
         return MappingProxyType(dict(zip(self.order, self.arrival)))
 
+    def first_live(self, p: float) -> int:
+        """Index in order of the first live arrival: samples arrive strictly
+        before p, so an arrival at exactly p is live."""
+        return bisect_left(self.arrival, p)
+
 
 def _by_time(times: dict) -> ArrivalSchedule:
     """Schedule over `times`, ordered by (time, id)."""
@@ -125,7 +130,7 @@ def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
         raise DomainError("schedule must cover exactly the effective ground set")
     policy = build_policy(policy)
     policy.start(view, weights)
-    m = bisect_left(schedule.arrival, p)     # samples arrive before p; one at p is live
+    m = schedule.first_live(p)
     for u in order[:m]:
         policy.observe_sample(u)
     decide, add = policy.decide, AcceptedSetTracker(view).add

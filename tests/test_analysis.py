@@ -858,6 +858,29 @@ class TestClawLayout:
                     assert rule(Y, u) == reference(Y, u), (sorted(Y), u)
 
 
+class TestWrongFamily:
+    """Each hat reader names itself and the family it needs when handed a
+    bundle of another family, whatever the trace (the bundle's own one here)."""
+
+    def others(self, family):
+        hat, modified = hat_graph(2), modified_hat_graph(2)
+        return [modified if family == "hat" else hat, triangle(), double_triangle(),
+                replace(hat if family == "hat" else modified, claws=())]
+
+    @pytest.mark.parametrize("check, family", [
+        (check_claw_blocker, "hat"), (check_modified_hat_trap, "modified-hat")])
+    def test_trace_checkers(self, check, family):
+        for b in self.others(family):
+            trace = next(trial_stream("virtual-msp", b.view, b.weights, 0.5, 1, seed=0))
+            with pytest.raises(ValueError, match=f"^{check.__name__} needs a {family} instance$"):
+                check(trace, b)
+
+    def test_forbidden_table(self):
+        for b in self.others("hat"):
+            with pytest.raises(ValueError, match="^hat_forbidden_oracle needs a hat instance$"):
+                hat_forbidden_oracle(b)
+
+
 class TestKnownTrapGap:
     """Pinned schedule where the trap acceptance claim fails on a real run.
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from matsec import SUITE_NAMES, load_records, parse_instance, parse_schedule
 from matsec.analysis import CASE_SUITES
-from matsec.cli import FAMILIES, FIXTURES, INSTANCE_FLAGS, main
+from matsec.cli import FAMILIES, FIXTURES, INSTANCE_FLAGS, MAX_SIZE, main
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +126,13 @@ class TestExitCodes:
         # a fixed schedule has no trial index, not even the default one
         (("simulate", "--instance-file", "hat.inst", "--schedule-file", "tri.sched",
           "--trial", "0"), "error: --trial does not apply to --schedule-file"),
+        # sizes above MAX_SIZE stop before any list is sized by them
+        (("simulate", "--instance-file", "big_vertices.inst"),
+         "error: vertex count 4611686018427387904 is too large"),
+        (("simulate", "--instance", "random-graphic", "--vertices", "4611686018427387904",
+          "--edges", "1"), "error: --vertices 4611686018427387904 is too large"),
+        (("estimate", "--instance", "uniform", "--n", "1000000000000"),
+         "error: --n 1000000000000 is too large"),
     ])
     def test_bad_input_is_one_line_error(self, capsys, tmp_path, monkeypatch, argv, needle):
         # hat.inst is a triangle: its name must not make it a hat family
@@ -138,11 +146,21 @@ class TestExitCodes:
         (tmp_path / "huge_edges.inst").write_text(f"matroid graphic 2 {huge}\nedge 0 0 1 1\n")
         (tmp_path / "huge_vertices.inst").write_text(f"matroid graphic {huge} 1\n"
                                                      "edge 0 0 1 1\n")
+        (tmp_path / "big_vertices.inst").write_text(f"matroid graphic {2**62} 1\n"
+                                                    "edge 0 0 1 1\n")
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
+
+    def test_size_limit_is_inclusive(self, capsys, tmp_path):
+        for vertices, code in ((MAX_SIZE, 0), (MAX_SIZE + 1, 2)):
+            assert run_cli(capsys, "simulate", "--instance", "random-graphic",
+                           "--vertices", str(vertices), "--edges", "1")[0] == code
+            path = tmp_path / f"v{vertices}.inst"
+            path.write_text(f"matroid graphic {vertices} 1\nedge 0 0 1 1\n")
+            assert run_cli(capsys, "simulate", "--instance-file", str(path))[0] == code
 
     def test_k_must_match_a_uniform_instance_file(self, capsys, tmp_path):
         inst_path = tmp_path / "uni.inst"
@@ -512,6 +530,12 @@ class TestVerify:
 
 
 class TestCertify:
+    def test_stdout_bytes_are_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "certify")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "01f3ce079bed4ee2beb61bb84cc2a296ced2ddea0a018f29a62de41908254bbd")
+
     def test_stdout_json(self, capsys):
         code, out, err = run_cli(capsys, "certify")
         assert code == 0

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import random
 from collections import defaultdict, deque
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from matsec import (
     fuzz_corpus,
     parse_instance,
 )
-from matsec.matroid import format_weight
+from matsec.matroid import _parse_weight, format_weight
 
 
 # -- weighted ground sets ------------------------------------------------------
@@ -380,3 +381,104 @@ class TestInstanceFiles:
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_instance(io.StringIO(text))
+
+
+def two_branch_parse_instance(fp):
+    """parse_instance as it was with one body loop per kind; the one-loop
+    reader must raise the same errors, in the same order, or parse the same."""
+    lines = [ln.strip() for ln in fp]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError("empty instance file")
+    header = lines[0].split()
+    if len(header) != 4 or header[0] != "matroid":
+        raise ValueError(f"bad header: {lines[0]!r}")
+    kind = header[1]
+    if kind == "uniform":
+        n, k = int(header[2]), int(header[3])
+        weights = {}
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 3 or parts[0] != "elem":
+                raise ValueError(f"bad elem line: {ln!r}")
+            u = int(parts[1])
+            if not 0 <= u < n or u in weights:
+                raise ValueError(f"bad or duplicate element id {u}")
+            weights[u] = _parse_weight(parts[2], ln)
+        if len(weights) < n:
+            raise ValueError("missing elem lines")
+        return UniformMatroid(n, k), WeightedGroundSet.from_weights(map(weights.get, range(n)))
+    if kind == "graphic":
+        nv, ne = int(header[2]), int(header[3])
+        if ne < 0:
+            raise ValueError(f"edge count must be nonnegative, got {ne}")
+        ends, weights = {}, {}
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 5 or parts[0] != "edge":
+                raise ValueError(f"bad edge line: {ln!r}")
+            u = int(parts[1])
+            if not 0 <= u < ne or u in ends:
+                raise ValueError(f"bad or duplicate edge id {u}")
+            ends[u] = (int(parts[2]), int(parts[3]))
+            weights[u] = _parse_weight(parts[4], ln)
+        if len(ends) < ne:
+            raise ValueError("missing edge lines")
+        labels = tuple(f"e{u}" for u in range(ne))
+        return (GraphicMatroid(nv, tuple(map(ends.get, range(ne)))),
+                WeightedGroundSet.from_weights(map(weights.get, range(ne)), labels))
+    raise ValueError(f"unknown matroid kind: {kind!r}")
+
+
+def malformed_instance_text(rng: random.Random) -> str:
+    """A small instance file, usually broken somewhere: header, keyword, field
+    count, id, endpoint or weight."""
+    kind = rng.choice(["uniform", "graphic", "graphic", "uniform", "cograph"])
+    header = ["matroid", kind, str(rng.randint(-2, 4)), str(rng.randint(-2, 4))]
+    if rng.random() < 0.05:
+        header[rng.choice([2, 3])] = rng.choice(["x", "1.5"])
+    if rng.random() < 0.05:
+        header[0] = "matriod"
+    if rng.random() < 0.05:
+        header = header[:rng.randint(1, 3)]
+    lines = [" ".join(header)] if rng.random() > 0.03 else []
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < 0.07:
+            lines.append(rng.choice(["", "# note", "   "]))
+            continue
+        keyword = "elem" if (kind == "uniform") != (rng.random() < 0.1) else "edge"
+        width = (3 if keyword == "elem" else 5) + rng.choice([0] * 12 + [-1, 1])
+        fields = [keyword] + [rng.choice([str(rng.randint(-1, 4))] * 9 + ["y"])
+                              for _ in range(width - 2)]
+        fields.append(rng.choice(["1", "2", "3", "4", "5", "1/0", "0", "-1", "w", "3/2",
+                                  "0.5", str(rng.randint(1, 9))]))
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text):
+    try:
+        base, ws = parse(io.StringIO(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return base, ws.weights, ws.labels
+
+
+class TestOneBodyReader:
+    def test_matches_the_two_branch_reader(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(20000):
+            text = malformed_instance_text(rng)
+            got = parse_outcome(parse_instance, text)
+            assert got == parse_outcome(two_branch_parse_instance, text), text
+            seen.add(got[1] if got[0] is ValueError else type(got[0]).__name__)
+        # every message family and both parsed kinds turn up in the corpus
+        for needle in ("empty instance file", "bad header", "unknown matroid kind",
+                       "bad elem line", "bad edge line", "bad or duplicate element id",
+                       "bad or duplicate edge id", "missing elem lines", "missing edge lines",
+                       "edge count must be nonnegative", "zero denominator",
+                       "invalid literal for int()", "size must be nonnegative",
+                       "num_vertices must be nonnegative", "edge endpoint out of range",
+                       "UniformMatroid", "GraphicMatroid"):
+            assert any(needle in msg for msg in seen), needle

@@ -184,6 +184,24 @@ class TestForcedSchedule:
             forced_schedule(pairs)
 
 
+class TestFirstLive:
+    SCHED = forced_schedule([(0, 0.0), (1, 0.25), (2, 0.5), (3, 1.0)])
+
+    @pytest.mark.parametrize("p, m", [(0.0, 0), (0.2, 1), (0.25, 1), (0.3, 2),
+                                      (0.5, 2), (0.9, 3), (1.0, 3)])
+    def test_samples_arrive_strictly_before_p(self, p, m):
+        # an arrival exactly at p is live: at p = 0 everything is, at p = 1 only time 1
+        assert self.SCHED.first_live(p) == m
+
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+    def test_harness_samples_what_first_live_says(self, p):
+        b = uniform_instance(4, 2)
+        trace = run_trial("sample", b.view, b.weights, self.SCHED, p)
+        m = self.SCHED.first_live(p)
+        assert trace.sample_set == frozenset(self.SCHED.order[:m])
+        assert [r.phase for r in trace.records] == [PHASE_SAMPLE] * m + [PHASE_LIVE] * (4 - m)
+
+
 # -- the harness --------------------------------------------------------------------
 
 
