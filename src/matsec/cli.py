@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,9 +27,9 @@ from .instances import InstanceBundle
 from .matroid import (DomainError, GraphicMatroid, PreconditionError, UniformMatroid,
                       dump_instance, parse_instance)
 from .policies import POLICIES, build_policy
-from .simulate import (draw_schedule, dump_json_line, dump_schedule, dump_trace,
-                       forced_schedule, json_ready, parse_schedule, run_trial,
-                       trial_rng)
+from .simulate import (check_cutoff, draw_schedule, dump_json_line, dump_schedule,
+                       dump_trace, forced_schedule, json_ready, parse_schedule,
+                       run_trial, trial_rng)
 
 
 def _seed_default() -> int:
@@ -62,6 +63,11 @@ INSTANCE_FLAGS = ("n", "k", "vertices", "edges")
 MAX_SIZE = 100_000      # cap on every size flag and on a graphic file's vertex count
 
 
+def _check_size(what: str, value: int) -> None:
+    if value > MAX_SIZE:
+        raise ValueError(f"{what} {value} is too large (limit {MAX_SIZE})")
+
+
 def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
     """Build the requested instance; returns (bundle, family), where the
     family is None for an --instance-file, whatever the file is named. A
@@ -71,8 +77,8 @@ def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
     if getattr(args, "instance_file", None):
         with open(args.instance_file) as fp:
             base, weights = parse_instance(fp)
-        if isinstance(base, GraphicMatroid) and base.num_vertices > MAX_SIZE:
-            raise ValueError(f"vertex count {base.num_vertices} is too large (limit {MAX_SIZE})")
+        if isinstance(base, GraphicMatroid):
+            _check_size("vertex count", base.num_vertices)
         uniform = isinstance(base, UniformMatroid)
         for flag in INSTANCE_FLAGS:
             if getattr(args, flag) is not None and not (flag == "k" and uniform):
@@ -87,8 +93,8 @@ def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
             setattr(args, flag, reads.get(flag))
         elif flag not in reads:
             raise DomainError(f"--{flag} does not apply to {args.instance}")
-        elif value > MAX_SIZE:
-            raise ValueError(f"--{flag} {value} is too large (limit {MAX_SIZE})")
+        else:
+            _check_size(f"--{flag}", value)
     return build(args), args.instance
 
 
@@ -189,15 +195,21 @@ def _grid(text: str, cast, flag: str):
 def _cmd_sweep(args) -> int:
     canonical = build_policy(args.policy).name
     ps = _grid(args.p_grid, float, "--p-grid")
-    ns = [None] if args.n_grid is None else _grid(args.n_grid, int, "--n-grid")
-    if ns != [None] and (args.instance_file or "n" not in FAMILIES[args.instance][1]):
+    ns = [args.n] if args.n_grid is None else _grid(args.n_grid, int, "--n-grid")
+    if args.n_grid is not None and (args.instance_file or "n" not in FAMILIES[args.instance][1]):
         where = "--instance-file" if args.instance_file else args.instance
         raise DomainError(f"--n-grid does not apply to {where}")
-    rows = []
-    for n in ns:
-        if n is not None:
+    if args.n_grid is not None and args.n is not None:
+        raise DomainError("--n does not apply with --n-grid")
+    def bundles():          # one bundle alive at a time
+        for n in ns:
             args.n = n
-        bundle, family = _resolve_instance(args)
+            yield _resolve_instance(args)
+    deque(bundles(), maxlen=0)  # the whole grid is checked before the first estimate
+    for p in ps:
+        check_cutoff(p)
+    rows = []
+    for bundle, family in bundles():
         name = family or Path(args.instance_file).stem
         size = args.n if family and "n" in FAMILIES[family][1] else bundle.weights.count
         label = bundle.weights.label
@@ -295,6 +307,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n is not None:
+        _check_size("--n", args.n)
     result = run_suite(args.suite, cases=args.cases, trials=args.trials, seed=args.seed,
                        n=args.n, p=args.p)
     print(f"suite {result.name}: {result.cases} cases, "

@@ -41,27 +41,34 @@ def _bundle(base, weights, claws=()) -> InstanceBundle:
     return InstanceBundle(view, weights, named, view.greedy_mwb(weights), claws)
 
 
+def _graphic(num_vertices: int, rows, claws=()) -> InstanceBundle:
+    """The full graphic bundle whose element u is rows[u] = (label, a, b, weight)."""
+    base = GraphicMatroid(num_vertices, tuple((a, b) for _, a, b, _ in rows))
+    weights = WeightedGroundSet.from_weights([w for *_, w in rows], [r[0] for r in rows])
+    return _bundle(base, weights, claws)
+
+
+def _claw_family(n: int, num_vertices: int, groups) -> InstanceBundle:
+    """The hub edge e_inf = (0, 1), then per group (prefix, g, ends) the n
+    edges f"{prefix}_{i}" = ends(i) of weight g*n - i + 1. Claw i holds the
+    i-th edge of every group; e_inf weighs 1 + the sum of all the others."""
+    rows = [(f"{prefix}_{i}", *ends(i), g * n - i + 1)
+            for prefix, g, ends in groups for i in range(1, n + 1)]
+    hub = ("e_inf", 0, 1, 1 + sum(w for *_, w in rows))
+    claws = zip(*(range(1 + j * n, 1 + (j + 1) * n) for j in range(len(groups))))
+    return _graphic(num_vertices, [hub, *rows], tuple(claws))
+
+
 def triangle() -> InstanceBundle:
     """Three edges on a 3-cycle, weights 1 < 2 < 3; optimum is {e2, e3}."""
-    base = GraphicMatroid(3, ((0, 1), (1, 2), (2, 0)))
-    weights = WeightedGroundSet.from_weights([1, 2, 3], ("e1", "e2", "e3"))
-    return _bundle(base, weights)
+    return _graphic(3, [("e1", 0, 1, 1), ("e2", 1, 2, 2), ("e3", 2, 0, 3)])
 
 
 def double_triangle() -> InstanceBundle:
     """A 3-cycle with every edge doubled; weight of copy j of side i is i + 3(j-1)."""
     sides = ((0, 1), (1, 2), (2, 0))
-    endpoints = []
-    names = []
-    weights = []
-    for j in (1, 2):
-        for i in (1, 2, 3):
-            endpoints.append(sides[i - 1])
-            names.append(f"e_{i}_{j}")
-            weights.append(i + 3 * (j - 1))
-    base = GraphicMatroid(3, tuple(endpoints))
-    ws = WeightedGroundSet.from_weights(weights, tuple(names))
-    return _bundle(base, ws)
+    return _graphic(3, [(f"e_{i}_{j}", *sides[i - 1], i + 3 * (j - 1))
+                        for j in (1, 2) for i in (1, 2, 3)])
 
 
 def hat_graph(n: int) -> InstanceBundle:
@@ -75,19 +82,8 @@ def hat_graph(n: int) -> InstanceBundle:
     """
     if n < 1:
         raise ValueError("hat graph needs n >= 1")
-    endpoints = [(0, 1)]
-    names = ["e_inf"]
-    weights = [1 + n * (2 * n + 1)]  # 1 + sum of all claw-edge weights
-    roles = []                       # per role, the ids of its n edges
-    for role, hub, heaviest in (("t", 0, 2 * n), ("b", 1, n)):
-        roles.append(range(len(names), len(names) + n))
-        for i in range(1, n + 1):
-            endpoints.append((hub, 1 + i))
-            names.append(f"{role}_{i}")
-            weights.append(heaviest - i + 1)
-    base = GraphicMatroid(n + 2, tuple(endpoints))
-    ws = WeightedGroundSet.from_weights(weights, tuple(names))
-    return _bundle(base, ws, tuple(zip(*roles)))
+    return _claw_family(n, n + 2, (("t", 2, lambda i: (0, 1 + i)),
+                                   ("b", 1, lambda i: (1, 1 + i))))
 
 
 def modified_hat_graph(n: int) -> InstanceBundle:
@@ -103,25 +99,10 @@ def modified_hat_graph(n: int) -> InstanceBundle:
     """
     if n < 1:
         raise ValueError("modified hat graph needs n >= 1")
-    endpoints = [(0, 1)]
-    names = ["e_inf"]
-    weights = [1 + 2 * n * (4 * n + 1)]  # 1 + sum(1..4n)
-    groups = (
-        (1, lambda i: (0, 2 * i + 1)),
-        (2, lambda i: (0, 2 * i)),
-        (3, lambda i: (2 * i, 2 * i + 1)),
-        (4, lambda i: (1, 2 * i + 1)),
-    )
-    roles = []                       # per group, the ids of its n edges
-    for g, ends in groups:
-        roles.append(range(len(names), len(names) + n))
-        for i in range(1, n + 1):
-            endpoints.append(ends(i))
-            names.append(f"{g}_{i}")
-            weights.append(g * n - i + 1)
-    base = GraphicMatroid(2 * n + 2, tuple(endpoints))
-    ws = WeightedGroundSet.from_weights(weights, tuple(names))
-    return _bundle(base, ws, tuple(zip(*roles)))
+    return _claw_family(n, 2 * n + 2, (("1", 1, lambda i: (0, 2 * i + 1)),
+                                       ("2", 2, lambda i: (0, 2 * i)),
+                                       ("3", 3, lambda i: (2 * i, 2 * i + 1)),
+                                       ("4", 4, lambda i: (1, 2 * i + 1))))
 
 
 def uniform_instance(n: int, k: int, weights=None) -> InstanceBundle:
@@ -140,14 +121,11 @@ def random_graphic(num_vertices: int, num_edges: int, rng) -> InstanceBundle:
     """Uniformly random endpoints (parallel edges and self-loops allowed),
     weights a random permutation of 1..num_edges."""
     rng = np.random.default_rng(rng)
-    endpoints = tuple(
-        (int(rng.integers(num_vertices)), int(rng.integers(num_vertices)))
-        for _ in range(num_edges))
-    weights = [int(w) + 1 for w in rng.permutation(num_edges)]
-    base = GraphicMatroid(num_vertices, endpoints)
-    labels = tuple(f"e{u}" for u in range(num_edges))
-    ws = WeightedGroundSet.from_weights(weights, labels)
-    return _bundle(base, ws)
+    ends = [(int(rng.integers(num_vertices)), int(rng.integers(num_vertices)))
+            for _ in range(num_edges)]
+    weights = rng.permutation(num_edges)
+    return _graphic(num_vertices, [(f"e{u}", *ends[u], int(weights[u]) + 1)
+                                   for u in range(num_edges)])
 
 
 def fuzz_corpus(count: int, seed: int) -> list[InstanceBundle]:

@@ -46,12 +46,6 @@ class ArrivalSchedule:
         return bisect_left(self.arrival, p)
 
 
-def _by_time(times: dict) -> ArrivalSchedule:
-    """Schedule over `times`, ordered by (time, id)."""
-    order = tuple(sorted(times, key=lambda u: (times[u], u)))
-    return ArrivalSchedule(order, tuple(times[u] for u in order))
-
-
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Stream for one trial, addressable by (seed, index) so trials give the
     same answers whatever order they run in."""
@@ -77,7 +71,8 @@ def forced_schedule(assignments: Iterable[tuple[int, float]]) -> ArrivalSchedule
         times[int(u)] = float(t)
     if len(set(times.values())) != len(times):
         raise ValueError("forced schedules need distinct times")
-    return _by_time(times)
+    order = tuple(sorted(times, key=times.__getitem__))
+    return ArrivalSchedule(order, tuple(times[u] for u in order))
 
 
 @dataclass(frozen=True)
@@ -120,11 +115,16 @@ class DecisionTrace:
     schedule: ArrivalSchedule
 
 
+def check_cutoff(p: float) -> None:
+    """The one rule on a sampling cutoff: p lies in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"sampling cutoff p={p} outside [0, 1]")
+
+
 def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
               schedule: ArrivalSchedule, p: float, *, record: bool = True) -> DecisionTrace:
     """Deliver one schedule to a fresh (or reset) policy."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"sampling cutoff p={p} outside [0, 1]")
+    check_cutoff(p)
     order = schedule.order
     if len(order) != len(view.ground) or set(order) != view.ground:
         raise DomainError("schedule must cover exactly the effective ground set")
@@ -285,13 +285,19 @@ def load_records(fp: TextIO) -> tuple[DecisionRecord, ...]:
 
 
 def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:
-    """Rebuild a trace (including its schedule) from exported records."""
+    """Rebuild a trace from exported records: one per element, in arrival
+    order (dumped times are rounded, so a tie keeps record order), samples first."""
     records = tuple(records)
-    return DecisionTrace(
-        records,
-        frozenset(r.element for r in records if r.accepted),
-        frozenset(r.element for r in records if r.phase == PHASE_SAMPLE),
-        _by_time({r.element: r.time for r in records}))
+    order, arrival = tuple(r.element for r in records), tuple(r.time for r in records)
+    if len(set(order)) != len(order):
+        raise ValueError("records must name each element once")
+    if not all(0.0 <= a <= b <= 1.0 for a, b in zip(arrival, arrival[1:] + (1.0,))):
+        raise ValueError("record times must lie in [0, 1], in arrival order")
+    m = sum(r.phase == PHASE_SAMPLE for r in records)
+    if [r.phase for r in records] != [PHASE_SAMPLE] * m + [PHASE_LIVE] * (len(records) - m):
+        raise ValueError(f"record phases must be {PHASE_SAMPLE!r} then {PHASE_LIVE!r}")
+    return DecisionTrace(records, frozenset(r.element for r in records if r.accepted),
+                         frozenset(order[:m]), ArrivalSchedule(order, arrival))
 
 
 def dump_schedule(schedule: ArrivalSchedule, fp: TextIO) -> None:

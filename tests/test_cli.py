@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from matsec import SUITE_NAMES, load_records, parse_instance, parse_schedule
+from matsec import SUITE_NAMES, SuiteResult, load_records, parse_instance, parse_schedule
+from matsec import cli
 from matsec.analysis import CASE_SUITES
 from matsec.cli import FAMILIES, FIXTURES, INSTANCE_FLAGS, MAX_SIZE, main
 
@@ -133,6 +134,12 @@ class TestExitCodes:
           "--edges", "1"), "error: --vertices 4611686018427387904 is too large"),
         (("estimate", "--instance", "uniform", "--n", "1000000000000"),
          "error: --n 1000000000000 is too large"),
+        # verify's --n is capped too, before the suite builds hat_graph(n)
+        (("verify", "claw-blocker", "--n", "1000000000"),
+         "error: --n 1000000000 is too large (limit 100000)"),
+        # --n-grid sets n, so a --n beside it would be dropped
+        (("sweep", "--instance", "hat", "--n", "3", "--n-grid", "2", "--trials", "5"),
+         "error: --n does not apply with --n-grid"),
     ])
     def test_bad_input_is_one_line_error(self, capsys, tmp_path, monkeypatch, argv, needle):
         # hat.inst is a triangle: its name must not make it a hat family
@@ -161,6 +168,14 @@ class TestExitCodes:
             path = tmp_path / f"v{vertices}.inst"
             path.write_text(f"matroid graphic {vertices} 1\nedge 0 0 1 1\n")
             assert run_cli(capsys, "simulate", "--instance-file", str(path))[0] == code
+
+    def test_verify_size_limit_is_inclusive(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_suite", lambda name, **kw: seen.append(kw["n"])
+                            or SuiteResult(name, 1))
+        assert run_cli(capsys, "verify", "claw-blocker", "--n", str(MAX_SIZE))[0] == 0
+        assert run_cli(capsys, "verify", "claw-blocker", "--n", str(MAX_SIZE + 1))[0] == 2
+        assert seen == [MAX_SIZE]
 
     def test_k_must_match_a_uniform_instance_file(self, capsys, tmp_path):
         inst_path = tmp_path / "uni.inst"
@@ -486,6 +501,20 @@ class TestSweep:
             assert float(row[8]) == pytest.approx(0.125)    # p^2 (1-p)
         top_rows = [r for r in rows if r[5].startswith("t_")]
         assert all(r[8] == "" for r in top_rows)
+
+    @pytest.mark.parametrize("grid, message", [
+        (("--n-grid", "64,100001"), "--n 100001 is too large (limit 100000)"),
+        (("--n-grid", "2,0"), "hat graph needs n >= 1"),
+        (("--n", "3", "--p-grid", "0.5,1.5"), "sampling cutoff p=1.5 outside [0, 1]"),
+        (("--n-grid", "2,3", "--p-grid", "0.25,nan"), "sampling cutoff p=nan outside [0, 1]"),
+    ])
+    def test_whole_grid_is_checked_before_the_first_estimate(self, capsys, monkeypatch,
+                                                             grid, message):
+        def no_estimate(*args):
+            raise AssertionError("an estimate ran before the grid was checked")
+        monkeypatch.setattr(cli, "estimate", no_estimate)
+        code, out, err = run_cli(capsys, "sweep", "--instance", "hat", *grid, "--trials", "5")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_reruns_are_byte_identical(self, capsys):
         args = ("sweep", "--instance", "uniform", "--n", "4", "--k", "2",

@@ -5,6 +5,7 @@ brute_force_mwb oracle, so the generators and greedy cannot drift
 together unnoticed.
 """
 
+import hashlib
 from argparse import Namespace
 from fractions import Fraction
 
@@ -25,6 +26,8 @@ from matsec import (
     uniform_instance,
 )
 from matsec.cli import _resolve_instance
+
+PINNED_BUNDLE_DIGEST = "12fdd88df9314b3dd5a892c0411c6db5cedeb589821e131a15a1e8a883cb55d2"
 
 
 def assert_bundle_coherent(bundle):
@@ -221,3 +224,34 @@ class TestClaws:
         parsed, family = _resolve_instance(args)
         assert family is None
         assert parsed.view.base == b.view.base and parsed.claws == ()
+
+
+def _bundle_digest(bundles):
+    """sha256 over every field of each bundle: base, view, weights, labels,
+    named (in id order), mwb and claws."""
+    h = hashlib.sha256()
+    for b in bundles:
+        base = b.view.base
+        h.update(repr((type(base).__name__, sorted(vars(base).items()),
+                       sorted(b.view.restriction), sorted(b.view.contraction),
+                       [str(w) for w in b.weights.weights], b.weights.labels,
+                       list(b.named.items()), sorted(b.mwb), b.claws)).encode())
+    return h.hexdigest()
+
+
+def _named_bundles():
+    yield from (hat_graph(n) for n in range(1, 17))
+    yield from (modified_hat_graph(n) for n in range(1, 17))
+    yield triangle()
+    yield double_triangle()
+    # s = 0 draws the empty edge list
+    yield from (random_graphic(2 + s % 5, s, np.random.default_rng(s)) for s in range(20))
+    yield from fuzz_corpus(200, seed=3)
+
+
+class TestPinnedBundles:
+    """Every named family's ids, endpoints, weights, labels and claws are
+    pinned, so a refactor of the builders cannot drift them unnoticed."""
+
+    def test_digest_is_pinned(self):
+        assert _bundle_digest(_named_bundles()) == PINNED_BUNDLE_DIGEST

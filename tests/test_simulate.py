@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -408,6 +409,43 @@ class TestTraceSerialization:
         assert rebuilt.sample_set == trace.sample_set
         assert rebuilt.schedule.times == trace.schedule.times
         assert rebuilt.schedule.order == trace.schedule.order
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda recs: recs + [replace(recs[1], time=0.9)], "each element once"),
+        (lambda recs: [recs[1], recs[0], recs[2]], "in arrival order"),
+        (lambda recs: recs[:2] + [replace(recs[2], time=7.5)], r"lie in \[0, 1\]"),
+        (lambda recs: [replace(recs[0], time=-0.1)] + recs[1:], r"lie in \[0, 1\]"),
+        (lambda recs: [replace(recs[0], time=float("nan"))] + recs[1:], r"lie in \[0, 1\]"),
+        (lambda recs: [replace(recs[0], phase="early")] + recs[1:], "record phases"),
+        (lambda recs: recs[:1] + [replace(r, phase=PHASE_SAMPLE) for r in recs[1:2]] + recs[2:],
+         None),
+        (lambda recs: [replace(recs[0], phase=PHASE_LIVE), replace(recs[1], phase=PHASE_SAMPLE),
+                       recs[2]], "record phases"),
+    ])
+    def test_trace_from_records_rejects_malformed_lists(self, edit, message):
+        _, trace = self.make_trace()
+        records = edit(list(trace.records))
+        if message is None:     # a longer sample prefix is still well formed
+            assert trace_from_records(records).sample_set == {2, 1}
+            return
+        with pytest.raises(ValueError, match=message):
+            trace_from_records(records)
+
+    def test_tied_times_load_in_record_order(self):
+        # dumped times keep 9 significant digits, so these two arrivals share
+        # one time in the file, the higher id first
+        b = triangle()
+        sched = forced_schedule([(2, 0.3), (1, 0.3 + 1e-12), (0, 0.8)])
+        trace = run_trial("virtual-msp", b.view, b.weights, sched, 0.5)
+        buf = io.StringIO()
+        dump_trace(trace, buf)
+        buf.seek(0)
+        records = load_records(buf)
+        assert records[0].time == records[1].time
+        rebuilt = trace_from_records(records)
+        assert rebuilt.schedule.order == (2, 1, 0) == sched.order
+        assert rebuilt.sample_set == trace.sample_set == {2, 1}
+        assert rebuilt.accepted == trace.accepted
 
     def test_json_lines_parse_individually(self):
         _, trace = self.make_trace()
