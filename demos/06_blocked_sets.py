@@ -68,8 +68,8 @@ HUB_GAP = [("b_5", 0.353), ("t_3", 0.359), ("t_5", 0.514), ("t_4", 0.521),
 trace = replay(HUB_GAP)
 ok, offender = check_forbidden_consistency(trace, hat_forbidden_oracle(bundle),
                                            view, weights)
-print(f"  consistent = {ok}, offending arrival = {label(offender.element)}"
-      f" at t = {offender.time}")
+print(f"  consistent = {ok}, offending arrival = {label(offender)}"
+      f" at t = {trace.schedule.times[offender]}")
 print(f"  first live arrival handled correctly = "
       f"{check_first_live_accepted(trace, view, weights)}")
 print("  the deviation needs the whole accepted set, not any two elements")

@@ -22,8 +22,8 @@ from .instances import (InstanceBundle, double_triangle, fuzz_corpus, hat_graph,
                         random_graphic, uniform_instance)
 from .matroid import DomainError, GraphicMatroid, MatroidView, WeightedGroundSet
 from .policies import build_policy
-from .simulate import (PHASE_LIVE, DecisionRecord, DecisionTrace, draw_schedule,
-                       forced_schedule, run_trial, trial_rng, trial_stream)
+from .simulate import (DecisionTrace, draw_schedule, forced_schedule, run_trial,
+                       trial_rng, trial_stream)
 
 
 class OracleError(ValueError):
@@ -228,40 +228,30 @@ def _check_elements(trace: DecisionTrace, view: MatroidView) -> None:
         raise DomainError(f"elements outside effective ground set: {sorted(stray)}")
 
 
-def _check_recorded(trace: DecisionTrace, view: MatroidView, what: str) -> None:
-    if not trace.records:
-        raise ValueError(f"{what} needs a recorded trace")
-    _check_elements(trace, view)
-
-
 def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle,
                                 view: MatroidView, weights: WeightedGroundSet
-                                ) -> tuple[bool, DecisionRecord | None]:
-    """Replay a recorded trace against a blocked-set table.
+                                ) -> tuple[bool, int | None]:
+    """Replay a trace against a blocked-set table.
 
     Whenever a live arrival u belongs to the max-weight basis of everything
     seen and no earlier live arrival lies in rule(seen + u, u), the trace
     must show u accepted. The table is validated at every live arrival; the
     basis is computed from scratch, but only for a rejected, unexcused one.
-    Returns (True, None) or (False, first offending record).
+    Reads the schedule, sample set and accepted set, never the records.
+    Returns (True, None) or (False, first offending element).
     """
-    _check_recorded(trace, view, "consistency check")
-    arrived: set[int] = set()
-    earlier_live: list[int] = []
-    for rec in trace.records:
-        u = rec.element
-        arrived.add(u)
-        if rec.phase == PHASE_LIVE:
-            Y = frozenset(arrived)
-            blocked = oracle.rule(Y, u)
-            if u in blocked or not blocked <= Y:
-                raise OracleError("blocked set must be drawn from the seen elements")
-            if len(blocked) > oracle.size_bound:
-                raise OracleError(f"blocked set exceeds size bound {oracle.size_bound}")
-            if (not rec.accepted and blocked.isdisjoint(earlier_live)
-                    and u in view.greedy_mwb(weights, Y)):
-                return (False, rec)
-            earlier_live.append(u)
+    _check_elements(trace, view)
+    order, m = trace.schedule.order, len(trace.sample_set)
+    for i, u in enumerate(order[m:], m):
+        Y = frozenset(order[:i + 1])
+        blocked = oracle.rule(Y, u)
+        if u in blocked or not blocked <= Y:
+            raise OracleError("blocked set must be drawn from the seen elements")
+        if len(blocked) > oracle.size_bound:
+            raise OracleError(f"blocked set exceeds size bound {oracle.size_bound}")
+        if (u not in trace.accepted and blocked.isdisjoint(order[m:i])
+                and u in view.greedy_mwb(weights, Y)):
+            return (False, u)
     return (True, None)
 
 
@@ -270,12 +260,10 @@ def check_first_live_accepted(trace: DecisionTrace, view: MatroidView,
     """The first live arrival must be accepted whenever it belongs to the
     max-weight basis of the samples plus itself (no earlier live arrival
     can excuse rejecting it, whatever the blocked-set table says)."""
-    _check_recorded(trace, view, "check")
-    for i, rec in enumerate(trace.records):
-        if rec.phase == PHASE_LIVE:
-            return rec.accepted or rec.element not in view.greedy_mwb(
-                weights, (r.element for r in trace.records[:i + 1]))
-    return True
+    _check_elements(trace, view)
+    order, m = trace.schedule.order, len(trace.sample_set)
+    return (m == len(order) or order[m] in trace.accepted
+            or order[m] not in view.greedy_mwb(weights, order[:m + 1]))
 
 
 # -- instance-specific trace checks ---------------------------------------------
@@ -293,18 +281,14 @@ def check_claw_blocker(trace: DecisionTrace, bundle: InstanceBundle) -> bool:
         return True
     if e_inf not in trace.accepted:
         return False
-    times = trace.schedule.times
-    t_hub = times[e_inf]
-    for t, b in claws:
-        if (t in trace.accepted and b in trace.accepted
-                and times[t] < t_hub and times[b] < t_hub):
-            return False
-    return True
+    order = trace.schedule.order
+    before_hub = trace.accepted.intersection(order[:order.index(e_inf)])
+    return not any(t in before_hub and b in before_hub for t, b in claws)
 
 
 def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> bool:
     """Modified hat instances: whenever claw i has 2_i sampled, its 1_i, 3_i,
-    4_i and the hub edge all live in that time order, and some earlier claw
+    4_i and the hub edge all live in that arrival order, and some earlier claw
     j < i has 2_j, 3_j, 4_j all sampled, the trace must accept both 1_i and
     4_i (which together with the hub edge would close a cycle, trapping it)."""
     _check_elements(trace, bundle.view)
@@ -312,8 +296,7 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
     S = trace.sample_set
     if e_inf in S:
         return True
-    times = trace.schedule.times
-    t_hub = times[e_inf]
+    position = {u: i for i, u in enumerate(trace.schedule.order)}
     first = next((j for j, (_, e2, e3, e4) in enumerate(claws)
                   if e2 in S and e3 in S and e4 in S), len(claws))
     for e1, e2, e3, e4 in claws[first + 1:]:
@@ -321,7 +304,7 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
             continue
         if any(e in S for e in (e1, e3, e4)):
             continue
-        if not times[e1] < times[e3] < times[e4] < t_hub:
+        if not position[e1] < position[e3] < position[e4] < position[e_inf]:
             continue
         if e1 not in trace.accepted or e4 not in trace.accepted:
             return False
@@ -618,12 +601,10 @@ def _suite_forbidden_consistency(trials: int, seed: int, n: int, p: float) -> Su
     bundle = hat_graph(n)
     oracle = hat_forbidden_oracle(bundle)
     for idx, trace in enumerate(trial_stream("virtual-msp", bundle.view,
-                                             bundle.weights, p, trials, seed,
-                                             record=True)):
-        ok, rec = check_forbidden_consistency(trace, oracle, bundle.view, bundle.weights)
+                                             bundle.weights, p, trials, seed)):
+        ok, u = check_forbidden_consistency(trace, oracle, bundle.view, bundle.weights)
         if not ok:
-            result.failures.append(
-                f"trial {idx}: unexcused rejection of element {rec.element}")
+            result.failures.append(f"trial {idx}: unexcused rejection of element {u}")
         if not check_first_live_accepted(trace, bundle.view, bundle.weights):
             result.failures.append(f"trial {idx}: first live arrival wrongly rejected")
     return result

@@ -286,7 +286,8 @@ def load_records(fp: TextIO) -> tuple[DecisionRecord, ...]:
 
 def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:
     """Rebuild a trace from exported records: one per element, in arrival
-    order (dumped times are rounded, so a tie keeps record order), samples first."""
+    order (dumped times are rounded, so a tie keeps record order), samples
+    first, and no sample record accepted or carrying kick fields."""
     records = tuple(records)
     order, arrival = tuple(r.element for r in records), tuple(r.time for r in records)
     if len(set(order)) != len(order):
@@ -296,6 +297,9 @@ def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:
     m = sum(r.phase == PHASE_SAMPLE for r in records)
     if [r.phase for r in records] != [PHASE_SAMPLE] * m + [PHASE_LIVE] * (len(records) - m):
         raise ValueError(f"record phases must be {PHASE_SAMPLE!r} then {PHASE_LIVE!r}")
+    if any(r.accepted or r.kicked is not None or r.kicked_was_sample is not None
+           for r in records[:m]):
+        raise ValueError("a sample record is never accepted and has no kick fields")
     return DecisionTrace(records, frozenset(r.element for r in records if r.accepted),
                          frozenset(order[:m]), ArrivalSchedule(order, arrival))
 

@@ -417,8 +417,11 @@ class TestTraceSerialization:
         (lambda recs: [replace(recs[0], time=-0.1)] + recs[1:], r"lie in \[0, 1\]"),
         (lambda recs: [replace(recs[0], time=float("nan"))] + recs[1:], r"lie in \[0, 1\]"),
         (lambda recs: [replace(recs[0], phase="early")] + recs[1:], "record phases"),
-        (lambda recs: recs[:1] + [replace(r, phase=PHASE_SAMPLE) for r in recs[1:2]] + recs[2:],
-         None),
+        (lambda recs: recs[:1] + [replace(recs[1], phase=PHASE_SAMPLE, accepted=False)]
+         + recs[2:], None),
+        (lambda recs: [replace(recs[0], accepted=True)] + recs[1:], "sample record"),
+        (lambda recs: [replace(recs[0], kicked=1)] + recs[1:], "sample record"),
+        (lambda recs: [replace(recs[0], kicked_was_sample=False)] + recs[1:], "sample record"),
         (lambda recs: [replace(recs[0], phase=PHASE_LIVE), replace(recs[1], phase=PHASE_SAMPLE),
                        recs[2]], "record phases"),
     ])
@@ -430,6 +433,15 @@ class TestTraceSerialization:
             return
         with pytest.raises(ValueError, match=message):
             trace_from_records(records)
+
+    def test_rejects_an_accepted_sample(self):
+        # once loaded, t_1 sat in both the accepted and the sample set
+        b = hat_graph(1)
+        recs = [DecisionRecord(b.id_of("t_1"), 0.1, PHASE_SAMPLE, True, True),
+                DecisionRecord(b.id_of("b_1"), 0.2, PHASE_SAMPLE, False, True),
+                DecisionRecord(b.id_of("e_inf"), 0.6, PHASE_LIVE, True, True)]
+        with pytest.raises(ValueError, match="sample record is never accepted"):
+            trace_from_records(recs)
 
     def test_tied_times_load_in_record_order(self):
         # dumped times keep 9 significant digits, so these two arrivals share
