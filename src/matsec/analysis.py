@@ -297,12 +297,14 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
     if e_inf in S:
         return True
     position = {u: i for i, u in enumerate(trace.schedule.order)}
+    if e_inf not in position:               # an element absent from the trace is not live
+        return True
     first = next((j for j, (_, e2, e3, e4) in enumerate(claws)
                   if e2 in S and e3 in S and e4 in S), len(claws))
     for e1, e2, e3, e4 in claws[first + 1:]:
         if e2 not in S:
             continue
-        if any(e in S for e in (e1, e3, e4)):
+        if any(e in S or e not in position for e in (e1, e3, e4)):
             continue
         if not position[e1] < position[e3] < position[e4] < position[e_inf]:
             continue

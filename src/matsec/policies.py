@@ -1,10 +1,9 @@
 """Online accept/reject policies and the incremental max-weight-basis kernel.
 
-Every policy sees elements one at a time in arrival order: sampling-phase
-elements through observe_sample() (stored, never accepted) and the rest
-through decide(). A policy is reset by start(), so one instance can serve
-many sequential trials; build_policy() makes fresh instances for anything
-concurrent.
+Every policy gets its sample first, in one start() call that also resets
+it, and then sees the live arrivals one at a time through decide(). So one
+instance can serve many sequential trials; build_policy() makes fresh
+instances for anything concurrent.
 """
 
 from __future__ import annotations
@@ -161,14 +160,12 @@ def running_mwb(view: MatroidView, weights: WeightedGroundSet) -> RunningMwb:
 
 
 class Policy:
-    """One online decision procedure; start() must fully reset state."""
+    """One online decision procedure. start() fully resets state and takes
+    the trial's samples, in arrival order, before the first decide()."""
 
     name = "?"
 
-    def start(self, view: MatroidView, weights: WeightedGroundSet) -> None:
-        raise NotImplementedError
-
-    def observe_sample(self, u: int) -> None:
+    def start(self, view: MatroidView, weights: WeightedGroundSet, samples: tuple) -> None:
         raise NotImplementedError
 
     def decide(self, u: int) -> Decision:
@@ -176,17 +173,14 @@ class Policy:
 
 
 class _SampleRule(Policy):
-    """The start and sample bookkeeping the three sample-basis rules share:
-    the view and weights of the trial, the samples seen and the accepted set."""
+    """The start the three sample-basis rules share: the view and weights
+    of the trial, the sample set and the accepted set."""
 
-    def start(self, view, weights):
+    def start(self, view, weights, samples):
         self.view = view
         self.weights = weights
-        self.samples: set[int] = set()
+        self.samples = set(samples)
         self.accepted: set[int] = set()
-
-    def observe_sample(self, u):
-        self.samples.add(u)
 
 
 class SamplePolicy(_SampleRule):
@@ -195,8 +189,8 @@ class SamplePolicy(_SampleRule):
 
     name = "sample"
 
-    def start(self, view, weights):
-        super().start(view, weights)
+    def start(self, view, weights, samples):
+        super().start(view, weights, samples)
         self._tracker = AcceptedSetTracker(view)
 
     def decide(self, u):
@@ -235,14 +229,10 @@ class GreedyFrameworkPolicy(_SampleRule):
 
     name = "greedy-framework"
 
-    def start(self, view, weights):
-        super().start(view, weights)
-        self.arrived: set[int] = set()
+    def start(self, view, weights, samples):
+        super().start(view, weights, samples)
+        self.arrived = set(samples)
         self._reference: set[int] | None = None
-
-    def observe_sample(self, u):
-        super().observe_sample(u)
-        self.arrived.add(u)
 
     def _rebuild(self) -> set[int]:
         minor = self.view.contract(self.accepted)
@@ -273,15 +263,13 @@ class VirtualMspPolicy(Policy):
 
     name = "virtual-msp"
 
-    def start(self, view, weights):
+    def start(self, view, weights, samples):
         self._running = running_mwb(view, weights)
+        for u in samples:                   # the order shapes the forest, not its edges
+            self._running.insert(u)
         self._tracker = AcceptedSetTracker(view)
-        self._sampled: set[int] = set()
+        self._sampled = set(samples)
         self.accepted: set[int] = set()
-
-    def observe_sample(self, u):
-        self._sampled.add(u)
-        self._running.insert(u)
 
     def decide(self, u):
         in_mwb, kicked = self._running.insert(u)
@@ -306,16 +294,13 @@ class DynkinPolicy(Policy):
 
     name = "dynkin"
 
-    def start(self, view, weights):
+    def start(self, view, weights, samples):
         if _effective_uniform_k(view, "dynkin") != 1:
             raise ValueError("dynkin needs a 1-uniform instance")
-        self._ranks = weights.ranks
-        self._best_sample = weights.count   # weight rank, lower is heavier; no sample yet
+        self._ranks = ranks = weights.ranks
+        # weight rank of the heaviest sample, lower is heavier; count when none
+        self._best_sample = min((ranks[u] for u in samples), default=weights.count)
         self.accepted: set[int] = set()
-
-    def observe_sample(self, u):
-        if self._ranks[u] < self._best_sample:
-            self._best_sample = self._ranks[u]
 
     def decide(self, u):
         if self.accepted or self._ranks[u] > self._best_sample:
@@ -335,16 +320,12 @@ class OptimisticPolicy(Policy):
 
     name = "optimistic"
 
-    def start(self, view, weights):
+    def start(self, view, weights, samples):
         self._k = _effective_uniform_k(view, "optimistic")
         self._ranks = weights.ranks
-        self._refs: list[int] = []          # the k heaviest samples, heaviest first
+        # the k heaviest samples, heaviest first
+        self._refs = sorted(samples, key=self._ranks.__getitem__)[:self._k]
         self.accepted: set[int] = set()
-
-    def observe_sample(self, u):
-        bisect.insort(self._refs, u, key=self._ranks.__getitem__)
-        if len(self._refs) > self._k:
-            self._refs.pop()
 
     def decide(self, u):
         slots = self._k - len(self.accepted)
@@ -368,31 +349,23 @@ class VirtualUniformPolicy(Policy):
 
     name = "virtual-uniform"
 
-    def start(self, view, weights):
+    def start(self, view, weights, samples):
         self._k = _effective_uniform_k(view, "virtual-uniform")
         self._ranks = weights.ranks
-        self._refs: list[int] = []          # the k heaviest arrivals, heaviest first
-        self._sampled: set[int] = set()
+        # the k heaviest arrivals, heaviest first
+        self._refs = sorted(samples, key=self._ranks.__getitem__)[:self._k]
+        self._sampled = set(samples)
         self.accepted: set[int] = set()
 
-    def _absorb(self, u) -> tuple[bool, int | None]:
-        ranks, kicked = self._ranks, None
-        if len(self._refs) >= self._k:
-            if self._k == 0 or ranks[u] > ranks[self._refs[-1]]:
-                return False, None
-            kicked = self._refs.pop()
-        bisect.insort(self._refs, u, key=ranks.__getitem__)
-        return True, kicked
-
-    def observe_sample(self, u):
-        self._sampled.add(u)
-        self._absorb(u)
-
     def decide(self, u):
-        feasible = len(self.accepted) < self._k
-        in_top, kicked = self._absorb(u)
+        ranks, refs, kicked = self._ranks, self._refs, None
+        if len(refs) >= self._k:
+            if self._k == 0 or ranks[u] > ranks[refs[-1]]:
+                return _REJECT              # u stays out of the top k
+            kicked = refs.pop()
+        bisect.insort(refs, u, key=ranks.__getitem__)
         kicked_was_sample = None if kicked is None else kicked in self._sampled
-        accept = feasible and in_top and (kicked is None or kicked_was_sample)
+        accept = len(self.accepted) < self._k and (kicked is None or kicked_was_sample)
         if accept:
             self.accepted.add(u)
         return _decision(accept, kicked, kicked_was_sample)

@@ -1,10 +1,11 @@
 """Continuous-arrival simulation: schedules, the trial harness, and traces.
 
 Each element of an instance draws an arrival time uniformly in [0, 1).
-Arrivals strictly before the sampling cutoff p are shown to the policy as
-samples (stored, never accepted); the rest are live decisions. The harness
-re-checks independence of the accepted set after every acceptance and
-raises instead of repairing, so a buggy policy fails loudly.
+Arrivals strictly before the sampling cutoff p are the sample: the policy's
+start() gets them as one tuple in arrival order, and none is ever accepted.
+The rest are live decisions, one decide() each. The harness re-checks
+independence of the accepted set after every acceptance and raises instead
+of repairing, so a buggy policy fails loudly.
 """
 
 from __future__ import annotations
@@ -97,9 +98,19 @@ class DecisionRecord:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "DecisionRecord":
-        return cls(int(obj["element"]), float(obj["time"]), obj["phase"],
-                   bool(obj["accepted"]), bool(obj["inCurrentMwb"]),
+    def from_json_obj(cls, obj) -> "DecisionRecord":
+        """The record a to_json_obj dict describes (kicked and kickedWasSample
+        may be left out); raises ValueError for anything else."""
+        if not isinstance(obj, dict):
+            raise ValueError("a record must be a JSON object")
+        missing = [k for k in ("element", "time", "phase", "accepted", "inCurrentMwb")
+                   if k not in obj]
+        if missing:
+            raise ValueError(f"record lacks key {missing[0]!r}")
+        flags = obj["accepted"], obj["inCurrentMwb"]
+        if not all(isinstance(f, bool) for f in flags):
+            raise ValueError("accepted and inCurrentMwb must be JSON booleans")
+        return cls(int(obj["element"]), float(obj["time"]), obj["phase"], *flags,
                    obj.get("kicked"), obj.get("kickedWasSample"))
 
 
@@ -123,16 +134,15 @@ def check_cutoff(p: float) -> None:
 
 def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
               schedule: ArrivalSchedule, p: float, *, record: bool = True) -> DecisionTrace:
-    """Deliver one schedule to a fresh (or reset) policy."""
+    """Deliver one schedule to a fresh (or reset) policy: the sample to
+    start(), then each live arrival to decide()."""
     check_cutoff(p)
     order = schedule.order
     if len(order) != len(view.ground) or set(order) != view.ground:
         raise DomainError("schedule must cover exactly the effective ground set")
     policy = build_policy(policy)
-    policy.start(view, weights)
     m = schedule.first_live(p)
-    for u in order[:m]:
-        policy.observe_sample(u)
+    policy.start(view, weights, order[:m])
     decide, add = policy.decide, AcceptedSetTracker(view).add
     accepted, decisions = [], []
     for u in order[m:]:
@@ -280,8 +290,16 @@ def dump_trace(trace: DecisionTrace, fp: TextIO) -> None:
 
 
 def load_records(fp: TextIO) -> tuple[DecisionRecord, ...]:
-    return tuple(DecisionRecord.from_json_obj(json.loads(line))
-                 for line in fp if line.strip())
+    """The records of a dump_trace file; a malformed line raises ValueError
+    naming its line number."""
+    records = []
+    for n, line in enumerate(fp, 1):
+        if line.strip():
+            try:
+                records.append(DecisionRecord.from_json_obj(json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"trace line {n}: {exc}") from exc
+    return tuple(records)
 
 
 def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:

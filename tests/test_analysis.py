@@ -70,10 +70,7 @@ def run_forced(policy, bundle, pairs, p):
 class RejectEverything(Policy):
     name = "reject-everything"
 
-    def start(self, view, weights):
-        pass
-
-    def observe_sample(self, u):
+    def start(self, view, weights, samples):
         pass
 
     def decide(self, u):
@@ -769,6 +766,14 @@ class TestModifiedHatTrap:
                            phases.get(lab, PHASE_LIVE), False, True)
             for lab, t in self.trap_pairs())
         assert not check_modified_hat_trap(trace_from_records(recs), b)
+
+    def test_claw_with_absent_edges_is_skipped(self):
+        # 1_2, 3_2 and 4_2 are missing from the records, so none of them is live
+        b = modified_hat_graph(2)
+        recs = [DecisionRecord(b.id_of(lab), t, PHASE_SAMPLE, False, True)
+                for lab, t in self.trap_pairs()[:4]]
+        recs.append(DecisionRecord(b.id_of("e_inf"), 0.60, PHASE_LIVE, True, True))
+        assert check_modified_hat_trap(trace_from_records(recs), b)
 
 
 # -- the claw layout -------------------------------------------------------------

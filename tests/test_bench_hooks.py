@@ -44,6 +44,7 @@ def test_traced_run_counts_every_layer_and_restores_bindings():
     counts = t.exact_counts()
     assert len(traces) == 20
     assert counts["simulate.arrivals"] == 20 * 7 + 50 * 20
+    assert t.calls["policies.start"] == 20 + 50     # one start per trial takes the sample
     for name in ("policies.mwb_insert.calls", "policies.decide.calls",
                  "matroid.union_find.finds"):
         assert counts[name] > 0, name

@@ -458,6 +458,37 @@ class TestEquivalences:
             assert a.accepted == c.accepted == d.accepted
 
 
+# -- the sample is a set ------------------------------------------------------------
+
+
+ORDER_BUNDLES = {"hat3": hat_graph(3), "mhat2": modified_hat_graph(2),
+                 "rg59": random_graphic(5, 9, 4), "u9k3": uniform_instance(9, 3),
+                 "u9k1": uniform_instance(9, 1)}
+UNIFORM_ONLY = {"dynkin": ("u9k1",), "optimistic": ("u9k1", "u9k3"),
+                "virtual-uniform": ("u9k1", "u9k3")}
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_decisions_ignore_the_sample_order(name):
+    """Every policy depends on the sample set, not its order: start() given
+    the samples permuted yields the same decisions, kick fields included."""
+    def decisions(b, samples, live):
+        policy = build_policy(name)
+        policy.start(b.view, b.weights, samples)
+        return [policy.decide(u) for u in live]
+
+    rng = np.random.default_rng(17)
+    for key in UNIFORM_ONLY.get(name, ORDER_BUNDLES):
+        b = ORDER_BUNDLES[key]
+        for seed in range(12):
+            sched = _seeded_schedule(b, seed)
+            m = sched.first_live(0.2 + 0.05 * seed)
+            samples, live = sched.order[:m], sched.order[m:]
+            want = decisions(b, samples, live)
+            for permuted in (samples[::-1], tuple(rng.permutation(samples).tolist())):
+                assert decisions(b, permuted, live) == want, (key, seed, permuted)
+
+
 # -- golden traces --------------------------------------------------------------------
 
 

@@ -41,14 +41,27 @@ class AcceptEveryLive(Policy):
 
     name = "accept-every-live"
 
-    def start(self, view, weights):
-        pass
-
-    def observe_sample(self, u):
+    def start(self, view, weights, samples):
         pass
 
     def decide(self, u):
         return Decision(True)
+
+
+class Recorder(Policy):
+    """Rejects everything and logs each call the harness makes."""
+
+    name = "recorder"
+
+    def __init__(self):
+        self.calls = []
+
+    def start(self, view, weights, samples):
+        self.calls.append(("start", samples))
+
+    def decide(self, u):
+        self.calls.append(("decide", u))
+        return Decision(False)
 
 
 # -- rng addressing and schedules -------------------------------------------------
@@ -264,6 +277,16 @@ class TestRunTrial:
         assert trace.records == ()
 
     @pytest.mark.parametrize("record", [True, False])
+    def test_sample_in_one_start_then_one_decide_per_live_arrival(self, record):
+        # the sample tuple keeps arrival order; the arrival at exactly p is live
+        b = uniform_instance(5, 2)
+        sched = forced_schedule([(3, 0.1), (0, 0.2), (4, 0.4), (1, 0.6), (2, 0.9)])
+        policy = Recorder()
+        run_trial(policy, b.view, b.weights, sched, 0.4, record=record)
+        assert policy.calls == [("start", (3, 0)), ("decide", 4), ("decide", 1),
+                                ("decide", 2)]
+
+    @pytest.mark.parametrize("record", [True, False])
     def test_every_live_decision_is_checked(self, record):
         # the second acceptance overfills the single slot; a harness that
         # stopped asking once the accepted set spans would never see it
@@ -301,10 +324,7 @@ class TestRunTrial:
         class TakeEverything(Policy):
             name = "take-everything"
 
-            def start(self, view, weights):
-                pass
-
-            def observe_sample(self, u):
+            def start(self, view, weights, samples):
                 pass
 
             def decide(self, u):
@@ -458,6 +478,21 @@ class TestTraceSerialization:
         assert rebuilt.schedule.order == (2, 1, 0) == sched.order
         assert rebuilt.sample_set == trace.sample_set == {2, 1}
         assert rebuilt.accepted == trace.accepted
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"element": 1, "time": 0.5}', "lacks key 'phase'"),
+        ("[1, 2]", "JSON object"),
+        ('{"element": 1, "time": 0.5, "phase": "live", "accepted": "false",'
+         ' "inCurrentMwb": true}', "JSON booleans"),
+    ])
+    def test_load_records_names_the_malformed_line(self, line, message):
+        _, trace = self.make_trace()
+        buf = io.StringIO()
+        dump_trace(trace, buf)
+        buf.write(line + "\n")
+        buf.seek(0)
+        with pytest.raises(ValueError, match=f"line 4: .*{message}"):
+            load_records(buf)
 
     def test_json_lines_parse_individually(self):
         _, trace = self.make_trace()
