@@ -2,11 +2,11 @@
 
 Every element draws an arrival time uniformly from [0, 1); arrivals
 before the cutoff p are samples the policy only observes, the rest are
-live decisions. The harness records, for each arrival, whether it sat in
-the max-weight basis of everything seen so far and what the policy did.
+live decisions. trace_records renders, for each arrival, whether it sat
+in the max-weight basis of everything seen so far and what the policy did.
 """
 
-from matsec import draw_schedule, hat_graph, run_trial, trial_rng
+from matsec import draw_schedule, hat_graph, run_trial, trace_records, trial_rng
 
 bundle = hat_graph(3)
 p = 0.5
@@ -16,7 +16,7 @@ trace = run_trial("virtual-msp", bundle.view, bundle.weights, schedule, p)
 label = bundle.weights.label
 print(f"hat instance with 3 claws, cutoff p = {p}, policy virtual-msp\n")
 print(f"{'time':>6}  {'element':<7} {'phase':<7} {'in MWB':<7} decision")
-for rec in trace.records:
+for rec in trace_records(trace, bundle.view, bundle.weights):
     if rec.phase == "sample":
         decision = "(observed)"
     elif rec.accepted:

@@ -24,7 +24,7 @@ from .policies import (Decision, Policy, PolicyViolation, POLICY_NAMES, build_po
 from .simulate import (ArrivalSchedule, DecisionRecord, DecisionTrace,
                        HarnessViolation, draw_schedule, dump_schedule, dump_trace,
                        forced_schedule, load_records, parse_schedule, run_trial,
-                       trace_from_records, trial_rng, trial_stream)
+                       trace_from_records, trace_records, trial_rng, trial_stream)
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,6 @@ __all__ = [
     "forced_schedule", "fuzz_corpus", "hat_forbidden_oracle", "hat_graph",
     "load_records", "modified_hat_bounds", "modified_hat_graph",
     "parse_instance", "parse_schedule", "random_graphic", "reference_bound", "run_suite",
-    "run_trial", "running_mwb", "three_sigma", "trace_from_records",
+    "run_trial", "running_mwb", "three_sigma", "trace_from_records", "trace_records",
     "trial_rng", "trial_stream", "triangle", "uniform_instance",
 ]

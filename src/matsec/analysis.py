@@ -80,8 +80,6 @@ class EstimateReport:
     min_over_mwb: float
     utility_ratio_mean: float
     ci_radius_3sigma: float             # evaluated at the min_over_mwb frequency
-    analytic_bound: float | None = None
-    bound_direction: str | None = None  # "lower" | "upper"
 
     def to_json_obj(self) -> dict:
         return {
@@ -91,15 +89,13 @@ class EstimateReport:
             "minOverMwb": self.min_over_mwb,
             "utilityRatioMean": self.utility_ratio_mean,
             "ciRadius3Sigma": self.ci_radius_3sigma,
-            "analyticBound": self.analytic_bound,
-            "boundDirection": self.bound_direction,
         }
 
 
 def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int) -> EstimateReport:
     """Acceptance frequency of each optimum element plus the mean utility
     ratio, over `trials` independent schedules. The report carries no
-    analytic bound; a caller attaches one with dataclasses.replace.
+    analytic bound; the CLI writes one beside it.
 
     Deterministic given (seed, trials): trial i always consumes the stream
     trial_rng(seed, i), whatever order trials execute in.
@@ -222,7 +218,7 @@ def hat_forbidden_oracle(bundle: InstanceBundle) -> ForbiddenSetOracle:
 
 
 def _check_elements(trace: DecisionTrace, view: MatroidView) -> None:
-    """Every scheduled element, recorded or not, must lie in the view."""
+    """Every scheduled element, sample or live, must lie in the view."""
     if not view.ground.issuperset(trace.schedule.order):
         stray = set(trace.schedule.order) - view.ground
         raise DomainError(f"elements outside effective ground set: {sorted(stray)}")
@@ -237,7 +233,7 @@ def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle
     seen and no earlier live arrival lies in rule(seen + u, u), the trace
     must show u accepted. The table is validated at every live arrival; the
     basis is computed from scratch, but only for a rejected, unexcused one.
-    Reads the schedule, sample set and accepted set, never the records.
+    Reads the schedule, sample set and accepted set, never the decisions.
     Returns (True, None) or (False, first offending element).
     """
     _check_elements(trace, view)
@@ -539,17 +535,12 @@ def _suite_mwb_lemmas(cases: int, seed: int) -> SuiteResult:
     return result
 
 
-def _records_key(trace, with_kicks):
-    if with_kicks:
-        return [(r.element, r.accepted, r.kicked, r.kicked_was_sample)
-                for r in trace.records]
-    return [(r.element, r.accepted) for r in trace.records]
-
-
 def _suite_equivalences(cases: int, seed: int) -> SuiteResult:
     """Trace-for-trace policy equivalences on seeded schedules: the
     contracted sampling rule against the reference-set framework on graphic
-    instances, and the three uniform-matroid reductions."""
+    instances, and the three uniform-matroid reductions. Runs on one
+    schedule compare accepted sets, which fix every accept; the virtual
+    twins compare decisions, kicks included."""
     result = SuiteResult("equivalences", cases)
     rng = trial_rng(seed, 0xC3)
     for run in range(cases):
@@ -561,7 +552,7 @@ def _suite_equivalences(cases: int, seed: int) -> SuiteResult:
         sched = draw_schedule(g.weights, rng)
         t_sc = run_trial("sample-contracted", g.view, g.weights, sched, p)
         t_gf = run_trial("greedy-framework", g.view, g.weights, sched, p)
-        if _records_key(t_sc, False) != _records_key(t_gf, False):
+        if t_sc.accepted != t_gf.accepted:
             result.failures.append(
                 f"run {run}: contracted sampling != reference framework on {ne} edges")
 
@@ -571,11 +562,11 @@ def _suite_equivalences(cases: int, seed: int) -> SuiteResult:
         sched = draw_schedule(uni.weights, rng)
         t_vm = run_trial("virtual-msp", uni.view, uni.weights, sched, p)
         t_vu = run_trial("virtual-uniform", uni.view, uni.weights, sched, p)
-        if _records_key(t_vm, True) != _records_key(t_vu, True):
+        if t_vm.decisions != t_vu.decisions:
             result.failures.append(f"run {run}: virtual twins diverge on {k}-uniform")
         t_sc = run_trial("sample-contracted", uni.view, uni.weights, sched, p)
         t_op = run_trial("optimistic", uni.view, uni.weights, sched, p)
-        if _records_key(t_sc, False) != _records_key(t_op, False):
+        if t_sc.accepted != t_op.accepted:
             result.failures.append(f"run {run}: optimistic diverges on {k}-uniform")
 
         one = uniform_instance(int(rng.integers(3, 10)), 1)
@@ -583,7 +574,7 @@ def _suite_equivalences(cases: int, seed: int) -> SuiteResult:
         t_dy = run_trial("dynkin", one.view, one.weights, sched, p)
         for other in ("sample", "sample-contracted"):
             t_other = run_trial(other, one.view, one.weights, sched, p)
-            if _records_key(t_dy, False) != _records_key(t_other, False):
+            if t_dy.accepted != t_other.accepted:
                 result.failures.append(f"run {run}: {other} diverges from dynkin on 1-uniform")
     return result
 

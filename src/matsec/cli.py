@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from collections import deque
-from dataclasses import replace
 from pathlib import Path
 
 from . import instances
@@ -29,7 +28,7 @@ from .matroid import (DomainError, GraphicMatroid, PreconditionError, UniformMat
 from .policies import POLICIES, build_policy
 from .simulate import (check_cutoff, draw_schedule, dump_json_line, dump_schedule,
                        dump_trace, forced_schedule, json_ready, parse_schedule,
-                       run_trial, trial_rng)
+                       run_trial, trace_records, trial_rng)
 
 
 def _seed_default() -> int:
@@ -143,7 +142,7 @@ def _cmd_simulate(args) -> int:
         schedule = draw_schedule(bundle.weights, trial_rng(args.seed, args.trial or 0))
     trace = run_trial(args.policy, bundle.view, bundle.weights, schedule, args.p)
     with _out_stream(args.out) as fp:
-        dump_trace(trace, fp)
+        dump_trace(trace_records(trace, bundle.view, bundle.weights), fp)
     if args.schedule_out:
         with open(args.schedule_out, "w") as fp:
             dump_schedule(schedule, fp)
@@ -175,10 +174,9 @@ def _cmd_estimate(args) -> int:
     if bound is None:
         bound = reference_bound(family, args.policy, args.p)
         direction = None if bound is None else "lower"
-    report = replace(estimate(args.policy, bundle, args.p, args.trials, args.seed),
-                     analytic_bound=bound, bound_direction=direction)
+    report = estimate(args.policy, bundle, args.p, args.trials, args.seed).to_json_obj()
     with _out_stream(args.out) as fp:
-        dump_json_line(report.to_json_obj(), fp)
+        dump_json_line({**report, "analyticBound": bound, "boundDirection": direction}, fp)
     return 0
 
 
@@ -276,10 +274,11 @@ def _cmd_replay(args) -> int:
     bundle = build()
     schedule = forced_schedule([(bundle.id_of(row[0]), row[1]) for row in rows])
     trace = run_trial(policy, bundle.view, bundle.weights, schedule, p)
+    records = trace_records(trace, bundle.view, bundle.weights)
     label = bundle.weights.label
     print(f"fixture {args.fixture}: policy={policy} p={p}")
     ok = True
-    for rec, row in zip(trace.records, rows, strict=True):
+    for rec, row in zip(records, rows, strict=True):
         got = (label(rec.element), rec.phase, rec.accepted,
                None if rec.kicked is None else label(rec.kicked),
                rec.kicked_was_sample)
@@ -298,7 +297,7 @@ def _cmd_replay(args) -> int:
     print(f"accepted: {', '.join(sorted(label(u) for u in trace.accepted))}")
     if args.out:
         with open(args.out, "w") as fp:
-            dump_trace(trace, fp)
+            dump_trace(records, fp)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

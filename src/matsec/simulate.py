@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, TextIO
 import numpy as np
 
 from .matroid import AcceptedSetTracker, DomainError, MatroidView, WeightedGroundSet
-from .policies import build_policy, running_mwb
+from .policies import Decision, build_policy, running_mwb
 
 PHASE_SAMPLE = "sample"
 PHASE_LIVE = "live"
@@ -110,17 +110,24 @@ class DecisionRecord:
         flags = obj["accepted"], obj["inCurrentMwb"]
         if not all(isinstance(f, bool) for f in flags):
             raise ValueError("accepted and inCurrentMwb must be JSON booleans")
-        return cls(int(obj["element"]), float(obj["time"]), obj["phase"], *flags,
-                   obj.get("kicked"), obj.get("kickedWasSample"))
+        element, time = obj["element"], obj["time"]     # exact types: a bool is no int
+        kicked, was_sample = obj.get("kicked"), obj.get("kickedWasSample")
+        if not (type(element) is int and (kicked is None or type(kicked) is int)):
+            raise ValueError("element and kicked must be JSON integers")
+        if type(time) not in (int, float):
+            raise ValueError("time must be a JSON number")
+        if not (was_sample is None or isinstance(was_sample, bool)):
+            raise ValueError("kickedWasSample must be a JSON boolean or null")
+        return cls(element, float(time), obj["phase"], *flags, kicked, was_sample)
 
 
 @dataclass(frozen=True, eq=False)
 class DecisionTrace:
-    """One trial's outcome. records is empty when the trial ran with
-    record=False (bulk Monte Carlo); accepted/sample_set/schedule are
-    always populated."""
+    """One trial's outcome: the Decision each live arrival got, in arrival
+    order, and the accepted set, sample set and schedule. trace_records
+    renders it as one DecisionRecord per arrival."""
 
-    records: tuple
+    decisions: tuple
     accepted: frozenset
     sample_set: frozenset
     schedule: ArrivalSchedule
@@ -133,7 +140,7 @@ def check_cutoff(p: float) -> None:
 
 
 def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
-              schedule: ArrivalSchedule, p: float, *, record: bool = True) -> DecisionTrace:
+              schedule: ArrivalSchedule, p: float) -> DecisionTrace:
     """Deliver one schedule to a fresh (or reset) policy: the sample to
     start(), then each live arrival to decide()."""
     check_cutoff(p)
@@ -154,24 +161,28 @@ def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
                     f"accepted set would become dependent")
             accepted.append(u)
         decisions.append(d)
-    records = ()
-    if record:      # in_current_mwb comes from the harness's own running basis
-        insert, arrival = running_mwb(view, weights).insert, schedule.arrival
-        records = tuple([DecisionRecord(u, t, PHASE_SAMPLE, False, insert(u)[0])
-                         for u, t in zip(order[:m], arrival)]
-                        + [DecisionRecord(u, t, PHASE_LIVE, d.accept, insert(u)[0],
-                                          d.kicked, d.kicked_was_sample)
-                           for u, t, d in zip(order[m:], arrival[m:], decisions)])
-    return DecisionTrace(records, frozenset(accepted), frozenset(order[:m]), schedule)
+    return DecisionTrace(tuple(decisions), frozenset(accepted), frozenset(order[:m]), schedule)
+
+
+def trace_records(trace: DecisionTrace, view: MatroidView,
+                  weights: WeightedGroundSet) -> tuple[DecisionRecord, ...]:
+    """One record per arrival, in arrival order: time and phase from the
+    schedule, in_current_mwb from the harness's own running basis."""
+    order, arrival = trace.schedule.order, trace.schedule.arrival
+    m, insert = len(trace.sample_set), running_mwb(view, weights).insert
+    return tuple([DecisionRecord(u, t, PHASE_SAMPLE, False, insert(u)[0])
+                  for u, t in zip(order[:m], arrival)]
+                 + [DecisionRecord(u, t, PHASE_LIVE, d.accept, insert(u)[0],
+                                   d.kicked, d.kicked_was_sample)
+                    for u, t, d in zip(order[m:], arrival[m:], trace.decisions, strict=True)])
 
 
 def trial_stream(policy, view: MatroidView, weights: WeightedGroundSet,
-                 p: float, trials: int, seed: int, *,
-                 record: bool = False) -> Iterator[DecisionTrace]:
+                 p: float, trials: int, seed: int) -> Iterator[DecisionTrace]:
     """One trace per trial; trial i always consumes trial_rng(seed, i)'s stream."""
     policy = build_policy(policy)
     for rng in _trial_rngs(seed, trials):
-        yield run_trial(policy, view, weights, draw_schedule(weights, rng), p, record=record)
+        yield run_trial(policy, view, weights, draw_schedule(weights, rng), p)
 
 
 # -- trial seeds in blocks -----------------------------------------------------
@@ -283,9 +294,10 @@ def dump_json_line(obj: dict, fp: TextIO) -> None:
     fp.write("\n")
 
 
-def dump_trace(trace: DecisionTrace, fp: TextIO) -> None:
-    """One JSON object per record, arrival order, fixed field order."""
-    for rec in trace.records:
+def dump_trace(records: Iterable[DecisionRecord], fp: TextIO) -> None:
+    """One JSON object per record, in the given order, fixed field order;
+    load_records reads it back."""
+    for rec in records:
         dump_json_line(rec.to_json_obj(), fp)
 
 
@@ -318,7 +330,9 @@ def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:
     if any(r.accepted or r.kicked is not None or r.kicked_was_sample is not None
            for r in records[:m]):
         raise ValueError("a sample record is never accepted and has no kick fields")
-    return DecisionTrace(records, frozenset(r.element for r in records if r.accepted),
+    return DecisionTrace(tuple(Decision(r.accepted, r.kicked, r.kicked_was_sample)
+                               for r in records[m:]),
+                         frozenset(r.element for r in records if r.accepted),
                          frozenset(order[:m]), ArrivalSchedule(order, arrival))
 
 

@@ -264,7 +264,7 @@ def test_c08_forbidden_set_consistency():
     violations = 0
     first_live_failures = 0
     for trace in trial_stream("virtual-msp", bundle.view, bundle.weights,
-                              0.5, trials, seed=0, record=True):
+                              0.5, trials, seed=0):
         ok, _ = check_forbidden_consistency(trace, oracle, bundle.view,
                                             bundle.weights)
         violations += not ok

@@ -52,6 +52,7 @@ from matsec import (
     run_trial,
     three_sigma,
     trace_from_records,
+    trace_records,
     trial_rng,
     trial_stream,
     triangle,
@@ -159,15 +160,11 @@ class TestEstimate:
 
     def test_json_shape(self):
         b = triangle()
-        rep = replace(estimate("sample", b, 0.5, trials=10, seed=0),
-                      analytic_bound=0.25, bound_direction="lower")
-        obj = rep.to_json_obj()
+        obj = estimate("sample", b, 0.5, trials=10, seed=0).to_json_obj()
         assert list(obj) == ["trials", "perElementAcceptFreq", "minOverMwb",
-                             "utilityRatioMean", "ciRadius3Sigma",
-                             "analyticBound", "boundDirection"]
+                             "utilityRatioMean", "ciRadius3Sigma"]
         assert obj["trials"] == 10
         assert set(obj["perElementAcceptFreq"]) == {"1", "2"}
-        assert obj["analyticBound"] == 0.25
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
@@ -393,28 +390,6 @@ class TestForbiddenConsistency:
         with pytest.raises(OracleError, match="size bound"):
             check_forbidden_consistency(trace, too_big, b.view, b.weights)
 
-    def test_unrecorded_traces_check_alike(self):
-        # every checker reads the schedule, the sample set and the accepted
-        # set, so dropping the records changes no verdict and no offender
-        for view, weights, table, trace in TestLazyBasis.cases():
-            bare = replace(trace, records=())
-            assert (check_forbidden_consistency(bare, table, view, weights)
-                    == check_forbidden_consistency(trace, table, view, weights))
-            assert (check_first_live_accepted(bare, view, weights)
-                    == check_first_live_accepted(trace, view, weights))
-        for family, table_of, check in (
-                (hat_graph, hat_forbidden_oracle, check_claw_blocker),
-                (modified_hat_graph, lambda b: empty_oracle(), check_modified_hat_trap)):
-            for b, trace in claw_streams(family, (2, 5), trials=20):
-                if not trace.records:
-                    continue
-                bare, table = replace(trace, records=()), table_of(b)
-                assert (check_forbidden_consistency(bare, table, b.view, b.weights)
-                        == check_forbidden_consistency(trace, table, b.view, b.weights))
-                assert (check_first_live_accepted(bare, b.view, b.weights)
-                        == check_first_live_accepted(trace, b.view, b.weights))
-                assert check(bare, b) == check(trace, b)
-
 
 class TestKnownTableGaps:
     """Pinned schedules where the hat table cannot excuse a rejection.
@@ -458,7 +433,7 @@ class TestKnownTableGaps:
         assert trace.accepted == frozenset(b.ids_of("b_5", "t_1", "t_2", "t_5"))
         assert not ok
         assert u == b.id_of("b_2")
-        rec = next(r for r in trace.records if r.element == u)
+        rec = next(r for r in trace_records(trace, b.view, b.weights) if r.element == u)
         assert rec.kicked == b.id_of("b_4") and rec.kicked_was_sample
         assert rec.in_current_mwb
 
@@ -490,7 +465,7 @@ class TestFirstLiveAccepted:
     def test_holds_for_virtual_runs(self):
         b = hat_graph(4)
         for trace in trial_stream("virtual-msp", b.view, b.weights, 0.5,
-                                  trials=200, seed=17, record=True):
+                                  trials=200, seed=17):
             assert check_first_live_accepted(trace, b.view, b.weights)
 
     def test_false_on_fabricated_rejection(self):
@@ -516,11 +491,9 @@ def eager_forbidden_consistency(trace, oracle, view, weights):
     """check_forbidden_consistency as it was before its basis went lazy: a
     from-scratch basis for every live arrival. The reference the lazy
     checker must match verdict for verdict."""
-    if not trace.records:
-        raise ValueError("consistency check needs a recorded trace")
     arrived: set[int] = set()
     earlier_live: list[int] = []
-    for rec in trace.records:
+    for rec in trace_records(trace, view, weights):
         u = rec.element
         Y = frozenset(arrived | {u})
         if rec.phase == PHASE_LIVE:
@@ -539,10 +512,8 @@ def eager_forbidden_consistency(trace, oracle, view, weights):
 
 def eager_first_live_accepted(trace, view, weights):
     """check_first_live_accepted as it was before its basis went lazy."""
-    if not trace.records:
-        raise ValueError("check needs a recorded trace")
     seen: set[int] = set()
-    for rec in trace.records:
+    for rec in trace_records(trace, view, weights):
         if rec.phase == PHASE_LIVE:
             premise = rec.element in view.greedy_mwb(weights, seen | {rec.element})
             return rec.accepted or not premise
@@ -573,8 +544,8 @@ class TestCheckersRejectStrangers:
         with pytest.raises(DomainError, match="99"):
             check_forbidden_consistency(trace, empty_oracle(), b.view, b.weights)
 
-    # the instance checkers read trace.schedule, so they also catch a
-    # stranger in an unrecorded trace
+    # the instance checkers read trace.schedule, so they catch a stranger
+    # wherever it sits
 
     def test_claw_blocker_stranger_sample(self):
         trace = trace_from_records([DecisionRecord(99, 0.1, PHASE_SAMPLE, False, True)])
@@ -602,10 +573,9 @@ class TestCheckersRejectStrangers:
         with pytest.raises(DomainError, match="99"):
             check_modified_hat_trap(trace, b)
 
-    def test_unrecorded_stranger(self):
+    def test_lone_stranger_live(self):
         b = hat_graph(2)
-        trace = replace(trace_from_records([DecisionRecord(99, 0.7, PHASE_LIVE, True, True)]),
-                        records=())
+        trace = trace_from_records([DecisionRecord(99, 0.7, PHASE_LIVE, True, True)])
         with pytest.raises(DomainError, match="99"):
             check_claw_blocker(trace, b)
         with pytest.raises(DomainError, match="99"):
@@ -624,13 +594,13 @@ class TestLazyBasis:
             for table in (hat_forbidden_oracle(b), empty_oracle()):
                 for policy in ("virtual-msp", RejectEverything()):
                     for trace in trial_stream(policy, b.view, b.weights, 0.5,
-                                              trials=150, seed=n, record=True):
+                                              trials=150, seed=n):
                         yield b.view, b.weights, table, trace
         for seed in range(40):
             g = random_graphic(5, 9, np.random.default_rng(seed))
             for policy in ("virtual-msp", RejectEverything()):
                 for trace in trial_stream(policy, g.view, g.weights, 0.4,
-                                          trials=5, seed=seed, record=True):
+                                          trials=5, seed=seed):
                     yield g.view, g.weights, empty_oracle(), trace
         b = hat_graph(5)
         for pairs in (TestKnownTableGaps.HUB_GAP, TestKnownTableGaps.FEAS_GAP):
@@ -659,9 +629,10 @@ class TestLazyBasis:
         table = hat_forbidden_oracle(b)
         expected = 0
         for trace in trial_stream("virtual-msp", b.view, b.weights, 0.5,
-                                  trials=200, seed=0, record=True):
+                                  trials=200, seed=0):
+            records = trace_records(trace, b.view, b.weights)
             arrived, earlier_live = set(), []
-            for rec in trace.records:
+            for rec in records:
                 arrived.add(rec.element)
                 if rec.phase != PHASE_LIVE:
                     continue
@@ -671,7 +642,7 @@ class TestLazyBasis:
                     if rec.element in b.view.greedy_mwb(b.weights, arrived):
                         break
                 earlier_live.append(rec.element)
-            live = [rec for rec in trace.records if rec.phase == PHASE_LIVE]
+            live = [rec for rec in records if rec.phase == PHASE_LIVE]
             expected += bool(live) and not live[0].accepted
         calls = []
         greedy_mwb = MatroidView.greedy_mwb
@@ -850,16 +821,13 @@ def label_forbidden_rule(bundle):
 
 
 def claw_streams(family, sizes, trials):
-    """(bundle, trace) over seeded streams of three policies at three
-    cutoffs, each with records on and off."""
+    """(bundle, trace) over seeded streams of three policies at three cutoffs."""
     for n in sizes:
         b = family(n)
         for policy in ("virtual-msp", "sample", "sample-contracted"):
             for p in (0.3, 0.5, 0.7):
-                for record in (False, True):
-                    for trace in trial_stream(policy, b.view, b.weights, p, trials,
-                                              seed=n, record=record):
-                        yield b, trace
+                for trace in trial_stream(policy, b.view, b.weights, p, trials, seed=n):
+                    yield b, trace
 
 
 class TestClawLayout:
@@ -941,12 +909,13 @@ class TestKnownTrapGap:
     def test_rejection_comes_from_the_independence_clause(self):
         b = modified_hat_graph(3)
         trace = run_forced("virtual-msp", b, self.TRAP_GAP, 0.5)
-        rec = next(r for r in trace.records if r.element == b.id_of("4_3"))
+        records = trace_records(trace, b.view, b.weights)
+        rec = next(r for r in records if r.element == b.id_of("4_3"))
         assert not rec.accepted
         assert rec.in_current_mwb
         assert rec.kicked == b.id_of("2_3") and rec.kicked_was_sample
         accepted_before = frozenset(
-            r.element for r in trace.records if r.accepted and r.time < rec.time)
+            r.element for r in records if r.accepted and r.time < rec.time)
         assert not b.view.is_independent(accepted_before | {rec.element})
 
     def test_hub_edge_still_rejected(self):

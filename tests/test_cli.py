@@ -420,6 +420,9 @@ class TestEstimate:
                                "--trials", "40", "--p", "0.5")
         assert code == 0
         obj = json.loads(out)
+        assert list(obj) == ["trials", "perElementAcceptFreq", "minOverMwb",
+                             "utilityRatioMean", "ciRadius3Sigma",
+                             "analyticBound", "boundDirection"]
         assert obj["analyticBound"] == 0.25
         assert obj["boundDirection"] == "lower"
 

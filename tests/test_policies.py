@@ -21,10 +21,13 @@ from matsec import (
     dump_trace,
     forced_schedule,
     hat_graph,
+    load_records,
     modified_hat_graph,
     random_graphic,
     run_trial,
     running_mwb,
+    trace_from_records,
+    trace_records,
     trial_rng,
     trial_stream,
     triangle,
@@ -293,7 +296,8 @@ class TestVirtualOnUniformStream:
         b = uniform_instance(6, 2)
         trace = run_forced("virtual-msp", b, UNIFORM6_STREAM, p=0.25)
         assert labels_of(b, trace.accepted) == ["2", "5"]
-        by_label = {b.weights.label(r.element): r for r in trace.records}
+        by_label = {b.weights.label(r.element): r
+                    for r in trace_records(trace, b.view, b.weights)}
         rec4 = by_label["4"]
         assert not rec4.accepted and rec4.in_current_mwb
         assert b.weights.label(rec4.kicked) == "2" and rec4.kicked_was_sample is False
@@ -305,10 +309,7 @@ class TestVirtualOnUniformStream:
         b = uniform_instance(6, 2)
         a = run_forced("virtual-msp", b, UNIFORM6_STREAM, p=0.25)
         c = run_forced("virtual-uniform", b, UNIFORM6_STREAM, p=0.25)
-        assert [(r.element, r.accepted, r.kicked, r.kicked_was_sample)
-                for r in a.records] == \
-               [(r.element, r.accepted, r.kicked, r.kicked_was_sample)
-                for r in c.records]
+        assert a.decisions == c.decisions
 
     def test_optimistic_differs_on_same_stream(self):
         b = uniform_instance(6, 2)
@@ -345,7 +346,7 @@ class TestVirtualCrossCheck:
         # must be the basis diff and the verdict must follow from it
         for view, weights, sched, p in self.drift_cases():
             trace = run_trial("virtual-msp", view, weights, sched, p)
-            live = [r for r in trace.records if r.phase == "live"]
+            live = [r for r in trace_records(trace, view, weights) if r.phase == "live"]
             sampled = {u for u, t in zip(sched.order, sched.arrival) if t < p}
             seen = set(sampled)
             tracker = AcceptedSetTracker(view)
@@ -431,10 +432,7 @@ class TestEquivalences:
             p = 0.25 + 0.5 * float(rng.random())
             a = run_trial("virtual-msp", b.view, b.weights, sched, p)
             c = run_trial("virtual-uniform", b.view, b.weights, sched, p)
-            assert [(r.element, r.accepted, r.kicked, r.kicked_was_sample)
-                    for r in a.records] == \
-                   [(r.element, r.accepted, r.kicked, r.kicked_was_sample)
-                    for r in c.records]
+            assert a.decisions == c.decisions
 
     def test_optimistic_matches_sample_contracted_on_uniform(self):
         for seed in range(20):
@@ -492,7 +490,7 @@ def test_decisions_ignore_the_sample_order(name):
 # -- golden traces --------------------------------------------------------------------
 
 
-# sha256 prefix of dump_trace over 60 seeded record=True trials at p = 0.3, then 0.6;
+# sha256 prefix of the dumped trace_records of 60 seeded trials at p = 0.3, then 0.6;
 # the deliberate twins share a digest wherever their records coincide
 GOLDEN_TRACES = {
     ("sample", "u9k1"): "5333ffd6cba4caa9",
@@ -519,21 +517,44 @@ GOLDEN_TRACES = {
 }
 
 
+def golden_bundles():
+    return {"u9k1": uniform_instance(9, 1), "u9k3": uniform_instance(9, 3),
+            "hat3": hat_graph(3), "rg59": random_graphic(5, 9, 4)}
+
+
 def test_golden_traces_are_unchanged():
     """Every record field of every policy, kicks included, pinned byte for byte."""
     assert {name for name, _ in GOLDEN_TRACES} == set(POLICY_NAMES)
-    bundles = {"u9k1": uniform_instance(9, 1), "u9k3": uniform_instance(9, 3),
-               "hat3": hat_graph(3), "rg59": random_graphic(5, 9, 4)}
+    bundles = golden_bundles()
     got = {}
     for (name, key) in GOLDEN_TRACES:
         b, h = bundles[key], hashlib.sha256()
         for p in (0.3, 0.6):
             buf = io.StringIO()
-            for trace in trial_stream(name, b.view, b.weights, p, 60, 7, record=True):
-                dump_trace(trace, buf)
+            for trace in trial_stream(name, b.view, b.weights, p, 60, 7):
+                dump_trace(trace_records(trace, b.view, b.weights), buf)
             h.update(buf.getvalue().encode())
         got[name, key] = h.hexdigest()[:16]
     assert got == GOLDEN_TRACES
+
+
+def test_dumped_records_rebuild_the_trace():
+    """Dump, load and rebuild every golden trace: the decisions come back
+    equal, and rendering the rebuilt trace dumps the same bytes."""
+    bundles = golden_bundles()
+    for (name, key) in GOLDEN_TRACES:
+        b = bundles[key]
+        for p in (0.3, 0.6):
+            for i, trace in enumerate(trial_stream(name, b.view, b.weights, p, 20, 7)):
+                buf = io.StringIO()
+                dump_trace(trace_records(trace, b.view, b.weights), buf)
+                rebuilt = trace_from_records(load_records(io.StringIO(buf.getvalue())))
+                assert rebuilt.decisions == trace.decisions, (name, key, p, i)
+                assert rebuilt.accepted == trace.accepted
+                assert rebuilt.sample_set == trace.sample_set
+                again = io.StringIO()
+                dump_trace(trace_records(rebuilt, b.view, b.weights), again)
+                assert again.getvalue() == buf.getvalue(), (name, key, p, i)
 
 
 # -- registry -----------------------------------------------------------------------

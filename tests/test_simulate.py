@@ -25,6 +25,7 @@ from matsec import (
     random_graphic,
     run_trial,
     trace_from_records,
+    trace_records,
     trial_rng,
     trial_stream,
     triangle,
@@ -107,12 +108,13 @@ class TestBlockSeeding:
     @pytest.mark.parametrize("seed", [5, 2**64 + 7])
     def test_stream_equals_trial_rng_trace_by_trace(self, seed):
         b = hat_graph(3)
-        streamed = trial_stream("virtual-msp", b.view, b.weights, 0.5, 1030, seed, record=True)
+        streamed = trial_stream("virtual-msp", b.view, b.weights, 0.5, 1030, seed)
         for i, trace in enumerate(streamed):    # 1030 trials span the first block boundary
             direct = run_trial("virtual-msp", b.view, b.weights,
                                draw_schedule(b.weights, trial_rng(seed, i)), 0.5)
             assert trace.schedule.arrival == direct.schedule.arrival, i
-            assert trace.records == direct.records, i
+            assert (trace_records(trace, b.view, b.weights)
+                    == trace_records(direct, b.view, b.weights)), i
         assert i == 1029
 
     def test_seed_errors_and_empty_stream(self):
@@ -213,7 +215,8 @@ class TestFirstLive:
         trace = run_trial("sample", b.view, b.weights, self.SCHED, p)
         m = self.SCHED.first_live(p)
         assert trace.sample_set == frozenset(self.SCHED.order[:m])
-        assert [r.phase for r in trace.records] == [PHASE_SAMPLE] * m + [PHASE_LIVE] * (4 - m)
+        phases = [r.phase for r in trace_records(trace, b.view, b.weights)]
+        assert phases == [PHASE_SAMPLE] * m + [PHASE_LIVE] * (4 - m)
 
 
 # -- the harness --------------------------------------------------------------------
@@ -239,12 +242,10 @@ class TestRunTrial:
         ((0, 1, 2, 2), (0.1, 0.2, 0.3, 0.4)),   # every element, 2 twice
         ((0, 1, 5), (0.1, 0.2, 0.3)),       # 5 is outside the ground set
     ])
-    @pytest.mark.parametrize("record", [True, False])
-    def test_hand_built_schedule_must_cover_ground(self, order, arrival, record):
+    def test_hand_built_schedule_must_cover_ground(self, order, arrival):
         b = triangle()
         with pytest.raises(DomainError, match="ground set"):
-            run_trial("sample", b.view, b.weights, ArrivalSchedule(order, arrival), 0.5,
-                      record=record)
+            run_trial("sample", b.view, b.weights, ArrivalSchedule(order, arrival), 0.5)
 
     def test_p_one_samples_everything(self):
         b = triangle()
@@ -267,57 +268,60 @@ class TestRunTrial:
         assert trace.sample_set == frozenset()
         assert 0 in trace.accepted
 
-    def test_boundary_time_is_live_without_records(self):
-        # the bulk path splits at the cutoff by bisection; ties with p stay live
+    def test_arrivals_tied_with_p_are_live(self):
+        # the harness splits at the cutoff by bisection; ties with p stay live
         b = uniform_instance(3, 2)
         sched = ArrivalSchedule((0, 1, 2), (0.25, 0.5, 0.5))
-        trace = run_trial("sample", b.view, b.weights, sched, 0.5, record=False)
+        trace = run_trial("sample", b.view, b.weights, sched, 0.5)
         assert trace.sample_set == frozenset({0})
         assert trace.accepted == frozenset({1, 2})
-        assert trace.records == ()
 
-    @pytest.mark.parametrize("record", [True, False])
-    def test_sample_in_one_start_then_one_decide_per_live_arrival(self, record):
+    def test_sample_in_one_start_then_one_decide_per_live_arrival(self):
         # the sample tuple keeps arrival order; the arrival at exactly p is live
         b = uniform_instance(5, 2)
         sched = forced_schedule([(3, 0.1), (0, 0.2), (4, 0.4), (1, 0.6), (2, 0.9)])
         policy = Recorder()
-        run_trial(policy, b.view, b.weights, sched, 0.4, record=record)
+        run_trial(policy, b.view, b.weights, sched, 0.4)
         assert policy.calls == [("start", (3, 0)), ("decide", 4), ("decide", 1),
                                 ("decide", 2)]
 
-    @pytest.mark.parametrize("record", [True, False])
-    def test_every_live_decision_is_checked(self, record):
+    def test_every_live_decision_is_checked(self):
         # the second acceptance overfills the single slot; a harness that
         # stopped asking once the accepted set spans would never see it
         b = uniform_instance(5, 1)
         sched = forced_schedule([(u, 0.1 * (u + 1)) for u in range(5)])
         with pytest.raises(HarnessViolation, match="dependent"):
-            run_trial(AcceptEveryLive(), b.view, b.weights, sched, 0.0, record=record)
+            run_trial(AcceptEveryLive(), b.view, b.weights, sched, 0.0)
 
-    def test_record_flag_only_drops_records(self):
-        b = triangle()
-        sched = forced_schedule([(0, 0.1), (1, 0.6), (2, 0.8)])
-        full = run_trial("virtual-msp", b.view, b.weights, sched, 0.5)
-        bare = run_trial("virtual-msp", b.view, b.weights, sched, 0.5, record=False)
-        assert bare.records == ()
-        assert len(full.records) == 3
-        assert bare.accepted == full.accepted
-        assert bare.sample_set == full.sample_set == frozenset({0})
-        assert bare.schedule.times == full.schedule.times
+    def test_trace_records_render_without_changing_the_trace(self):
+        b = uniform_instance(6, 2)
+        sched = forced_schedule([(0, 0.1), (2, 0.3), (1, 0.6), (5, 0.7), (3, 0.8), (4, 0.9)])
+        trace = run_trial("virtual-msp", b.view, b.weights, sched, 0.5)
+        before = (trace.decisions, trace.accepted, trace.sample_set, trace.schedule)
+        records = trace_records(trace, b.view, b.weights)
+        assert (trace.decisions, trace.accepted, trace.sample_set, trace.schedule) == before
+        assert records == trace_records(trace, b.view, b.weights)
+        assert [(r.element, r.time) for r in records] == list(sched.times.items())
+        samples = {r.element for r in records if r.phase == PHASE_SAMPLE}
+        assert samples == trace.sample_set == {0, 2}
+        live = records[len(trace.sample_set):]
+        assert [Decision(r.accepted, r.kicked, r.kicked_was_sample) for r in live] == \
+               list(trace.decisions)
+        assert any(d.kicked is not None for d in trace.decisions)
+        assert {r.element for r in live if r.accepted} == trace.accepted
 
     def test_in_current_mwb_is_harness_computed(self):
         b = triangle()
         sched = forced_schedule([(2, 0.1), (1, 0.4), (0, 0.7)])
         trace = run_trial("sample", b.view, b.weights, sched, 0.0)
-        flags = {r.element: r.in_current_mwb for r in trace.records}
+        flags = {r.element: r.in_current_mwb for r in trace_records(trace, b.view, b.weights)}
         assert flags == {2: True, 1: True, 0: False}
 
     def test_phases_follow_cutoff(self):
         b = uniform_instance(4, 2)
         sched = forced_schedule([(0, 0.1), (1, 0.39), (2, 0.41), (3, 0.9)])
         trace = run_trial("sample", b.view, b.weights, sched, 0.4)
-        phases = [r.phase for r in trace.records]
+        phases = [r.phase for r in trace_records(trace, b.view, b.weights)]
         assert phases == [PHASE_SAMPLE, PHASE_SAMPLE, PHASE_LIVE, PHASE_LIVE]
 
     def test_greedy_policy_cannot_break_independence(self):
@@ -340,7 +344,7 @@ class TestRunTrial:
         sched = draw_schedule(b.weights, trial_rng(5, 2))
         a = run_trial("virtual-msp", b.view, b.weights, sched, 0.3)
         c = run_trial("virtual-msp", b.view, b.weights, sched, 0.3)
-        assert a.records == c.records
+        assert a.decisions == c.decisions
 
 
 class TestInvariances:
@@ -355,8 +359,9 @@ class TestInvariances:
             a = run_trial("virtual-msp", b.view, b.weights, sched, 0.6)
             c = run_trial("virtual-msp", b.view, b.weights, half, 0.3)
             assert a.accepted == c.accepted
-            assert [(r.element, r.accepted, r.kicked) for r in a.records] == \
-                   [(r.element, r.accepted, r.kicked) for r in c.records]
+            assert a.schedule.order == c.schedule.order
+            assert a.sample_set == c.sample_set
+            assert a.decisions == c.decisions
 
     def test_decisions_ignore_the_future(self):
         b = uniform_instance(6, 3)
@@ -366,8 +371,8 @@ class TestInvariances:
         traces = [run_trial("virtual-msp", b.view, b.weights,
                             forced_schedule(prefix + tail), 0.5)
                   for tail in tails]
-        heads = [[(r.element, r.phase, r.accepted, r.kicked) for r in t.records[:3]]
-                 for t in traces]
+        heads = [[(r.element, r.phase, r.accepted, r.kicked)
+                  for r in trace_records(t, b.view, b.weights)[:3]] for t in traces]
         assert heads[0] == heads[1]
 
 
@@ -406,6 +411,10 @@ class TestTraceSerialization:
         sched = forced_schedule([(2, 0.2), (1, 0.6), (0, 0.8)])
         return b, run_trial("virtual-msp", b.view, b.weights, sched, 0.5)
 
+    def make_records(self):
+        b, trace = self.make_trace()
+        return trace_records(trace, b.view, b.weights)
+
     def test_record_field_order_is_pinned(self):
         rec = DecisionRecord(2, 0.2, PHASE_SAMPLE, False, True)
         buf = io.StringIO()
@@ -415,16 +424,16 @@ class TestTraceSerialization:
             '"inCurrentMwb":true,"kicked":null,"kickedWasSample":null}\n')
 
     def test_round_trip(self):
-        _, trace = self.make_trace()
+        records = self.make_records()
         buf = io.StringIO()
-        dump_trace(trace, buf)
+        dump_trace(records, buf)
         buf.seek(0)
-        records = load_records(buf)
-        assert records == trace.records
+        assert load_records(buf) == records
 
     def test_trace_from_records_rebuilds_everything(self):
-        _, trace = self.make_trace()
-        rebuilt = trace_from_records(trace.records)
+        b, trace = self.make_trace()
+        rebuilt = trace_from_records(trace_records(trace, b.view, b.weights))
+        assert rebuilt.decisions == trace.decisions
         assert rebuilt.accepted == trace.accepted
         assert rebuilt.sample_set == trace.sample_set
         assert rebuilt.schedule.times == trace.schedule.times
@@ -446,8 +455,7 @@ class TestTraceSerialization:
                        recs[2]], "record phases"),
     ])
     def test_trace_from_records_rejects_malformed_lists(self, edit, message):
-        _, trace = self.make_trace()
-        records = edit(list(trace.records))
+        records = edit(list(self.make_records()))
         if message is None:     # a longer sample prefix is still well formed
             assert trace_from_records(records).sample_set == {2, 1}
             return
@@ -470,7 +478,7 @@ class TestTraceSerialization:
         sched = forced_schedule([(2, 0.3), (1, 0.3 + 1e-12), (0, 0.8)])
         trace = run_trial("virtual-msp", b.view, b.weights, sched, 0.5)
         buf = io.StringIO()
-        dump_trace(trace, buf)
+        dump_trace(trace_records(trace, b.view, b.weights), buf)
         buf.seek(0)
         records = load_records(buf)
         assert records[0].time == records[1].time
@@ -484,20 +492,50 @@ class TestTraceSerialization:
         ("[1, 2]", "JSON object"),
         ('{"element": 1, "time": 0.5, "phase": "live", "accepted": "false",'
          ' "inCurrentMwb": true}', "JSON booleans"),
+        ('{"element": 2.7, "time": 0.5, "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true}', "JSON integers"),
+        ('{"element": true, "time": 0.5, "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true}', "JSON integers"),
+        ('{"element": null, "time": 0.5, "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true}', "JSON integers"),
+        ('{"element": 1, "time": 0.5, "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true, "kicked": "x"}', "JSON integers"),
+        ('{"element": 1, "time": 0.5, "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true, "kicked": 2.0}', "JSON integers"),
+        ('{"element": 1, "time": 0.5, "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true, "kicked": false}', "JSON integers"),
+        ('{"element": 1, "time": "0.5", "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true}', "JSON number"),
+        ('{"element": 1, "time": true, "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true}', "JSON number"),
+        ('{"element": 1, "time": null, "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true}', "JSON number"),
+        ('{"element": 1, "time": 0.5, "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true, "kicked": 2, "kickedWasSample": "yes"}', "boolean or null"),
+        ('{"element": 1, "time": 0.5, "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true, "kicked": 2, "kickedWasSample": 1}', "boolean or null"),
     ])
     def test_load_records_names_the_malformed_line(self, line, message):
-        _, trace = self.make_trace()
         buf = io.StringIO()
-        dump_trace(trace, buf)
+        dump_trace(self.make_records(), buf)
         buf.write(line + "\n")
         buf.seek(0)
         with pytest.raises(ValueError, match=f"line 4: .*{message}"):
             load_records(buf)
 
+    def test_load_records_takes_integer_times_and_kick_fields(self):
+        buf = io.StringIO(
+            '{"element":0,"time":0,"phase":"sample","accepted":false,"inCurrentMwb":true}\n'
+            '{"element":1,"time":1,"phase":"live","accepted":false,"inCurrentMwb":true,'
+            '"kicked":0,"kickedWasSample":true}\n')
+        records = load_records(buf)
+        assert records == (DecisionRecord(0, 0.0, PHASE_SAMPLE, False, True),
+                           DecisionRecord(1, 1.0, PHASE_LIVE, False, True, 0, True))
+        assert all(type(r.time) is float for r in records)
+
     def test_json_lines_parse_individually(self):
-        _, trace = self.make_trace()
         buf = io.StringIO()
-        dump_trace(trace, buf)
+        dump_trace(self.make_records(), buf)
         lines = buf.getvalue().splitlines()
         assert len(lines) == 3
         keys = list(json.loads(lines[0]))
