@@ -267,17 +267,18 @@ def check_first_live_accepted(trace: DecisionTrace, view: MatroidView,
 
 def check_claw_blocker(trace: DecisionTrace, bundle: InstanceBundle) -> bool:
     """Hat instances: vacuously true unless the first claw was fully sampled
-    and the hub edge arrived live; then the hub edge must be accepted and no
-    claw may have both of its edges accepted before the hub edge arrives."""
+    and the hub edge arrived live (a hub absent from the trace is not live);
+    then the hub edge must be accepted and no claw may have both of its edges
+    accepted before the hub edge arrives."""
     _check_elements(trace, bundle.view)
     e_inf, claws = _hat_layout(bundle, "check_claw_blocker", "hat", 2)
     t_1, b_1 = claws[0]
     S = trace.sample_set
-    if not (t_1 in S and b_1 in S and e_inf not in S):
+    order = trace.schedule.order
+    if not (t_1 in S and b_1 in S and e_inf not in S and e_inf in order):
         return True
     if e_inf not in trace.accepted:
         return False
-    order = trace.schedule.order
     before_hub = trace.accepted.intersection(order[:order.index(e_inf)])
     return not any(t in before_hub and b in before_hub for t, b in claws)
 

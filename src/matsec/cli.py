@@ -20,11 +20,11 @@ from collections import deque
 from pathlib import Path
 
 from . import instances
-from .analysis import (OracleError, SUITE_NAMES, certify_no_size1_strong_fs, estimate,
-                       reference_bound, run_suite, three_sigma)
+from .analysis import (SUITE_NAMES, certify_no_size1_strong_fs, estimate, reference_bound,
+                       run_suite, three_sigma)
 from .instances import InstanceBundle
-from .matroid import (DomainError, GraphicMatroid, PreconditionError, UniformMatroid,
-                      dump_instance, parse_instance)
+from .matroid import (DomainError, GraphicMatroid, UniformMatroid, dump_instance,
+                      parse_instance)
 from .policies import POLICIES, build_policy
 from .simulate import (check_cutoff, draw_schedule, dump_json_line, dump_schedule,
                        dump_trace, forced_schedule, json_ready, parse_schedule,
@@ -341,8 +341,13 @@ def _cmd_certify(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):   # add_subparsers makes each subparser one too
+    def error(self, message):               # main reports it like any other bad input
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matsec",
         description="Matroid secretary simulation and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -408,20 +413,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _seed_default()    # read here, so a bad MATSEC_SEED exits 2
         for flag in ("seed", "trial"):
             if (getattr(args, flag, None) or 0) < 0:
                 raise ValueError(f"--{flag} must be non-negative, got {getattr(args, flag)}")
         return args.func(args)
-    except (DomainError, PreconditionError, OracleError, ValueError, OverflowError,
-            OSError) as exc:
+    except SystemExit as exc:               # -h printed the help
+        return exc.code
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

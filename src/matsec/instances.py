@@ -35,8 +35,6 @@ class InstanceBundle:
 def _bundle(base, weights, claws=()) -> InstanceBundle:
     """The full view of base; each element is named by its weight label."""
     named = {label: u for u, label in enumerate(weights.labels)}
-    if len(named) != weights.count:
-        raise ValueError("weight labels collide; pass distinct weights")
     view = MatroidView.full(base)
     return InstanceBundle(view, weights, named, view.greedy_mwb(weights), claws)
 
@@ -105,16 +103,13 @@ def modified_hat_graph(n: int) -> InstanceBundle:
                                        ("4", 4, lambda i: (1, 2 * i + 1))))
 
 
-def uniform_instance(n: int, k: int, weights=None) -> InstanceBundle:
-    """k-uniform matroid on n elements; default weight of element i is i+1,
-    labels match the default weights so streams read naturally."""
+def uniform_instance(n: int, k: int) -> InstanceBundle:
+    """k-uniform matroid on n elements; element i weighs i+1 and is labelled
+    by its weight, so streams read naturally."""
     if n < 0:
         raise ValueError(f"uniform instance needs n >= 0, got {n}")
-    if weights is None:
-        weights = list(range(1, n + 1))
-    ws = WeightedGroundSet.from_weights(
-        weights, tuple(str(w) for w in weights))
-    return _bundle(UniformMatroid(n, k), ws)
+    weights = range(1, n + 1)
+    return _bundle(UniformMatroid(n, k), WeightedGroundSet.from_weights(weights, map(str, weights)))
 
 
 def random_graphic(num_vertices: int, num_edges: int, rng) -> InstanceBundle:

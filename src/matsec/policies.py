@@ -232,15 +232,13 @@ class GreedyFrameworkPolicy(_SampleRule):
     def start(self, view, weights, samples):
         super().start(view, weights, samples)
         self.arrived = set(samples)
-        self._reference: set[int] | None = None
+        self._reference = self._rebuild()
 
     def _rebuild(self) -> set[int]:
         minor = self.view.contract(self.accepted)
         return set(minor.greedy_mwb(self.weights, self.samples)) | self.accepted
 
     def decide(self, u):
-        if self._reference is None:
-            self._reference = self._rebuild()
         ref = self._reference
         if not self.accepted <= ref <= (self.accepted | self.samples):
             raise PolicyViolation(

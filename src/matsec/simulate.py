@@ -118,6 +118,8 @@ class DecisionRecord:
             raise ValueError("time must be a JSON number")
         if not (was_sample is None or isinstance(was_sample, bool)):
             raise ValueError("kickedWasSample must be a JSON boolean or null")
+        if obj["phase"] not in (PHASE_SAMPLE, PHASE_LIVE):
+            raise ValueError(f"phase must be {PHASE_SAMPLE!r} or {PHASE_LIVE!r}")
         return cls(element, float(time), obj["phase"], *flags, kicked, was_sample)
 
 

@@ -747,6 +747,22 @@ class TestModifiedHatTrap:
         assert check_modified_hat_trap(trace_from_records(recs), b)
 
 
+@pytest.mark.parametrize("check, bundle, samples, live", [
+    (check_claw_blocker, hat_graph(2), ("t_1", "b_1"), ("t_2",)),
+    (check_modified_hat_trap, modified_hat_graph(2), ("2_1", "3_1", "4_1", "2_2"),
+     ("1_2", "3_2", "4_2", "1_1"))])
+def test_hat_checkers_pass_a_trace_without_the_hub(check, bundle, samples, live):
+    # every premise holds but the hub edge's, which never arrived and so was
+    # not live; the same records with the hub rejected live fail the check
+    recs = [DecisionRecord(bundle.id_of(lab), 0.05 * i, PHASE_SAMPLE, False, True)
+            for i, lab in enumerate(samples, 1)]
+    recs += [DecisionRecord(bundle.id_of(lab), 0.5 + 0.05 * i, PHASE_LIVE, False, True)
+             for i, lab in enumerate(live)]
+    assert check(trace_from_records(recs), bundle)
+    hub = DecisionRecord(bundle.id_of("e_inf"), 0.9, PHASE_LIVE, False, True)
+    assert not check(trace_from_records([*recs, hub]), bundle)
+
+
 # -- the claw layout -------------------------------------------------------------
 #
 # The checkers and the blocked-set table read each claw's ids from

@@ -161,6 +161,26 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
 
+    # argparse's own usage errors take the same one-line exit, with no usage dump
+    @pytest.mark.parametrize("argv, needle", [
+        ((), "required: command"),
+        (("summon",), "invalid choice: 'summon'"),
+        (("estimate", "--policy", "psychic"), "invalid choice: 'psychic'"),
+        (("simulate", "--n", "x"), "invalid int value: 'x'"),
+        (("simulate", "--bogus"), "unrecognized arguments: --bogus"),
+        (("replay", "nope"), "invalid choice: 'nope'"),
+        (("verify", "numerology"), "invalid choice: 'numerology'")])
+    def test_usage_error_is_one_line_error(self, capsys, argv, needle):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_help_exits_0_with_the_usage_on_stdout(self, capsys):
+        code, out, err = run_cli(capsys, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: matsec")
+
     def test_size_limit_is_inclusive(self, capsys, tmp_path):
         for vertices, code in ((MAX_SIZE, 0), (MAX_SIZE + 1, 2)):
             assert run_cli(capsys, "simulate", "--instance", "random-graphic",
@@ -290,6 +310,8 @@ def test_any_argv_exits_0_1_or_2(argv):
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
 
 
 # -- replay ---------------------------------------------------------------------

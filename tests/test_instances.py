@@ -146,11 +146,6 @@ class TestUniformInstance:
         assert b.weights.labels == ("1", "2", "3", "4", "5")
         assert b.mwb == frozenset({3, 4})
 
-    def test_custom_weights(self):
-        b = uniform_instance(3, 1, weights=[7, 2, 9])
-        assert b.mwb == frozenset({2})
-        assert b.id_of("7") == 0
-
     def test_zero_capacity(self):
         b = uniform_instance(3, 0)
         assert b.mwb == frozenset()

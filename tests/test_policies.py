@@ -12,6 +12,7 @@ from matsec import (
     GraphicMatroid,
     MatroidView,
     Policy,
+    PolicyViolation,
     POLICY_NAMES,
     PreconditionError,
     UniformMatroid,
@@ -285,6 +286,18 @@ class TestSampleVsGreedy:
         for policy in ("greedy-framework", "sample-contracted"):
             trace = run_forced(policy, b, TRIANGLE_STREAM, p=0.5)
             assert labels_of(b, trace.accepted) == ["e2"]
+
+    # e3 is the stream's one sample, and no loop: a reference holding the
+    # live e1 breaks the sandwich, and the empty one fails to span e3
+    @pytest.mark.parametrize("reference, message", [
+        (("e1",), "reference set must satisfy accepted <= reference"),
+        ((), "reference set fails to span the arrived elements")])
+    def test_greedy_framework_checks_its_reference(self, monkeypatch, reference, message):
+        b = triangle()
+        monkeypatch.setattr(GreedyFrameworkPolicy, "_rebuild",
+                            lambda self: set(b.ids_of(*reference)))
+        with pytest.raises(PolicyViolation, match=message):
+            run_forced("greedy-framework", b, TRIANGLE_STREAM, p=0.5)
 
 
 UNIFORM6_STREAM = [("1", 0.05), ("3", 0.15), ("2", 0.30),

@@ -514,6 +514,9 @@ class TestTraceSerialization:
          ' "inCurrentMwb": true, "kicked": 2, "kickedWasSample": "yes"}', "boolean or null"),
         ('{"element": 1, "time": 0.5, "phase": "live", "accepted": false,'
          ' "inCurrentMwb": true, "kicked": 2, "kickedWasSample": 1}', "boolean or null"),
+        *((f'{{"element": 1, "time": 0.5, "phase": {phase}, "accepted": false,'
+           ' "inCurrentMwb": true}', "phase must be 'sample' or 'live'")
+          for phase in ('"warmup"', "5", "null", '["live"]')),
     ])
     def test_load_records_names_the_malformed_line(self, line, message):
         buf = io.StringIO()
