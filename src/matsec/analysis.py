@@ -231,8 +231,8 @@ def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle
 
     Whenever a live arrival u belongs to the max-weight basis of everything
     seen and no earlier live arrival lies in rule(seen + u, u), the trace
-    must show u accepted. The table is validated at every live arrival; the
-    basis is computed from scratch, but only for a rejected, unexcused one.
+    must show u accepted. The table is validated at every live arrival;
+    basis membership is asked only for a rejected, unexcused one.
     Reads the schedule, sample set and accepted set, never the decisions.
     Returns (True, None) or (False, first offending element).
     """
@@ -246,7 +246,7 @@ def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle
         if len(blocked) > oracle.size_bound:
             raise OracleError(f"blocked set exceeds size bound {oracle.size_bound}")
         if (u not in trace.accepted and blocked.isdisjoint(order[m:i])
-                and u in view.greedy_mwb(weights, Y)):
+                and view.in_mwb(weights, Y, u)):
             return (False, u)
     return (True, None)
 
@@ -259,7 +259,7 @@ def check_first_live_accepted(trace: DecisionTrace, view: MatroidView,
     _check_elements(trace, view)
     order, m = trace.schedule.order, len(trace.sample_set)
     return (m == len(order) or order[m] in trace.accepted
-            or order[m] not in view.greedy_mwb(weights, order[:m + 1]))
+            or not view.in_mwb(weights, order[:m], order[m]))
 
 
 # -- instance-specific trace checks ---------------------------------------------
@@ -273,9 +273,8 @@ def check_claw_blocker(trace: DecisionTrace, bundle: InstanceBundle) -> bool:
     _check_elements(trace, bundle.view)
     e_inf, claws = _hat_layout(bundle, "check_claw_blocker", "hat", 2)
     t_1, b_1 = claws[0]
-    S = trace.sample_set
-    order = trace.schedule.order
-    if not (t_1 in S and b_1 in S and e_inf not in S and e_inf in order):
+    S, order = trace.sample_set, trace.schedule.order
+    if not (t_1 in S and b_1 in S and e_inf in order[len(S):]):     # the hub edge is live
         return True
     if e_inf not in trace.accepted:
         return False
@@ -290,22 +289,16 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
     4_i (which together with the hub edge would close a cycle, trapping it)."""
     _check_elements(trace, bundle.view)
     e_inf, claws = _hat_layout(bundle, "check_modified_hat_trap", "modified-hat", 4)
-    S = trace.sample_set
-    if e_inf in S:
-        return True
-    position = {u: i for i, u in enumerate(trace.schedule.order)}
-    if e_inf not in position:               # an element absent from the trace is not live
+    S, accepted = trace.sample_set, trace.accepted
+    live = {u: i for i, u in enumerate(trace.schedule.order[len(S):])}   # place among live
+    if e_inf not in live:                   # sampled, or absent from the trace
         return True
     first = next((j for j, (_, e2, e3, e4) in enumerate(claws)
                   if e2 in S and e3 in S and e4 in S), len(claws))
     for e1, e2, e3, e4 in claws[first + 1:]:
-        if e2 not in S:
-            continue
-        if any(e in S or e not in position for e in (e1, e3, e4)):
-            continue
-        if not position[e1] < position[e3] < position[e4] < position[e_inf]:
-            continue
-        if e1 not in trace.accepted or e4 not in trace.accepted:
+        if (e2 in S and e1 in live and e3 in live and e4 in live
+                and live[e1] < live[e3] < live[e4] < live[e_inf]
+                and not (e1 in accepted and e4 in accepted)):
             return False
     return True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, TextIO, Union
+from typing import Collection, Iterable, TextIO, Union
 
 WeightLike = Union[int, str, float, Fraction]
 
@@ -117,7 +117,7 @@ BaseMatroid = Union[UniformMatroid, GraphicMatroid]
 
 
 class UnionFind:
-    """Array union-find with path halving and union by size."""
+    """Array union-find with path halving; AcceptedSetTracker.add links by size."""
 
     __slots__ = ("parent", "size")
 
@@ -131,17 +131,6 @@ class UnionFind:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Join the components of a and b; False iff already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
 
 
 class AcceptedSetTracker:
@@ -157,7 +146,7 @@ class AcceptedSetTracker:
         else:
             self.uf = UnionFind(base.num_vertices)
             self._endpoints = base.endpoints
-        if not all(self.add(u) for u in view.contraction):
+        if not all(map(self.add, view.contraction)):
             raise PreconditionError("contraction set must be independent in the base")
 
     def can_add(self, u: int) -> bool:
@@ -169,12 +158,21 @@ class AcceptedSetTracker:
     def add(self, u: int) -> bool:
         """Add u and return True; return False and change nothing when u
         would make the set dependent."""
-        if self.uf is None:
+        uf = self.uf
+        if uf is None:
             if self._slots <= 0:
                 return False
             self._slots -= 1
             return True
-        return self.uf.union(*self._endpoints[u])
+        a, b = self._endpoints[u]
+        ra, rb = uf.find(a), uf.find(b)
+        if ra == rb:
+            return False
+        if uf.size[ra] < uf.size[rb]:     # link the smaller component below the larger
+            ra, rb = rb, ra
+        uf.parent[rb] = ra
+        uf.size[ra] += uf.size[rb]
+        return True
 
 
 @dataclass(frozen=True)
@@ -245,6 +243,16 @@ class MatroidView:
         """
         S = self._checked(self._ground if S is None else S)
         return frozenset(filter(AcceptedSetTracker(self).add, weights.sort_desc(S)))
+
+    def in_mwb(self, weights: WeightedGroundSet, S: Collection[int], u: int) -> bool:
+        """Whether u lies in MWB(S + u), i.e. the elements of S heavier than u do not span u."""
+        if u not in self._ground or not self._ground.issuperset(S):
+            self._checked([*S, u])          # raises DomainError naming the strays
+        ranks, tracker = weights.ranks, AcceptedSetTracker(self)
+        for v in S:
+            if ranks[v] < ranks[u]:
+                tracker.add(v)
+        return tracker.can_add(u)
 
     def restrict(self, S: Iterable[int]) -> "MatroidView":
         return MatroidView(self.base, self._checked(S), self.contraction)

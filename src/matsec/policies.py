@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import takewhile
 
 from .matroid import (AcceptedSetTracker, DomainError, GraphicMatroid, MatroidView,
                       UniformMatroid, WeightedGroundSet)
@@ -45,11 +46,9 @@ class RunningMwb:
     which equals the max-weight basis of the whole inserted set: at most
     one element is displaced per insertion and a displaced element never
     returns, so the small update is exact. insert() reports whether u
-    entered the basis and which element (if any) it displaced. A graphic
-    view with nothing contracted gets a rooted forest that pays O(tree
-    depth) per insert; every other view, uniform or contracted, re-runs
-    greedy on B + u. So the list-based virtual-uniform rule shares no code
-    with virtual-msp's kernel and stays an independent twin of it.
+    entered the basis and which element (if any) it displaced. The
+    list-based virtual-uniform rule shares no code with running_mwb's two
+    kernels and stays an independent twin of virtual-msp.
     """
 
     def insert(self, u: int) -> tuple[bool, int | None]:
@@ -60,14 +59,13 @@ class RunningMwb:
 
 
 class _GreedyRunningMwb(RunningMwb):
-    """Any view: the new basis is greedy_mwb(B + u), exact by the
-    basis-of-basis lemma MWB(S + u) = MWB(MWB(S) + u)."""
+    """Any view: the basis B as a list, heaviest first; an insert is greedy on B + u."""
 
     def __init__(self, view: MatroidView, weights: WeightedGroundSet):
         self._view = view
-        self._weights = weights
+        self._ranks = weights.ranks
         self._inserted: set[int] = set()
-        self._basis = frozenset()
+        self._basis: list[int] = []
 
     def insert(self, u: int) -> tuple[bool, int | None]:
         if u not in self._view.ground:
@@ -75,13 +73,18 @@ class _GreedyRunningMwb(RunningMwb):
         if u in self._inserted:
             raise ValueError(f"element {u} inserted twice")
         self._inserted.add(u)
-        basis = self._view.greedy_mwb(self._weights, self._basis | {u})
-        kicked = next(iter(self._basis - basis), None)
-        self._basis = basis
-        return u in basis, kicked
+        basis, ranks = self._basis, self._ranks
+        j = bisect.bisect(basis, ranks[u], key=ranks.__getitem__)
+        basis.insert(j, u)
+        # B[:j] is independent, so the first refusal, if any, is u or the element u displaces
+        k = len(list(takewhile(AcceptedSetTracker(self._view).add, basis)))
+        if k == j:
+            del basis[j]
+            return False, None
+        return True, basis.pop(k) if k < len(basis) else None
 
     def basis(self) -> frozenset:
-        return self._basis
+        return frozenset(self._basis)
 
 
 class _GraphicRunningMwb(RunningMwb):
@@ -150,7 +153,7 @@ class _GraphicRunningMwb(RunningMwb):
 
 def running_mwb(view: MatroidView, weights: WeightedGroundSet) -> RunningMwb:
     """The forest kernel for a graphic view with nothing contracted, the
-    greedy update for every other view."""
+    sorted-list greedy kernel for every other view."""
     if isinstance(view.base, GraphicMatroid) and not view.contraction:
         return _GraphicRunningMwb(view, weights)
     return _GreedyRunningMwb(view, weights)
@@ -194,9 +197,7 @@ class SamplePolicy(_SampleRule):
         self._tracker = AcceptedSetTracker(view)
 
     def decide(self, u):
-        feasible = self._tracker.can_add(u)
-        if feasible and u in self.view.greedy_mwb(self.weights, self.samples | {u}):
-            self._tracker.add(u)
+        if self.view.in_mwb(self.weights, self.samples, u) and self._tracker.add(u):
             self.accepted.add(u)
             return _ACCEPT
         return _REJECT
@@ -209,8 +210,7 @@ class SampleContractedPolicy(_SampleRule):
     name = "sample-contracted"
 
     def decide(self, u):
-        minor = self.view.contract(self.accepted)
-        if u in minor.greedy_mwb(self.weights, self.samples | {u}):
+        if self.view.contract(self.accepted).in_mwb(self.weights, self.samples, u):
             self.accepted.add(u)
             return _ACCEPT
         return _REJECT
@@ -245,8 +245,7 @@ class GreedyFrameworkPolicy(_SampleRule):
                 "reference set must satisfy accepted <= reference <= accepted | samples")
         if not self.arrived <= self.view.span(ref):
             raise PolicyViolation("reference set fails to span the arrived elements")
-        minor = self.view.restrict(ref | {u}).contract(self.accepted)
-        accept = u in minor.greedy_mwb(self.weights)
+        accept = self.view.contract(self.accepted).in_mwb(self.weights, ref - self.accepted, u)
         self.arrived.add(u)
         if accept:
             self.accepted.add(u)
@@ -262,20 +261,20 @@ class VirtualMspPolicy(Policy):
     name = "virtual-msp"
 
     def start(self, view, weights, samples):
-        self._running = running_mwb(view, weights)
+        self._insert = insert = running_mwb(view, weights).insert
         for u in samples:                   # the order shapes the forest, not its edges
-            self._running.insert(u)
-        self._tracker = AcceptedSetTracker(view)
+            insert(u)
+        self._add = AcceptedSetTracker(view).add
         self._sampled = set(samples)
         self.accepted: set[int] = set()
 
     def decide(self, u):
-        in_mwb, kicked = self._running.insert(u)
-        kicked_was_sample = None if kicked is None else kicked in self._sampled
-        accept = in_mwb and (kicked is None or kicked_was_sample) and self._tracker.add(u)
-        if accept:
+        in_mwb, kicked = self._insert(u)
+        was_sample = kicked in self._sampled    # False when nothing was displaced
+        if in_mwb and (kicked is None or was_sample) and self._add(u):
             self.accepted.add(u)
-        return _decision(accept, kicked, kicked_was_sample)
+            return _ACCEPT if kicked is None else Decision(True, kicked, True)
+        return _REJECT if kicked is None else Decision(False, kicked, was_sample)
 
 
 def _effective_uniform_k(view: MatroidView, what: str) -> int:
@@ -297,7 +296,7 @@ class DynkinPolicy(Policy):
             raise ValueError("dynkin needs a 1-uniform instance")
         self._ranks = ranks = weights.ranks
         # weight rank of the heaviest sample, lower is heavier; count when none
-        self._best_sample = min((ranks[u] for u in samples), default=weights.count)
+        self._best_sample = min(map(ranks.__getitem__, samples), default=weights.count)
         self.accepted: set[int] = set()
 
     def decide(self, u):

@@ -56,7 +56,7 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 def draw_schedule(ground: WeightedGroundSet, rng: np.random.Generator) -> ArrivalSchedule:
     times = rng.random(ground.count)
     # stable argsort breaks (measure-zero) time collisions by element id
-    idx = np.argsort(times, kind="stable")
+    idx = times.argsort(kind="stable")
     return ArrivalSchedule(tuple(idx.tolist()), tuple(times[idx].tolist()))
 
 

@@ -621,10 +621,10 @@ class TestLazyBasis:
         assert seen == {(True, True), (False, True), (False, False)}
 
     def test_suite_computes_a_basis_only_where_a_verdict_reads_it(self, monkeypatch):
-        # count from the traces, before greedy_mwb is counted: one basis per
-        # rejected live arrival that no earlier live arrival excuses, up to
-        # the first offending one, plus one per trace whose first live
-        # arrival was rejected
+        # count from the traces, before in_mwb is counted: one membership
+        # query per rejected live arrival that no earlier live arrival
+        # excuses, up to the first offending one, plus one per trace whose
+        # first live arrival was rejected
         b = hat_graph(5)
         table = hat_forbidden_oracle(b)
         expected = 0
@@ -644,18 +644,23 @@ class TestLazyBasis:
                 earlier_live.append(rec.element)
             live = [rec for rec in records if rec.phase == PHASE_LIVE]
             expected += bool(live) and not live[0].accepted
-        calls = []
-        greedy_mwb = MatroidView.greedy_mwb
+        queries, bases = [], []
+        in_mwb, greedy_mwb = MatroidView.in_mwb, MatroidView.greedy_mwb
 
-        def counted(view, weights, S=None):
-            calls.append(S)
+        def counted_in_mwb(view, weights, S, u):
+            queries.append(u)
+            return in_mwb(view, weights, S, u)
+
+        def counted_greedy_mwb(view, weights, S=None):
+            bases.append(S)
             return greedy_mwb(view, weights, S)
 
-        monkeypatch.setattr(MatroidView, "greedy_mwb", counted)
+        monkeypatch.setattr(MatroidView, "in_mwb", counted_in_mwb)
+        monkeypatch.setattr(MatroidView, "greedy_mwb", counted_greedy_mwb)
         result = run_suite("forbidden-consistency", trials=200, seed=0)
         assert result.failures                      # C8's gap shows at this size too
-        assert calls[0] is None                     # building hat_graph(5): its optimum
-        assert 0 < len(calls) - 1 == expected
+        assert bases == [None]                      # building hat_graph(5): its optimum
+        assert 0 < len(queries) == expected
 
 
 class TestClawBlocker:
@@ -745,6 +750,60 @@ class TestModifiedHatTrap:
                 for lab, t in self.trap_pairs()[:4]]
         recs.append(DecisionRecord(b.id_of("e_inf"), 0.60, PHASE_LIVE, True, True))
         assert check_modified_hat_trap(trace_from_records(recs), b)
+
+
+def positional_modified_hat_trap(trace, bundle):
+    """check_modified_hat_trap as it was before it indexed only the live
+    arrivals: a position map over the whole schedule, and each claw's live
+    edges tested through any(). The reference the checker must match
+    verdict for verdict (it skips the stranger check)."""
+    e_inf, claws = bundle.named["e_inf"], bundle.claws
+    S = trace.sample_set
+    if e_inf in S:
+        return True
+    position = {u: i for i, u in enumerate(trace.schedule.order)}
+    if e_inf not in position:               # an element absent from the trace is not live
+        return True
+    first = next((j for j, (_, e2, e3, e4) in enumerate(claws)
+                  if e2 in S and e3 in S and e4 in S), len(claws))
+    for e1, e2, e3, e4 in claws[first + 1:]:
+        if e2 not in S:
+            continue
+        if any(e in S or e not in position for e in (e1, e3, e4)):
+            continue
+        if not position[e1] < position[e3] < position[e4] < position[e_inf]:
+            continue
+        if e1 not in trace.accepted or e4 not in trace.accepted:
+            return False
+    return True
+
+
+class TestLiveIndexedTrap:
+    def test_matches_the_position_map_reference_on_streams(self):
+        verdicts = []
+        for n in (4, 16, 64):
+            b = modified_hat_graph(n)
+            for policy in ("virtual-msp", RejectEverything()):
+                for trace in trial_stream(policy, b.view, b.weights, 0.5, 300, seed=n):
+                    verdicts.append(check_modified_hat_trap(trace, b))
+                    assert verdicts[-1] == positional_modified_hat_trap(trace, b)
+        assert set(verdicts) == {True, False}
+
+    def test_matches_the_reference_on_traces_missing_an_edge(self):
+        # each seeded trace loses its hub edge, or one edge of each role
+        # from four random claws
+        b = modified_hat_graph(64)
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for policy in ("virtual-msp", RejectEverything()):
+            for trace in trial_stream(policy, b.view, b.weights, 0.5, 100, seed=64):
+                records = trace_records(trace, b.view, b.weights)
+                claws = [b.claws[i] for i in rng.integers(len(b.claws), size=4)]
+                for gone in (b.id_of("e_inf"), *(c[role] for role, c in enumerate(claws))):
+                    partial = trace_from_records(r for r in records if r.element != gone)
+                    verdicts.append(check_modified_hat_trap(partial, b))
+                    assert verdicts[-1] == positional_modified_hat_trap(partial, b), gone
+        assert set(verdicts) == {True, False}
 
 
 @pytest.mark.parametrize("check, bundle, samples, live", [

@@ -27,22 +27,6 @@ def run_cli(capsys, *argv):
 
 
 class TestExitCodes:
-    def test_no_subcommand_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys)
-        assert code == 2
-
-    def test_unknown_subcommand(self, capsys):
-        code, _, _ = run_cli(capsys, "summon")
-        assert code == 2
-
-    def test_unknown_policy(self, capsys):
-        code, _, _ = run_cli(capsys, "simulate", "--policy", "psychic")
-        assert code == 2
-
-    def test_unknown_fixture(self, capsys):
-        code, _, _ = run_cli(capsys, "replay", "nonexistent")
-        assert code == 2
-
     def test_policy_instance_mismatch(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--instance", "triangle",
                                "--policy", "dynkin")
@@ -169,7 +153,8 @@ class TestExitCodes:
         (("simulate", "--n", "x"), "invalid int value: 'x'"),
         (("simulate", "--bogus"), "unrecognized arguments: --bogus"),
         (("replay", "nope"), "invalid choice: 'nope'"),
-        (("verify", "numerology"), "invalid choice: 'numerology'")])
+        (("verify", "numerology"), "invalid choice: 'numerology'"),
+        (("simulate", "--policy", "psychic"), "invalid choice: 'psychic'")])
     def test_usage_error_is_one_line_error(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
@@ -577,10 +562,6 @@ class TestVerify:
         assert code == 1
         assert "failures" in out
         assert "0 failures" not in out
-
-    def test_unknown_suite_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "numerology")
-        assert code == 2
 
 
 class TestCertify:

@@ -3,6 +3,7 @@
 import io
 import itertools
 import random
+import re
 from collections import defaultdict, deque
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from matsec import (
     PreconditionError,
     UniformMatroid,
     WeightedGroundSet,
+    brute_force_mwb,
     dump_instance,
     fuzz_corpus,
     parse_instance,
@@ -301,6 +303,60 @@ def test_views_and_minors_match_a_bfs_oracle():
                 with pytest.raises(PreconditionError):
                     view.contract(C)
     assert minors >= 40
+
+
+# -- basis membership without a basis -------------------------------------------
+
+
+def membership_views():
+    """(view, weights): each fuzz-corpus view (graphic ones carry self-loops
+    and parallel edges), a restriction and a contraction of it, a multigraph
+    made of loops and parallels, and contracted uniform views."""
+    rng = np.random.default_rng(23)
+    for bundle in fuzz_corpus(40, seed=5):
+        view, weights = bundle.view, bundle.weights
+        ground = sorted(view.ground)
+        yield view, weights
+        yield view.restrict(u for u in ground if rng.random() < 0.7), weights
+        yield view.contract(u for u in view.greedy_mwb(weights) if rng.random() < 0.5), weights
+    loops = GraphicMatroid(3, ((0, 0), (0, 1), (1, 0), (1, 2), (2, 2), (2, 1), (0, 2), (0, 1)))
+    ws = WeightedGroundSet.from_weights([7, 3, 8, 1, 6, 4, 2, 5])
+    yield MatroidView.full(loops), ws
+    yield MatroidView.full(loops).contract([3]), ws
+    for k, C in ((3, [5]), (4, [0, 2]), (2, [1, 4])):
+        yield MatroidView.full(UniformMatroid(6, k)).contract(C), ws
+
+
+class TestInMwb:
+    def test_matches_greedy_and_brute_force(self):
+        rng = random.Random(31)
+        seen = set()
+        for view, weights in membership_views():
+            ground = sorted(view.ground)
+            for _ in range(8 if ground else 0):
+                S = [v for v in ground if rng.random() < 0.5]
+                u = rng.choice(ground)
+                expect = u in view.greedy_mwb(weights, set(S) | {u})
+                assert expect == (u in brute_force_mwb(view, weights, set(S) | {u}))
+                for given in (S, tuple(S), frozenset(S)):
+                    assert view.in_mwb(weights, given, u) == expect, (view, S, u)
+                seen.add((u in S, expect))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_elements_outside_the_view_raise(self):
+        view = MatroidView.full(GraphicMatroid(4, ((0, 1), (1, 2), (2, 3), (0, 2))))
+        ws = WeightedGroundSet.from_weights([1, 2, 3, 4])
+        minor = view.restrict([0, 1, 3]).contract([0])
+        for S, u, stray in (([1], 0, "[0]"), ([0, 1], 3, "[0]"), ([1], 2, "[2]"),
+                            ([1, 7], 3, "[7]"), ([], -1, "[-1]")):
+            with pytest.raises(DomainError, match=re.escape(stray)):
+                minor.in_mwb(ws, S, u)
+        uniform = MatroidView.full(UniformMatroid(3, 1)).contract([2])
+        with pytest.raises(DomainError, match=re.escape("[2]")):
+            uniform.in_mwb(WeightedGroundSet.from_weights([1, 2, 3]), [2], 0)
+        # in the minor, 1 and 3 are parallel and 3 is the heavier
+        assert minor.in_mwb(ws, [1], 3)
+        assert not minor.in_mwb(ws, [3], 1)
 
 
 # -- file format ----------------------------------------------------------------
