@@ -9,6 +9,7 @@ instances for anything concurrent.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -23,13 +24,10 @@ class Decision:
     kicked_was_sample: bool | None = None
 
 
-_ACCEPT, _REJECT = Decision(True), Decision(False)   # shared: a frozen Decision is a value
-
-
-def _decision(accept: bool, kicked: int | None, kicked_was_sample: bool | None) -> Decision:
-    if kicked is None:
-        return _ACCEPT if accept else _REJECT
-    return Decision(accept, kicked, kicked_was_sample)
+# the one constructor, called with all three fields: a frozen Decision is a
+# value, so equal fields share one object (at most 3 per element id)
+_decision = functools.cache(Decision)
+_ACCEPT, _REJECT = _decision(True, None, None), _decision(False, None, None)
 
 
 class PolicyViolation(RuntimeError):
@@ -91,11 +89,13 @@ class _GraphicRunningMwb(RunningMwb):
     """The basis as a rooted forest on the vertices of a graphic view with
     nothing contracted: each vertex stores its parent and the edge to it.
 
-    The circuit u closes is the tree path between its endpoints a and b:
-    stamp a's ancestors with the insert count and walk up from b to the
-    first stamped vertex. Stamps are never cleared, so an insert allocates
-    nothing and costs O(tree depth). The displaced edge is cut at its child
-    endpoint, and u is linked by re-rooting a's tree at a below b.
+    An insert of u = (a, b) takes two walks. It re-roots a's tree at a by
+    reversing a's root path; then u closes a circuit exactly when the walk
+    up from b reaches a, and that walk finds the lightest edge on the
+    path. The displaced edge is cut at its child endpoint, and u is linked
+    by hanging a below b. A rejected insert leaves the basis unchanged but
+    may leave a's tree re-rooted. An insert allocates nothing and costs
+    O(tree depth).
     """
 
     def __init__(self, view: MatroidView, weights: WeightedGroundSet):
@@ -105,7 +105,6 @@ class _GraphicRunningMwb(RunningMwb):
         self._ranks = weights.ranks
         self._parent: list[int | None] = [None] * base.num_vertices
         self._parent_edge: list[int | None] = [None] * base.num_vertices
-        self._stamps = [0] * base.num_vertices   # insert count when last stamped
         self._edges: set[int] = set()
 
     def insert(self, u: int) -> tuple[bool, int | None]:
@@ -115,36 +114,28 @@ class _GraphicRunningMwb(RunningMwb):
             raise ValueError(f"element {u} inserted twice")
         self._edges.add(u)
         a, b = self._endpoints[u]
-        parent, parent_edge, stamps = self._parent, self._parent_edge, self._stamps
-        stamp = len(self._edges)             # this insert's count: fresh, never 0
-        x = a
-        while x is not None:
-            stamps[x] = stamp
-            x = parent[x]
-        lca = b
-        while lca is not None and stamps[lca] != stamp:
-            lca = parent[lca]
-        kicked = None
-        if lca is not None:
-            # circuit = path a..lca..b + u (u alone if a == b); its lightest edge leaves
-            ranks = self._ranks
-            worst_rank, worst_child = ranks[u], None
-            for x in (a, b):
-                while x != lca:
-                    r = ranks[parent_edge[x]]
-                    if r > worst_rank:
-                        worst_rank, worst_child = r, x
-                    x = parent[x]
-            if worst_child is None:
-                return False, None
-            kicked = parent_edge[worst_child]
-            parent[worst_child] = parent_edge[worst_child] = None
-        # re-root a's tree at a by reversing its root path, then hang a below b
-        x, new_parent, new_edge = a, b, u
+        parent, parent_edge, ranks = self._parent, self._parent_edge, self._ranks
+        x, new_parent, new_edge = a, None, None   # re-root: reverse a's root path
         while x is not None:
             next_x, next_edge = parent[x], parent_edge[x]
             parent[x], parent_edge[x] = new_parent, new_edge
             x, new_parent, new_edge = next_x, x, next_edge
+        # a is a root now: the circuit is path b..a + u (u alone if a == b)
+        x, worst_rank, worst_child, kicked = b, ranks[u], None, None
+        while x != a:
+            e = parent_edge[x]
+            if e is None:                   # b's tree is another tree: no circuit
+                break
+            r = ranks[e]
+            if r > worst_rank:
+                worst_rank, worst_child = r, x
+            x = parent[x]
+        else:
+            if worst_child is None:
+                return False, None
+            kicked = parent_edge[worst_child]
+            parent[worst_child] = parent_edge[worst_child] = None
+        parent[a], parent_edge[a] = b, u
         return True, kicked
 
     def basis(self) -> frozenset:
@@ -273,8 +264,8 @@ class VirtualMspPolicy(Policy):
         was_sample = kicked in self._sampled    # False when nothing was displaced
         if in_mwb and (kicked is None or was_sample) and self._add(u):
             self.accepted.add(u)
-            return _ACCEPT if kicked is None else Decision(True, kicked, True)
-        return _REJECT if kicked is None else Decision(False, kicked, was_sample)
+            return _ACCEPT if kicked is None else _decision(True, kicked, True)
+        return _REJECT if kicked is None else _decision(False, kicked, was_sample)
 
 
 def _effective_uniform_k(view: MatroidView, what: str) -> int:
@@ -334,7 +325,7 @@ class OptimisticPolicy(Policy):
         if self._ranks[u] < self._ranks[self._refs[slots - 1]]:
             kicked = self._refs.pop()
             self.accepted.add(u)
-            return Decision(True, kicked, True)
+            return _decision(True, kicked, True)
         return _REJECT
 
 

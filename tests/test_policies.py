@@ -2,11 +2,15 @@
 
 import hashlib
 import io
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import matsec
 from matsec import (
     DomainError,
     GraphicMatroid,
@@ -37,11 +41,15 @@ from matsec import (
 from matsec.policies import (
     AcceptedSetTracker,
     POLICIES,
+    Decision,
     DynkinPolicy,
     GreedyFrameworkPolicy,
     VirtualMspPolicy,
+    _ACCEPT,
+    _REJECT,
     _GraphicRunningMwb,
     _GreedyRunningMwb,
+    _decision,
 )
 
 
@@ -56,6 +64,25 @@ def forest_depth(kernel):
             v, steps = parent[v], steps + 1
         depth = max(depth, steps)
     return depth
+
+
+def assert_forest_well_formed(kernel):
+    """Each parent edge joins its vertex to the parent, every parent chain
+    ends at a root, and the parent edges are the basis, each stored once."""
+    parent, parent_edge = kernel._parent, kernel._parent_edge
+    for x, (p, e) in enumerate(zip(parent, parent_edge)):
+        assert (p is None) == (e is None), x
+        if e is not None:
+            assert sorted(kernel._endpoints[e]) == sorted((x, p)), (x, p, e)
+    for v in range(len(parent)):
+        x = v
+        for _ in range(len(parent)):        # a chain in a forest has fewer steps
+            if x is None:
+                break
+            x = parent[x]
+        assert x is None, f"the parent chain of {v} never ends"
+    edges = [e for e in parent_edge if e is not None]
+    assert sorted(edges) == sorted(kernel.basis())
 
 
 def labels_of(bundle, ids):
@@ -168,13 +195,17 @@ class TestRunningMwb:
         for seed in range(3):
             b = modified_hat_graph(16)
             yield b.view, b.weights, _seeded_schedule(b, seed).order
+        b = modified_hat_graph(64)                  # the mhat64-trap benchmark instance
+        yield b.view, b.weights, _seeded_schedule(b, 0).order
 
     def test_matches_greedy_on_random_streams(self):
         # the kernel must agree with from-scratch greedy after every insert,
-        # and an eviction must be exactly the basis diff
+        # an eviction must be exactly the basis diff, and the forest must stay
+        # well formed: a re-root rewrites parent pointers on rejected inserts too
         deepest = 0
         for view, weights, order in self.random_streams():
             kernel = running_mwb(view, weights)
+            forest = isinstance(kernel, _GraphicRunningMwb)
             seen = set()
             for u in map(int, order):
                 before = kernel.basis()
@@ -187,6 +218,8 @@ class TestRunningMwb:
                     assert before <= expect
                 else:
                     assert before - expect == {kicked}
+                if forest:
+                    assert_forest_well_formed(kernel)
                 deepest = max(deepest, forest_depth(kernel))
         assert deepest > 10
 
@@ -380,6 +413,37 @@ class TestVirtualCrossCheck:
             assert {r.element for r in live if r.accepted} == trace.accepted
 
 
+def test_equal_decisions_share_one_object():
+    """A frozen Decision is a value: equal fields give the identical object,
+    and every shared decision equals a freshly built one."""
+    assert _decision(True, 4, True) is _decision(True, 4, True)
+    assert _decision(True, None, None) is _ACCEPT
+    assert _decision(False, None, None) is _REJECT
+    b = modified_hat_graph(64)
+    decisions = [d for trace in trial_stream("virtual-msp", b.view, b.weights, 0.5, 20, 7)
+                 for d in trace.decisions]
+    assert any(d.kicked is not None for d in decisions)
+    for d in decisions:
+        fields = (d.accept, d.kicked, d.kicked_was_sample)
+        assert d == Decision(*fields) and d is _decision(*fields), fields
+
+
+def test_decision_cache_is_bounded_by_the_ground_set():
+    # a fresh interpreter, since the cache is process-wide and other tests fill it:
+    # at most three kick-carrying values per element id, plus the two without a kick
+    src = str(Path(matsec.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from matsec import modified_hat_graph, trial_stream; "
+            "from matsec.policies import _decision; b = modified_hat_graph(64); "
+            "list(trial_stream('virtual-msp', b.view, b.weights, 0.5, 20, 7)); "
+            "print(b.weights.count, _decision.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    n, size = map(int, done.stdout.split())
+    assert 2 < size <= 3 * n + 2
+
+
 class TestDynkin:
     def test_threshold_rule(self):
         b = uniform_instance(5, 1)
@@ -527,12 +591,17 @@ GOLDEN_TRACES = {
     ("sample-contracted", "rg59"): "c98915030339598f",
     ("greedy-framework", "rg59"): "c98915030339598f",
     ("virtual-msp", "rg59"): "b967c0c741d4bc39",
+    ("sample", "mhat8"): "89cf4a179edd164e",
+    ("sample-contracted", "mhat8"): "59b42a34f98aa250",
+    ("greedy-framework", "mhat8"): "59b42a34f98aa250",
+    ("virtual-msp", "mhat8"): "c4ab3cedb6149aa9",
 }
 
 
 def golden_bundles():
     return {"u9k1": uniform_instance(9, 1), "u9k3": uniform_instance(9, 3),
-            "hat3": hat_graph(3), "rg59": random_graphic(5, 9, 4)}
+            "hat3": hat_graph(3), "rg59": random_graphic(5, 9, 4),
+            "mhat8": modified_hat_graph(8)}
 
 
 def test_golden_traces_are_unchanged():
