@@ -41,9 +41,7 @@ def brute_force_mwb(view: MatroidView, weights: WeightedGroundSet,
     weights make the optimum unique; uniqueness is asserted rather than
     assumed, and a tie raises OracleError.
     """
-    S = view.ground if S is None else frozenset(S)
-    if not S <= view.ground:
-        raise DomainError(f"elements outside effective ground set: {sorted(S - view.ground)}")
+    S = view._checked(view.ground if S is None else S)
     if len(S) > 20:
         raise OracleError("brute force capped at 20 elements")
     elems = sorted(S)

@@ -14,7 +14,6 @@ import contextlib
 import csv
 import json
 import math
-import os
 import sys
 from collections import deque
 from pathlib import Path
@@ -25,21 +24,10 @@ from .analysis import (SUITE_NAMES, certify_no_size1_strong_fs, estimate, refere
 from .instances import InstanceBundle
 from .matroid import (DomainError, GraphicMatroid, UniformMatroid, dump_instance,
                       parse_instance)
-from .policies import POLICIES, build_policy
+from .policies import POLICIES
 from .simulate import (check_cutoff, draw_schedule, dump_json_line, dump_schedule,
                        dump_trace, forced_schedule, json_ready, parse_schedule,
                        run_trial, trace_records, trial_rng)
-
-
-def _seed_default() -> int:
-    text = os.environ.get("MATSEC_SEED", "0")
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise ValueError(f"MATSEC_SEED must be a non-negative integer, got {text!r}")
-    return seed
 
 
 def _random_graphic(args) -> InstanceBundle:
@@ -124,8 +112,7 @@ def _add_policy_args(sp) -> None:
 def _add_run_args(sp) -> None:
     sp.add_argument("--p", type=float, default=0.5,
                     help="sampling cutoff; arrivals before p are samples")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="master seed (default: MATSEC_SEED or 0)")
+    sp.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
 
 
 # -- simulate ----------------------------------------------------------------
@@ -191,7 +178,6 @@ def _grid(text: str, cast, flag: str):
 
 
 def _cmd_sweep(args) -> int:
-    canonical = build_policy(args.policy).name
     ps = _grid(args.p_grid, float, "--p-grid")
     ns = [args.n] if args.n_grid is None else _grid(args.n_grid, int, "--n-grid")
     if args.n_grid is not None and (args.instance_file or "n" not in FAMILIES[args.instance][1]):
@@ -212,10 +198,10 @@ def _cmd_sweep(args) -> int:
         size = args.n if family and "n" in FAMILIES[family][1] else bundle.weights.count
         label = bundle.weights.label
         for p in ps:
-            report = estimate(canonical, bundle, p, args.trials, args.seed)
+            report = estimate(args.policy, bundle, p, args.trials, args.seed)
             for u, freq in sorted(report.per_element_accept_freq.items()):
-                bound = reference_bound(family, canonical, p, label(u))
-                rows.append([name, size, canonical, f"{p:.9g}", args.trials,
+                bound = reference_bound(family, args.policy, p, label(u))
+                rows.append([name, size, args.policy, f"{p:.9g}", args.trials,
                              label(u), f"{freq:.9g}",
                              f"{three_sigma(freq, args.trials):.9g}",
                              "" if bound is None else f"{bound:.9g}"])
@@ -381,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="CSV sweep over p (and n) grids")
     _add_instance_args(sp)
     _add_policy_args(sp)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
     sp.add_argument("--trials", type=int, default=2000)
     sp.add_argument("--p-grid", default="0.25,0.5,0.75",
                     help="comma separated sampling cutoffs")
@@ -399,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("suite", choices=SUITE_NAMES)
     sp.add_argument("--cases", type=int, default=None)
     sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--p", type=float, default=None,
                     help="sampling cutoff for the trial suites (default: 0.5)")
@@ -415,8 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _seed_default()    # read here, so a bad MATSEC_SEED exits 2
         for flag in ("seed", "trial"):
             if (getattr(args, flag, None) or 0) < 0:
                 raise ValueError(f"--{flag} must be non-negative, got {getattr(args, flag)}")

@@ -21,13 +21,12 @@ from .matroid import (AcceptedSetTracker, DomainError, GraphicMatroid, MatroidVi
 class Decision:
     accept: bool
     kicked: int | None = None
-    kicked_was_sample: bool | None = None
 
 
-# the one constructor, called with all three fields: a frozen Decision is a
-# value, so equal fields share one object (at most 3 per element id)
+# the one constructor, called with both fields: a frozen Decision is a
+# value, so equal fields share one object (at most 2 per element id)
 _decision = functools.cache(Decision)
-_ACCEPT, _REJECT = _decision(True, None, None), _decision(False, None, None)
+_ACCEPT, _REJECT = _decision(True, None), _decision(False, None)
 
 
 class PolicyViolation(RuntimeError):
@@ -261,11 +260,10 @@ class VirtualMspPolicy(Policy):
 
     def decide(self, u):
         in_mwb, kicked = self._insert(u)
-        was_sample = kicked in self._sampled    # False when nothing was displaced
-        if in_mwb and (kicked is None or was_sample) and self._add(u):
+        if in_mwb and (kicked is None or kicked in self._sampled) and self._add(u):
             self.accepted.add(u)
-            return _ACCEPT if kicked is None else _decision(True, kicked, True)
-        return _REJECT if kicked is None else _decision(False, kicked, was_sample)
+            return _ACCEPT if kicked is None else _decision(True, kicked)
+        return _REJECT if kicked is None else _decision(False, kicked)
 
 
 def _effective_uniform_k(view: MatroidView, what: str) -> int:
@@ -325,7 +323,7 @@ class OptimisticPolicy(Policy):
         if self._ranks[u] < self._ranks[self._refs[slots - 1]]:
             kicked = self._refs.pop()
             self.accepted.add(u)
-            return _decision(True, kicked, True)
+            return _decision(True, kicked)
         return _REJECT
 
 
@@ -352,26 +350,23 @@ class VirtualUniformPolicy(Policy):
                 return _REJECT              # u stays out of the top k
             kicked = refs.pop()
         bisect.insort(refs, u, key=ranks.__getitem__)
-        kicked_was_sample = None if kicked is None else kicked in self._sampled
-        accept = len(self.accepted) < self._k and (kicked is None or kicked_was_sample)
+        accept = len(self.accepted) < self._k and (kicked is None or kicked in self._sampled)
         if accept:
             self.accepted.add(u)
-        return _decision(accept, kicked, kicked_was_sample)
+        return _decision(accept, kicked)
 
 
 # -- registry ----------------------------------------------------------------
 
-# name -> policy class; the aliases come last and share their policy's class
+# name -> policy class
 POLICIES = {cls.name: cls for cls in (
     DynkinPolicy, OptimisticPolicy, VirtualUniformPolicy, SamplePolicy,
     SampleContractedPolicy, GreedyFrameworkPolicy, VirtualMspPolicy)}
 POLICY_NAMES = tuple(POLICIES)
-POLICIES["greedy"] = GreedyFrameworkPolicy
-POLICIES["virtual"] = VirtualMspPolicy
 
 
 def build_policy(policy) -> Policy:
-    """A fresh policy from its name or alias; a Policy instance passes through."""
+    """A fresh policy from its name; a Policy instance passes through."""
     if isinstance(policy, Policy):
         return policy
     if isinstance(policy, str) and policy in POLICIES:

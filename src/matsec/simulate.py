@@ -84,7 +84,7 @@ class DecisionRecord:
     accepted: bool
     in_current_mwb: bool        # u in MWB(arrived-so-far + u), harness-computed
     kicked: int | None = None
-    kicked_was_sample: bool | None = None
+    kicked_was_sample: bool | None = None   # kicked in the sample set, harness-computed
 
     def to_json_obj(self) -> dict:
         return {
@@ -169,13 +169,14 @@ def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
 def trace_records(trace: DecisionTrace, view: MatroidView,
                   weights: WeightedGroundSet) -> tuple[DecisionRecord, ...]:
     """One record per arrival, in arrival order: time and phase from the
-    schedule, in_current_mwb from the harness's own running basis."""
-    order, arrival = trace.schedule.order, trace.schedule.arrival
-    m, insert = len(trace.sample_set), running_mwb(view, weights).insert
+    schedule, in_current_mwb from the harness's own running basis and
+    kicked_was_sample from the sample set."""
+    order, arrival, sampled = trace.schedule.order, trace.schedule.arrival, trace.sample_set
+    m, insert = len(sampled), running_mwb(view, weights).insert
     return tuple([DecisionRecord(u, t, PHASE_SAMPLE, False, insert(u)[0])
                   for u, t in zip(order[:m], arrival)]
                  + [DecisionRecord(u, t, PHASE_LIVE, d.accept, insert(u)[0],
-                                   d.kicked, d.kicked_was_sample)
+                                   d.kicked, None if d.kicked is None else d.kicked in sampled)
                     for u, t, d in zip(order[m:], arrival[m:], trace.decisions, strict=True)])
 
 
@@ -332,8 +333,7 @@ def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:
     if any(r.accepted or r.kicked is not None or r.kicked_was_sample is not None
            for r in records[:m]):
         raise ValueError("a sample record is never accepted and has no kick fields")
-    return DecisionTrace(tuple(Decision(r.accepted, r.kicked, r.kicked_was_sample)
-                               for r in records[m:]),
+    return DecisionTrace(tuple(Decision(r.accepted, r.kicked) for r in records[m:]),
                          frozenset(r.element for r in records if r.accepted),
                          frozenset(order[:m]), ArrivalSchedule(order, arrival))
 

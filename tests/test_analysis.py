@@ -272,7 +272,6 @@ class TestModifiedHatBounds:
 class TestReferenceBound:
     def test_hat_virtual_at_one_half(self):
         assert reference_bound("hat", "virtual-msp", 0.5) == 0.25
-        assert reference_bound("hat", "virtual", 0.5) == 0.25      # an alias resolves
         assert reference_bound("hat", "virtual-msp", 0.4) is None
         assert reference_bound("modified-hat", "virtual-msp", 0.5) is None
         assert reference_bound("hat", "sample", 0.5) is None

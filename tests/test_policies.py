@@ -44,13 +44,13 @@ from matsec.policies import (
     Decision,
     DynkinPolicy,
     GreedyFrameworkPolicy,
-    VirtualMspPolicy,
     _ACCEPT,
     _REJECT,
     _GraphicRunningMwb,
     _GreedyRunningMwb,
     _decision,
 )
+from matsec.cli import main
 
 
 def forest_depth(kernel):
@@ -416,21 +416,21 @@ class TestVirtualCrossCheck:
 def test_equal_decisions_share_one_object():
     """A frozen Decision is a value: equal fields give the identical object,
     and every shared decision equals a freshly built one."""
-    assert _decision(True, 4, True) is _decision(True, 4, True)
-    assert _decision(True, None, None) is _ACCEPT
-    assert _decision(False, None, None) is _REJECT
+    assert _decision(True, 4) is _decision(True, 4)
+    assert _decision(True, None) is _ACCEPT
+    assert _decision(False, None) is _REJECT
     b = modified_hat_graph(64)
     decisions = [d for trace in trial_stream("virtual-msp", b.view, b.weights, 0.5, 20, 7)
                  for d in trace.decisions]
     assert any(d.kicked is not None for d in decisions)
     for d in decisions:
-        fields = (d.accept, d.kicked, d.kicked_was_sample)
+        fields = (d.accept, d.kicked)
         assert d == Decision(*fields) and d is _decision(*fields), fields
 
 
 def test_decision_cache_is_bounded_by_the_ground_set():
     # a fresh interpreter, since the cache is process-wide and other tests fill it:
-    # at most three kick-carrying values per element id, plus the two without a kick
+    # at most two kick-carrying values per element id, plus the two without a kick
     src = str(Path(matsec.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from matsec import modified_hat_graph, trial_stream; "
@@ -441,7 +441,7 @@ def test_decision_cache_is_bounded_by_the_ground_set():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     n, size = map(int, done.stdout.split())
-    assert 2 < size <= 3 * n + 2
+    assert 2 < size <= 2 * n + 2
 
 
 class TestDynkin:
@@ -649,12 +649,16 @@ class TestRegistry:
         for cls in POLICIES.values():
             assert isinstance(cls(), cls)       # every policy takes no arguments
 
-    def test_aliases(self):
-        assert isinstance(build_policy("greedy"), GreedyFrameworkPolicy)
-        assert isinstance(build_policy("virtual"), VirtualMspPolicy)
-        assert build_policy("greedy").name == "greedy-framework"
-        assert build_policy("virtual").name == "virtual-msp"
-        assert tuple(POLICIES) == POLICY_NAMES + ("greedy", "virtual")
+    def test_each_policy_has_one_name(self):
+        for alias in ("virtual", "greedy"):
+            with pytest.raises(ValueError, match="unknown policy"):
+                build_policy(alias)
+        assert tuple(POLICIES) == POLICY_NAMES
+
+    def test_an_old_alias_is_a_usage_error(self, capsys):
+        assert main(["estimate", "--policy", "virtual"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     def test_canonical_names_match_the_built_policies(self):
         assert POLICY_NAMES == ("dynkin", "optimistic", "virtual-uniform", "sample",

@@ -305,8 +305,10 @@ class TestRunTrial:
         samples = {r.element for r in records if r.phase == PHASE_SAMPLE}
         assert samples == trace.sample_set == {0, 2}
         live = records[len(trace.sample_set):]
-        assert [Decision(r.accepted, r.kicked, r.kicked_was_sample) for r in live] == \
-               list(trace.decisions)
+        assert [Decision(r.accepted, r.kicked) for r in live] == list(trace.decisions)
+        assert [r.kicked_was_sample for r in live] == \
+               [None if d.kicked is None else d.kicked in trace.sample_set
+                for d in trace.decisions]
         assert any(d.kicked is not None for d in trace.decisions)
         assert {r.element for r in live if r.accepted} == trace.accepted
 
