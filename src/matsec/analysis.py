@@ -20,7 +20,7 @@ import numpy as np
 
 from .instances import (InstanceBundle, double_triangle, fuzz_corpus, hat_graph,
                         random_graphic, uniform_instance)
-from .matroid import DomainError, GraphicMatroid, MatroidView, WeightedGroundSet
+from .matroid import GraphicMatroid, MatroidView, WeightedGroundSet
 from .policies import build_policy
 from .simulate import (DecisionTrace, draw_schedule, forced_schedule, run_trial,
                        trial_rng, trial_stream)
@@ -215,13 +215,6 @@ def hat_forbidden_oracle(bundle: InstanceBundle) -> ForbiddenSetOracle:
     return ForbiddenSetOracle(rule, 2)
 
 
-def _check_elements(trace: DecisionTrace, view: MatroidView) -> None:
-    """Every scheduled element, sample or live, must lie in the view."""
-    if not view.ground.issuperset(trace.schedule.order):
-        stray = set(trace.schedule.order) - view.ground
-        raise DomainError(f"elements outside effective ground set: {sorted(stray)}")
-
-
 def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle,
                                 view: MatroidView, weights: WeightedGroundSet
                                 ) -> tuple[bool, int | None]:
@@ -234,7 +227,7 @@ def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle
     Reads the schedule, sample set and accepted set, never the decisions.
     Returns (True, None) or (False, first offending element).
     """
-    _check_elements(trace, view)
+    view._check(trace.schedule.order)
     order, m = trace.schedule.order, len(trace.sample_set)
     for i, u in enumerate(order[m:], m):
         Y = frozenset(order[:i + 1])
@@ -254,7 +247,7 @@ def check_first_live_accepted(trace: DecisionTrace, view: MatroidView,
     """The first live arrival must be accepted whenever it belongs to the
     max-weight basis of the samples plus itself (no earlier live arrival
     can excuse rejecting it, whatever the blocked-set table says)."""
-    _check_elements(trace, view)
+    view._check(trace.schedule.order)
     order, m = trace.schedule.order, len(trace.sample_set)
     return (m == len(order) or order[m] in trace.accepted
             or not view.in_mwb(weights, order[:m], order[m]))
@@ -268,7 +261,7 @@ def check_claw_blocker(trace: DecisionTrace, bundle: InstanceBundle) -> bool:
     and the hub edge arrived live (a hub absent from the trace is not live);
     then the hub edge must be accepted and no claw may have both of its edges
     accepted before the hub edge arrives."""
-    _check_elements(trace, bundle.view)
+    bundle.view._check(trace.schedule.order)
     e_inf, claws = _hat_layout(bundle, "check_claw_blocker", "hat", 2)
     t_1, b_1 = claws[0]
     S, order = trace.sample_set, trace.schedule.order
@@ -285,7 +278,7 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
     4_i and the hub edge all live in that arrival order, and some earlier claw
     j < i has 2_j, 3_j, 4_j all sampled, the trace must accept both 1_i and
     4_i (which together with the hub edge would close a cycle, trapping it)."""
-    _check_elements(trace, bundle.view)
+    bundle.view._check(trace.schedule.order)
     e_inf, claws = _hat_layout(bundle, "check_modified_hat_trap", "modified-hat", 4)
     S, accepted = trace.sample_set, trace.accepted
     live = {u: i for i, u in enumerate(trace.schedule.order[len(S):])}   # place among live

@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import csv
 import json
-import math
 import sys
 from collections import deque
 from pathlib import Path
@@ -22,8 +21,7 @@ from . import instances
 from .analysis import (SUITE_NAMES, certify_no_size1_strong_fs, estimate, reference_bound,
                        run_suite, three_sigma)
 from .instances import InstanceBundle
-from .matroid import (DomainError, GraphicMatroid, UniformMatroid, dump_instance,
-                      parse_instance)
+from .matroid import GraphicMatroid, UniformMatroid, dump_instance, parse_instance
 from .policies import POLICIES
 from .simulate import (check_cutoff, draw_schedule, dump_json_line, dump_schedule,
                        dump_trace, forced_schedule, json_ready, parse_schedule,
@@ -32,7 +30,7 @@ from .simulate import (check_cutoff, draw_schedule, dump_json_line, dump_schedul
 
 def _random_graphic(args) -> InstanceBundle:
     if args.vertices < 1 or args.edges < 0:
-        raise DomainError("random-graphic needs --vertices >= 1 and --edges >= 0")
+        raise ValueError("random-graphic needs --vertices >= 1 and --edges >= 0")
     return instances.random_graphic(args.vertices, args.edges, trial_rng(args.seed, 0xE5E5))
 
 
@@ -69,7 +67,7 @@ def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
         uniform = isinstance(base, UniformMatroid)
         for flag in INSTANCE_FLAGS:
             if getattr(args, flag) is not None and not (flag == "k" and uniform):
-                raise DomainError(f"--{flag} does not apply to --instance-file")
+                raise ValueError(f"--{flag} does not apply to --instance-file")
         if uniform and args.k not in (None, base.k):
             raise ValueError(f"k={args.k} does not match the {base.k}-uniform instance")
         return instances._bundle(base, weights), None
@@ -79,7 +77,7 @@ def _resolve_instance(args) -> tuple[InstanceBundle, str | None]:
         if value is None:
             setattr(args, flag, reads.get(flag))
         elif flag not in reads:
-            raise DomainError(f"--{flag} does not apply to {args.instance}")
+            raise ValueError(f"--{flag} does not apply to {args.instance}")
         else:
             _check_size(f"--{flag}", value)
     return build(args), args.instance
@@ -128,14 +126,14 @@ def _cmd_simulate(args) -> int:
     else:
         schedule = draw_schedule(bundle.weights, trial_rng(args.seed, args.trial or 0))
     trace = run_trial(args.policy, bundle.view, bundle.weights, schedule, args.p)
-    with _out_stream(args.out) as fp:
-        dump_trace(trace_records(trace, bundle.view, bundle.weights), fp)
     if args.schedule_out:
         with open(args.schedule_out, "w") as fp:
             dump_schedule(schedule, fp)
     if args.dump_instance:
         with open(args.dump_instance, "w") as fp:
             dump_instance(bundle.view.base, bundle.weights, fp)
+    with _out_stream(args.out) as fp:
+        dump_trace(trace_records(trace, bundle.view, bundle.weights), fp)
     label = bundle.weights.label
     got = bundle.weights.total(trace.accepted)
     opt = bundle.weights.total(bundle.mwb)
@@ -151,16 +149,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     bundle, family = _resolve_instance(args)
-    bound, direction = args.bound, args.bound_direction
-    if bound is None and direction is not None:
-        raise ValueError("--bound-direction needs --bound")
-    if bound is not None and direction is None:
-        raise ValueError("--bound needs --bound-direction")
-    if bound is not None and not math.isfinite(bound):
-        raise ValueError(f"--bound must be finite, got {bound}")
-    if bound is None:
-        bound = reference_bound(family, args.policy, args.p)
-        direction = None if bound is None else "lower"
+    bound = reference_bound(family, args.policy, args.p)
+    direction = None if bound is None else "lower"
     report = estimate(args.policy, bundle, args.p, args.trials, args.seed).to_json_obj()
     with _out_stream(args.out) as fp:
         dump_json_line({**report, "analyticBound": bound, "boundDirection": direction}, fp)
@@ -182,9 +172,9 @@ def _cmd_sweep(args) -> int:
     ns = [args.n] if args.n_grid is None else _grid(args.n_grid, int, "--n-grid")
     if args.n_grid is not None and (args.instance_file or "n" not in FAMILIES[args.instance][1]):
         where = "--instance-file" if args.instance_file else args.instance
-        raise DomainError(f"--n-grid does not apply to {where}")
+        raise ValueError(f"--n-grid does not apply to {where}")
     if args.n_grid is not None and args.n is not None:
-        raise DomainError("--n does not apply with --n-grid")
+        raise ValueError("--n does not apply with --n-grid")
     def bundles():          # one bundle alive at a time
         for n in ns:
             args.n = n
@@ -261,6 +251,9 @@ def _cmd_replay(args) -> int:
     schedule = forced_schedule([(bundle.id_of(row[0]), row[1]) for row in rows])
     trace = run_trial(policy, bundle.view, bundle.weights, schedule, p)
     records = trace_records(trace, bundle.view, bundle.weights)
+    if args.out:
+        with open(args.out, "w") as fp:
+            dump_trace(records, fp)
     label = bundle.weights.label
     print(f"fixture {args.fixture}: policy={policy} p={p}")
     ok = True
@@ -281,9 +274,6 @@ def _cmd_replay(args) -> int:
             line += f"   << expected {row[2:]}"
         print(line)
     print(f"accepted: {', '.join(sorted(label(u) for u in trace.accepted))}")
-    if args.out:
-        with open(args.out, "w") as fp:
-            dump_trace(records, fp)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -358,9 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_policy_args(sp)
     _add_run_args(sp)
     sp.add_argument("--trials", type=int, default=10000)
-    sp.add_argument("--bound", type=float, default=None,
-                    help="override the analytic reference bound")
-    sp.add_argument("--bound-direction", choices=("lower", "upper"), default=None)
     sp.add_argument("--out", metavar="PATH", help="report JSON destination")
     sp.set_defaults(func=_cmd_estimate)
 

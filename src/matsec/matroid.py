@@ -206,11 +206,16 @@ class MatroidView:
     def ground(self) -> frozenset:
         return self._ground
 
+    def _check(self, S: Collection[int]) -> None:
+        """Raise DomainError naming the elements of S outside the effective
+        ground set; allocates nothing when there are none."""
+        if not self._ground.issuperset(S):
+            bad = sorted(set(S) - self._ground)
+            raise DomainError(f"elements outside effective ground set: {bad}")
+
     def _checked(self, S: Iterable[int]) -> frozenset:
         S = frozenset(S)
-        if not S <= self._ground:
-            bad = sorted(S - self._ground)
-            raise DomainError(f"elements outside effective ground set: {bad}")
+        self._check(S)
         return S
 
     def is_independent(self, S: Iterable[int]) -> bool:
@@ -247,7 +252,7 @@ class MatroidView:
     def in_mwb(self, weights: WeightedGroundSet, S: Collection[int], u: int) -> bool:
         """Whether u lies in MWB(S + u), i.e. the elements of S heavier than u do not span u."""
         if u not in self._ground or not self._ground.issuperset(S):
-            self._checked([*S, u])          # raises DomainError naming the strays
+            self._check([*S, u])            # raises DomainError naming the strays
         ranks, tracker = weights.ranks, AcceptedSetTracker(self)
         for v in S:
             if ranks[v] < ranks[u]:

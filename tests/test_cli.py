@@ -86,18 +86,18 @@ class TestExitCodes:
          "error: --vertices does not apply to hat"),
         (("estimate", "--instance-file", "hat.inst", "--k", "2", "--trials", "5"),
          "error: --k does not apply to --instance-file"),
-        (("estimate", "--instance", "hat", "--n", "3", "--bound-direction", "upper",
-          "--trials", "5"), "error: --bound-direction needs --bound"),
+        # files are written before stdout, so a bad output path prints no data
+        (("simulate", "--instance", "hat", "--n", "2", "--out", "no_dir/t.jsonl"),
+         "No such file or directory"),
         (("simulate", "--instance-file", "neg_vertices.inst"),
          "num_vertices must be nonnegative"),
         (("simulate", "--instance-file", "neg_edges.inst"),
          "edge count must be nonnegative, got -1"),
-        (("estimate", "--instance", "hat", "--n", "3", "--bound", "0.2", "--trials", "5"),
-         "error: --bound needs --bound-direction"),
-        (("estimate", "--instance", "hat", "--n", "3", "--bound", "nan",
-          "--bound-direction", "lower", "--trials", "5"), "error: --bound must be finite"),
-        (("estimate", "--instance", "hat", "--n", "3", "--bound", "inf",
-          "--bound-direction", "upper", "--trials", "5"), "error: --bound must be finite"),
+        (("replay", "hat-claw", "--out", "no_dir/x.jsonl"), "No such file or directory"),
+        (("simulate", "--instance", "hat", "--n", "2", "--schedule-out", "no_dir/s"),
+         "No such file or directory"),
+        (("simulate", "--instance", "hat", "--n", "2", "--dump-instance", "no_dir/s"),
+         "No such file or directory"),
         (("estimate", "--instance", "hat", "--n", "3", "--trials", "5", "--seed", "-1"),
          "error: --seed must be non-negative, got -1"),
         (("simulate", "--instance", "hat", "--n", "3", "--trial", "-1"),
@@ -154,7 +154,9 @@ class TestExitCodes:
         (("simulate", "--bogus"), "unrecognized arguments: --bogus"),
         (("replay", "nope"), "invalid choice: 'nope'"),
         (("verify", "numerology"), "invalid choice: 'numerology'"),
-        (("simulate", "--policy", "psychic"), "invalid choice: 'psychic'")])
+        (("simulate", "--policy", "psychic"), "invalid choice: 'psychic'"),
+        (("estimate", "--instance", "hat", "--n", "3", "--bound", "0.2"),
+         "unrecognized arguments: --bound")])
     def test_usage_error_is_one_line_error(self, capsys, argv, needle):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
@@ -239,15 +241,12 @@ FLAGS = {
     "--edges": sized(0, 6), "--trial": sized(0, 3),
     # seeds of two and three 32-bit words too: the multi-word entropy path
     "--seed": sized(0, 3) | st.sampled_from(["4294967296", "18446744073709551623"]),
-    "--bound": mostly(["0.2"], ["nan", "inf"]),
-    "--bound-direction": st.sampled_from(["lower", "upper"]),
     "--p": mostly(["0.5", "0.25", "0", "1"], ["nan", "-0.5", "2"]),
     "--p-grid": mostly(["0.5"], ["0.5,nan", "", "2"]),
     "--n-grid": mostly(["2,3"], ["-1", "", "x"]),
 }
 OPTIONAL = {"simulate": ["--k", "--vertices", "--edges", "--seed", "--p", "--trial"],
-            "estimate": ["--k", "--vertices", "--edges", "--seed", "--p", "--bound",
-                         "--bound-direction"],
+            "estimate": ["--k", "--vertices", "--edges", "--seed", "--p"],
             "sweep": ["--k", "--vertices", "--edges", "--seed", "--p-grid", "--n-grid"],
             "verify": ["--n", "--seed", "--p"]}
 
@@ -286,13 +285,14 @@ def cli_argv(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(argv=cli_argv())
 def test_any_argv_exits_0_1_or_2(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+        assert out.getvalue() == "", argv
 
 
 # -- replay ---------------------------------------------------------------------
@@ -457,15 +457,6 @@ class TestEstimate:
         assert code == 0
         obj = json.loads(out)
         assert obj["analyticBound"] == pytest.approx(0.4 * math.log(2.5), rel=1e-6)
-
-    def test_bound_override(self, capsys):
-        code, out, _ = run_cli(capsys, "estimate", "--instance", "hat",
-                               "--n", "2", "--trials", "20",
-                               "--bound", "0.9", "--bound-direction", "upper")
-        assert code == 0
-        obj = json.loads(out)
-        assert obj["analyticBound"] == 0.9
-        assert obj["boundDirection"] == "upper"
 
 
 # -- sweep ----------------------------------------------------------------------
