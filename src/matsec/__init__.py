@@ -11,8 +11,8 @@ from .analysis import (EstimateReport, ForbiddenSetOracle, ImpossibilityCertific
                        certify_no_size1_strong_fs, check_claw_blocker,
                        check_first_live_accepted, check_forbidden_consistency,
                        check_matroid_axioms, check_modified_hat_trap, estimate,
-                       hat_forbidden_oracle, modified_hat_bounds, reference_bound,
-                       run_suite, three_sigma, SUITE_NAMES)
+                       estimate_grid, hat_forbidden_oracle, modified_hat_bounds,
+                       reference_bound, run_suite, three_sigma, SUITE_NAMES)
 from .instances import (InstanceBundle, double_triangle, fuzz_corpus, hat_graph,
                         modified_hat_graph, random_graphic, triangle,
                         uniform_instance)
@@ -39,8 +39,8 @@ __all__ = [
     "check_first_live_accepted", "check_forbidden_consistency",
     "check_matroid_axioms", "check_modified_hat_trap", "double_triangle",
     "draw_schedule", "dump_instance", "dump_schedule", "dump_trace", "estimate",
-    "forced_schedule", "fuzz_corpus", "hat_forbidden_oracle", "hat_graph",
-    "load_records", "modified_hat_bounds", "modified_hat_graph",
+    "estimate_grid", "forced_schedule", "fuzz_corpus", "hat_forbidden_oracle",
+    "hat_graph", "load_records", "modified_hat_bounds", "modified_hat_graph",
     "parse_instance", "parse_schedule", "random_graphic", "reference_bound", "run_suite",
     "run_trial", "running_mwb", "three_sigma", "trace_from_records", "trace_records",
     "trial_rng", "trial_stream", "triangle", "uniform_instance",

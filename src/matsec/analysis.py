@@ -22,8 +22,8 @@ from .instances import (InstanceBundle, double_triangle, fuzz_corpus, hat_graph,
                         random_graphic, uniform_instance)
 from .matroid import GraphicMatroid, MatroidView, WeightedGroundSet
 from .policies import build_policy
-from .simulate import (DecisionTrace, draw_schedule, forced_schedule, run_trial,
-                       trial_rng, trial_stream)
+from .simulate import (DecisionTrace, check_cutoff, draw_schedule, forced_schedule,
+                       run_trial, schedule_stream, trial_rng, trial_stream)
 
 
 class OracleError(ValueError):
@@ -90,6 +90,18 @@ class EstimateReport:
         }
 
 
+def check_estimate(bundle: InstanceBundle, ps, trials: int) -> None:
+    """The rules on an estimate's inputs, checked before its first trial."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if not bundle.mwb:
+        raise ValueError("the optimum is empty: no element can be accepted")
+    if not ps:
+        raise ValueError("an estimate needs at least one cutoff")
+    for p in ps:
+        check_cutoff(p)
+
+
 def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int) -> EstimateReport:
     """Acceptance frequency of each optimum element plus the mean utility
     ratio, over `trials` independent schedules. The report carries no
@@ -98,21 +110,29 @@ def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int) -
     Deterministic given (seed, trials): trial i always consumes the stream
     trial_rng(seed, i), whatever order trials execute in.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not bundle.mwb:
-        raise ValueError("the optimum is empty: no element can be accepted")
-    tally = [0] * bundle.weights.count      # acceptances per element
-    for trace in trial_stream(policy, bundle.view, bundle.weights, p, trials, seed):
-        for u in trace.accepted:
-            tally[u] += 1
-    # the accepted weight over all trials, as one exact sum over elements
-    value_sum = sum((c * w for c, w in zip(tally, bundle.weights.weights) if c), Fraction(0))
-    freqs = {u: tally[u] / trials for u in sorted(bundle.mwb)}
-    min_freq = min(freqs.values())
-    return EstimateReport(trials, freqs, min_freq,
-                          float(value_sum / (bundle.weights.total(bundle.mwb) * trials)),
-                          three_sigma(min_freq, trials))
+    return estimate_grid(policy, bundle, (p,), trials, seed)[0]
+
+
+def estimate_grid(policy, bundle: InstanceBundle, ps, trials: int, seed: int) -> list:
+    """estimate at each cutoff of ps, in order. Each trial's schedule is
+    drawn once and run at every cutoff."""
+    ps = tuple(ps)
+    check_estimate(bundle, ps, trials)
+    policy, view, weights = build_policy(policy), bundle.view, bundle.weights
+    tallies = [[0] * weights.count for _ in ps]     # acceptances per element
+    for schedule in schedule_stream(weights, trials, seed):
+        for p, tally in zip(ps, tallies):
+            for u in run_trial(policy, view, weights, schedule, p).accepted:
+                tally[u] += 1
+    opt_sum, reports = weights.total(bundle.mwb) * trials, []
+    for tally in tallies:
+        # the accepted weight over all trials, as one exact sum over elements
+        value_sum = sum((c * w for c, w in zip(tally, weights.weights) if c), Fraction(0))
+        freqs = {u: tally[u] / trials for u in sorted(bundle.mwb)}
+        min_freq = min(freqs.values())
+        reports.append(EstimateReport(trials, freqs, min_freq, float(value_sum / opt_sum),
+                                      three_sigma(min_freq, trials)))
+    return reports
 
 
 # -- analytic values -----------------------------------------------------------

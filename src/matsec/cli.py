@@ -14,16 +14,15 @@ import contextlib
 import csv
 import json
 import sys
-from collections import deque
 from pathlib import Path
 
 from . import instances
-from .analysis import (SUITE_NAMES, certify_no_size1_strong_fs, estimate, reference_bound,
-                       run_suite, three_sigma)
+from .analysis import (SUITE_NAMES, certify_no_size1_strong_fs, check_estimate, estimate,
+                       estimate_grid, reference_bound, run_suite, three_sigma)
 from .instances import InstanceBundle
 from .matroid import GraphicMatroid, UniformMatroid, dump_instance, parse_instance
-from .policies import POLICIES
-from .simulate import (check_cutoff, draw_schedule, dump_json_line, dump_schedule,
+from .policies import POLICIES, build_policy
+from .simulate import (draw_schedule, dump_json_line, dump_schedule,
                        dump_trace, forced_schedule, json_ready, parse_schedule,
                        run_trial, trace_records, trial_rng)
 
@@ -149,10 +148,13 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     bundle, family = _resolve_instance(args)
+    # every input before --out opens; start() raises for a policy that cannot run here
+    check_estimate(bundle, (args.p,), args.trials)
+    build_policy(args.policy).start(bundle.view, bundle.weights, ())
     bound = reference_bound(family, args.policy, args.p)
     direction = None if bound is None else "lower"
-    report = estimate(args.policy, bundle, args.p, args.trials, args.seed).to_json_obj()
     with _out_stream(args.out) as fp:
+        report = estimate(args.policy, bundle, args.p, args.trials, args.seed).to_json_obj()
         dump_json_line({**report, "analyticBound": bound, "boundDirection": direction}, fp)
     return 0
 
@@ -179,27 +181,24 @@ def _cmd_sweep(args) -> int:
         for n in ns:
             args.n = n
             yield _resolve_instance(args)
-    deque(bundles(), maxlen=0)  # the whole grid is checked before the first estimate
-    for p in ps:
-        check_cutoff(p)
-    rows = []
-    for bundle, family in bundles():
-        name = family or Path(args.instance_file).stem
-        size = args.n if family and "n" in FAMILIES[family][1] else bundle.weights.count
-        label = bundle.weights.label
-        for p in ps:
-            report = estimate(args.policy, bundle, p, args.trials, args.seed)
-            for u, freq in sorted(report.per_element_accept_freq.items()):
-                bound = reference_bound(family, args.policy, p, label(u))
-                rows.append([name, size, args.policy, f"{p:.9g}", args.trials,
-                             label(u), f"{freq:.9g}",
-                             f"{three_sigma(freq, args.trials):.9g}",
-                             "" if bound is None else f"{bound:.9g}"])
+    for bundle, _ in bundles():     # the whole grid is checked before --out opens, as above
+        check_estimate(bundle, ps, args.trials)
+        build_policy(args.policy).start(bundle.view, bundle.weights, ())
     with _out_stream(args.out) as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["instance", "n", "policy", "p", "trials",
-                         "element", "freq", "ci", "bound"])
-        writer.writerows(rows)
+        rows = [["instance", "n", "policy", "p", "trials", "element", "freq", "ci", "bound"]]
+        for bundle, family in bundles():
+            name = family or Path(args.instance_file).stem
+            size = args.n if family and "n" in FAMILIES[family][1] else bundle.weights.count
+            label = bundle.weights.label
+            reports = estimate_grid(args.policy, bundle, ps, args.trials, args.seed)
+            for p, report in zip(ps, reports):
+                for u, freq in sorted(report.per_element_accept_freq.items()):
+                    bound = reference_bound(family, args.policy, p, label(u))
+                    rows.append([name, size, args.policy, f"{p:.9g}", args.trials,
+                                 label(u), f"{freq:.9g}",
+                                 f"{three_sigma(freq, args.trials):.9g}",
+                                 "" if bound is None else f"{bound:.9g}"])
+        csv.writer(fp, lineterminator="\n").writerows(rows)    # all or nothing on stdout
     return 0
 
 

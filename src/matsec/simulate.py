@@ -180,12 +180,17 @@ def trace_records(trace: DecisionTrace, view: MatroidView,
                     for u, t, d in zip(order[m:], arrival[m:], trace.decisions, strict=True)])
 
 
+def schedule_stream(weights: WeightedGroundSet, trials: int, seed: int) -> Iterator:
+    """One schedule per trial; trial i's is always drawn from trial_rng(seed, i)'s stream."""
+    return (draw_schedule(weights, rng) for rng in _trial_rngs(seed, trials))
+
+
 def trial_stream(policy, view: MatroidView, weights: WeightedGroundSet,
                  p: float, trials: int, seed: int) -> Iterator[DecisionTrace]:
-    """One trace per trial; trial i always consumes trial_rng(seed, i)'s stream."""
+    """One trace per trial, run on schedule_stream's schedules."""
     policy = build_policy(policy)
-    for rng in _trial_rngs(seed, trials):
-        yield run_trial(policy, view, weights, draw_schedule(weights, rng), p)
+    for schedule in schedule_stream(weights, trials, seed):
+        yield run_trial(policy, view, weights, schedule, p)
 
 
 # -- trial seeds in blocks -----------------------------------------------------

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import matsec
+from matsec import analysis
 from matsec import (
     DecisionRecord,
     DomainError,
@@ -41,6 +42,7 @@ from matsec import (
     check_modified_hat_trap,
     double_triangle,
     estimate,
+    estimate_grid,
     forced_schedule,
     fuzz_corpus,
     hat_forbidden_oracle,
@@ -192,6 +194,43 @@ class TestEstimate:
         assert report.utility_ratio_mean == float(
             total / (bundle.weights.total(bundle.mwb) * trials))
         assert report.per_element_accept_freq == {u: c / trials for u, c in counts.items()}
+
+    @pytest.mark.parametrize("policy, bundle", [
+        ("virtual-msp", hat_graph(3)),
+        ("sample", hat_graph(3)),
+        ("greedy-framework", hat_graph(3)),
+        ("dynkin", uniform_instance(6, 1)),
+        ("optimistic", uniform_instance(6, 2)),
+        ("virtual-uniform", uniform_instance(6, 3)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_grid_equals_separate_estimates(self, policy, bundle, seed):
+        # both end cutoffs and a repeated one: a schedule replayed at each
+        # cutoff gives what a run at that cutoff alone gives
+        ps, trials = (0.0, 0.25, 0.5, 0.5, 1.0), 80
+        grid = estimate_grid(policy, bundle, iter(ps), trials, seed)     # any iterable
+        assert [r.to_json_obj() for r in grid] == [
+            estimate(policy, bundle, p, trials, seed).to_json_obj() for p in ps]
+
+    @pytest.mark.parametrize("ps, message", [
+        ((), "at least one cutoff"),
+        ([0.5, 1.5], r"p=1\.5 outside \[0, 1\]"),
+        ((0.25, 0.5, -0.5), r"p=-0\.5 outside"),
+        ((float("nan"), 0.5), "p=nan outside"),
+    ])
+    def test_grid_checks_its_cutoffs_before_the_first_trial(self, monkeypatch, ps, message):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the cutoffs were checked")
+        monkeypatch.setattr(analysis, "run_trial", no_trial)
+        with pytest.raises(ValueError, match=message):
+            estimate_grid("virtual-msp", hat_graph(3), ps, 10, 0)
+
+    def test_grid_checks_trials_then_optimum_then_cutoffs(self):
+        empty = uniform_instance(4, 0)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            estimate_grid("sample", empty, (2.0,), 0, 0)
+        with pytest.raises(ValueError, match="optimum is empty"):
+            estimate_grid("sample", empty, (2.0,), 5, 0)
 
 
 # -- analytic values ----------------------------------------------------------------

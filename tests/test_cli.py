@@ -124,6 +124,10 @@ class TestExitCodes:
         # --n-grid sets n, so a --n beside it would be dropped
         (("sweep", "--instance", "hat", "--n", "3", "--n-grid", "2", "--trials", "5"),
          "error: --n does not apply with --n-grid"),
+        (("estimate", "--instance", "hat", "--n", "3", "--trials", "5",
+          "--out", "no_dir/x.json"), "No such file or directory"),
+        (("sweep", "--instance", "hat", "--n", "3", "--trials", "5",
+          "--out", "no_dir/x.csv"), "No such file or directory"),
     ])
     def test_bad_input_is_one_line_error(self, capsys, tmp_path, monkeypatch, argv, needle):
         # hat.inst is a triangle: its name must not make it a hat family
@@ -144,6 +148,39 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
+
+    @pytest.mark.parametrize("command, out", [("estimate", "no_dir/x.json"),
+                                              ("sweep", "no_dir/x.csv")])
+    def test_a_bad_out_path_stops_before_the_first_trial(self, capsys, tmp_path,
+                                                         monkeypatch, command, out):
+        def no_estimate(*args):
+            raise AssertionError("an estimate ran before --out was opened")
+        monkeypatch.setattr(cli, "estimate", no_estimate)
+        monkeypatch.setattr(cli, "estimate_grid", no_estimate)
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(capsys, command, "--instance", "hat", "--n", "128",
+                                    "--trials", "5000", "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "No such file or directory" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--instance", "hat", "--n", "3", "--trials", "0"),
+        ("estimate", "--instance", "hat", "--n", "3", "--p", "1.5"),
+        ("estimate", "--instance", "uniform", "--n", "5", "--k", "0", "--policy", "sample"),
+        ("sweep", "--instance", "hat", "--n", "3", "--trials", "0"),
+        ("sweep", "--instance", "hat", "--n-grid", "2,3", "--p-grid", "0.5,-1"),
+        ("sweep", "--instance", "uniform", "--n-grid", "4,5", "--k", "0", "--policy", "sample"),
+        # a policy that cannot run on the instance is input too
+        ("estimate", "--instance", "hat", "--n", "3", "--policy", "dynkin"),
+        ("sweep", "--instance", "triangle", "--policy", "optimistic", "--trials", "5"),
+    ])
+    def test_bad_input_leaves_out_unopened(self, capsys, tmp_path, argv):
+        out = tmp_path / "report.out"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     # argparse's own usage errors take the same one-line exit, with no usage dump
     @pytest.mark.parametrize("argv, needle", [
@@ -499,9 +536,17 @@ class TestSweep:
                                                              grid, message):
         def no_estimate(*args):
             raise AssertionError("an estimate ran before the grid was checked")
-        monkeypatch.setattr(cli, "estimate", no_estimate)
+        monkeypatch.setattr(cli, "estimate_grid", no_estimate)
         code, out, err = run_cli(capsys, "sweep", "--instance", "hat", *grid, "--trials", "5")
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_hat_sweep_bytes_are_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--instance", "hat", "--n-grid", "3,6,12",
+                               "--p-grid", "0.25,0.5", "--policy", "virtual-msp",
+                               "--trials", "200", "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "52ca304abce415e0b811d1c11613afacc9d71e85ed257a54f81fabb327caf3a4")
 
     def test_reruns_are_byte_identical(self, capsys):
         args = ("sweep", "--instance", "uniform", "--n", "4", "--k", "2",
