@@ -244,11 +244,11 @@ def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle
     seen and no earlier live arrival lies in rule(seen + u, u), the trace
     must show u accepted. The table is validated at every live arrival;
     basis membership is asked only for a rejected, unexcused one.
-    Reads the schedule, sample set and accepted set, never the decisions.
+    Reads the schedule, sample count and accepted set, never the decisions.
     Returns (True, None) or (False, first offending element).
     """
     view._check(trace.schedule.order)
-    order, m = trace.schedule.order, len(trace.sample_set)
+    order, m = trace.schedule.order, trace.sample_count
     for i, u in enumerate(order[m:], m):
         Y = frozenset(order[:i + 1])
         blocked = oracle.rule(Y, u)
@@ -268,7 +268,7 @@ def check_first_live_accepted(trace: DecisionTrace, view: MatroidView,
     max-weight basis of the samples plus itself (no earlier live arrival
     can excuse rejecting it, whatever the blocked-set table says)."""
     view._check(trace.schedule.order)
-    order, m = trace.schedule.order, len(trace.sample_set)
+    order, m = trace.schedule.order, trace.sample_count
     return (m == len(order) or order[m] in trace.accepted
             or not view.in_mwb(weights, order[:m], order[m]))
 
@@ -284,8 +284,8 @@ def check_claw_blocker(trace: DecisionTrace, bundle: InstanceBundle) -> bool:
     bundle.view._check(trace.schedule.order)
     e_inf, claws = _hat_layout(bundle, "check_claw_blocker", "hat", 2)
     t_1, b_1 = claws[0]
-    S, order = trace.sample_set, trace.schedule.order
-    if not (t_1 in S and b_1 in S and e_inf in order[len(S):]):     # the hub edge is live
+    S, order, m = trace.sample_set, trace.schedule.order, trace.sample_count
+    if not (t_1 in S and b_1 in S and e_inf in order[m:]):     # the hub edge is live
         return True
     if e_inf not in trace.accepted:
         return False
@@ -300,8 +300,8 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
     4_i (which together with the hub edge would close a cycle, trapping it)."""
     bundle.view._check(trace.schedule.order)
     e_inf, claws = _hat_layout(bundle, "check_modified_hat_trap", "modified-hat", 4)
-    S, accepted = trace.sample_set, trace.accepted
-    live = {u: i for i, u in enumerate(trace.schedule.order[len(S):])}   # place among live
+    S, accepted, m = trace.sample_set, trace.accepted, trace.sample_count
+    live = {u: i for i, u in enumerate(trace.schedule.order[m:])}   # place among live
     if e_inf not in live:                   # sampled, or absent from the trace
         return True
     first = next((j for j, (_, e2, e3, e4) in enumerate(claws)

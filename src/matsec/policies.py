@@ -289,8 +289,9 @@ class DynkinPolicy(Policy):
         self.accepted: set[int] = set()
 
     def decide(self, u):
-        if self.accepted or self._ranks[u] > self._best_sample:
+        if self._ranks[u] > self._best_sample:
             return _REJECT
+        self._best_sample = -1      # the slot is filled: no rank beats -1
         self.accepted.add(u)
         return _ACCEPT
 

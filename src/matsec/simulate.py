@@ -34,7 +34,12 @@ class HarnessViolation(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class ArrivalSchedule:
     order: tuple                # element ids sorted by (time, id)
-    arrival: tuple              # arrival[i] is order[i]'s time in [0, 1]
+    sorted_times: np.ndarray    # read-only; sorted_times[i] is order[i]'s time in [0, 1]
+
+    @property
+    def arrival(self) -> tuple:
+        """The sorted times as Python floats, built on each read."""
+        return tuple(np.asarray(self.sorted_times, dtype=float).tolist())
 
     @cached_property
     def times(self) -> MappingProxyType:
@@ -44,7 +49,7 @@ class ArrivalSchedule:
     def first_live(self, p: float) -> int:
         """Index in order of the first live arrival: samples arrive strictly
         before p, so an arrival at exactly p is live."""
-        return bisect_left(self.arrival, p)
+        return bisect_left(self.sorted_times, p)
 
 
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
@@ -53,11 +58,17 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial_index)))
 
 
+def _read_only(times) -> np.ndarray:
+    """times as a float64 array that refuses writes (no copy of such an array)."""
+    (times := np.asarray(times, dtype=float)).setflags(write=False)
+    return times
+
+
 def draw_schedule(ground: WeightedGroundSet, rng: np.random.Generator) -> ArrivalSchedule:
     times = rng.random(ground.count)
     # stable argsort breaks (measure-zero) time collisions by element id
     idx = times.argsort(kind="stable")
-    return ArrivalSchedule(tuple(idx.tolist()), tuple(times[idx].tolist()))
+    return ArrivalSchedule(tuple(idx.tolist()), _read_only(times[idx]))
 
 
 def forced_schedule(assignments: Iterable[tuple[int, float]]) -> ArrivalSchedule:
@@ -73,7 +84,7 @@ def forced_schedule(assignments: Iterable[tuple[int, float]]) -> ArrivalSchedule
     if len(set(times.values())) != len(times):
         raise ValueError("forced schedules need distinct times")
     order = tuple(sorted(times, key=times.__getitem__))
-    return ArrivalSchedule(order, tuple(times[u] for u in order))
+    return ArrivalSchedule(order, _read_only([times[u] for u in order]))
 
 
 @dataclass(frozen=True)
@@ -126,13 +137,17 @@ class DecisionRecord:
 @dataclass(frozen=True, eq=False)
 class DecisionTrace:
     """One trial's outcome: the Decision each live arrival got, in arrival
-    order, and the accepted set, sample set and schedule. trace_records
-    renders it as one DecisionRecord per arrival."""
+    order, the accepted set, the sample count (the samples are order[:sample_count])
+    and the schedule. trace_records renders it as one DecisionRecord per arrival."""
 
     decisions: tuple
     accepted: frozenset
-    sample_set: frozenset
+    sample_count: int
     schedule: ArrivalSchedule
+
+    @property
+    def sample_set(self) -> frozenset:
+        return frozenset(self.schedule.order[:self.sample_count])
 
 
 def check_cutoff(p: float) -> None:
@@ -163,7 +178,7 @@ def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
                     f"accepted set would become dependent")
             accepted.append(u)
         decisions.append(d)
-    return DecisionTrace(tuple(decisions), frozenset(accepted), frozenset(order[:m]), schedule)
+    return DecisionTrace(tuple(decisions), frozenset(accepted), m, schedule)
 
 
 def trace_records(trace: DecisionTrace, view: MatroidView,
@@ -172,7 +187,7 @@ def trace_records(trace: DecisionTrace, view: MatroidView,
     schedule, in_current_mwb from the harness's own running basis and
     kicked_was_sample from the sample set."""
     order, arrival, sampled = trace.schedule.order, trace.schedule.arrival, trace.sample_set
-    m, insert = len(sampled), running_mwb(view, weights).insert
+    m, insert = trace.sample_count, running_mwb(view, weights).insert
     return tuple([DecisionRecord(u, t, PHASE_SAMPLE, False, insert(u)[0])
                   for u, t in zip(order[:m], arrival)]
                  + [DecisionRecord(u, t, PHASE_LIVE, d.accept, insert(u)[0],
@@ -340,7 +355,7 @@ def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:
         raise ValueError("a sample record is never accepted and has no kick fields")
     return DecisionTrace(tuple(Decision(r.accepted, r.kicked) for r in records[m:]),
                          frozenset(r.element for r in records if r.accepted),
-                         frozenset(order[:m]), ArrivalSchedule(order, arrival))
+                         m, ArrivalSchedule(order, _read_only(arrival)))
 
 
 def dump_schedule(schedule: ArrivalSchedule, fp: TextIO) -> None:

@@ -2,7 +2,8 @@
 
 Each test prints a single `C<n> PASS/FAIL` line (echoed again in the
 terminal summary) before asserting, so a full `pytest -v` run always shows
-the verdict table.
+the verdict table. C10 also has silent companions that check it against
+Dynkin's exact success probability.
 
 Two criteria are expected to fail, and those failures are the honest
 outcome. Both trace back to the same blind spot: the virtual policy's
@@ -30,8 +31,10 @@ is rejected in every conflicting trace regardless, so the degradation
 bound itself, the frequency halves of C7, holds.
 """
 
+import itertools
 import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -306,11 +309,14 @@ def test_c09_certificate():
 # -- C10: classical single-slot sanity ------------------------------------------------
 
 
-def test_c10_dynkin_sanity():
+@pytest.fixture(scope="module")
+def dynkin200_report():
+    return estimate("dynkin", uniform_instance(200, 1), 1.0 / math.e, trials=100_000, seed=0)
+
+
+def test_c10_dynkin_sanity(dynkin200_report):
     p = 1.0 / math.e
-    bundle = uniform_instance(200, 1)
-    report = estimate("dynkin", bundle, p, trials=100_000, seed=0)
-    freq = report.min_over_mwb
+    freq = dynkin200_report.min_over_mwb
     target = 1.0 / math.e
     analytic = p * math.log(1.0 / p)
     ok = abs(freq - target) <= 0.02 and abs(freq - analytic) <= 0.02
@@ -319,3 +325,50 @@ def test_c10_dynkin_sanity():
                       f"(analytic {analytic:.4f}), tolerance 0.02")
     assert abs(freq - target) <= 0.02
     assert abs(freq - analytic) <= 0.02
+
+
+def dynkin_exact(n, p):
+    """P[dynkin accepts the best of n elements] at cutoff p, in exact arithmetic:
+    (1-p)^n / n - p * sum over k in [1, n) of C(n-1, k) (-1)^k (1 - p^k) / k."""
+    p = Fraction(p)
+    return (1 - p) ** n / n - p * sum(
+        Fraction(math.comb(n - 1, k) * (-1) ** k, k) * (1 - p ** k) for k in range(1, n))
+
+
+def dynkin_enumerated(n, p):
+    """The same probability from run_trial itself: every arrival order and every
+    sample count m, weighted Bin(m; n, p) / n!, with the m samples forced below p
+    and the live arrivals above it."""
+    bundle, p = uniform_instance(n, 1), Fraction(p)
+    (best,) = bundle.mwb
+    cut, total = float(p), Fraction(0)
+    for m in range(n + 1):
+        weight = math.comb(n, m) * p ** m * (1 - p) ** (n - m) / math.factorial(n)
+        if not weight:          # at p = 0 or 1 only one sample count occurs
+            continue
+        times = ([cut * (i + 1) / (m + 1) for i in range(m)]
+                 + [cut + (1 - cut) * (j + 1) / (n - m + 1) for j in range(n - m)])
+        for order in itertools.permutations(range(n)):
+            trace = run_trial("dynkin", bundle.view, bundle.weights,
+                              forced_schedule(zip(order, times)), cut)
+            total += weight * (best in trace.accepted)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)], ids=str)
+def test_c10_exact_reference_is_what_the_harness_does(n, p):
+    assert dynkin_enumerated(n, p) == dynkin_exact(n, p)
+
+
+def test_c10_exact_reference_values():
+    third = Fraction(1, 3)
+    assert [dynkin_exact(n, third) for n in (1, 2, 3, 5)] == [
+        Fraction(2, 3), Fraction(4, 9), Fraction(32, 81), Fraction(452, 1215)]
+    assert float(dynkin_exact(200, 1.0 / math.e)) == 0.36787944117144233
+
+
+def test_c10_seeded_estimate_is_within_3_sigma_of_exact(dynkin200_report):
+    exact = float(dynkin_exact(200, 1.0 / math.e))
+    freq, trials = dynkin200_report.min_over_mwb, dynkin200_report.trials
+    assert abs(freq - exact) <= three_sigma(exact, trials)

@@ -495,6 +495,14 @@ class TestEstimate:
         obj = json.loads(out)
         assert obj["analyticBound"] == pytest.approx(0.4 * math.log(2.5), rel=1e-6)
 
+    def test_dynkin200_bytes_are_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "estimate", "--instance", "uniform", "--n", "200",
+                               "--k", "1", "--policy", "dynkin",
+                               "--p", "0.36787944117144233", "--trials", "1000", "--seed", "0")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ec5c69e361ffab65d6e4172c319bd591740871b49d8caf377a715279e58fee3c")
+
 
 # -- sweep ----------------------------------------------------------------------
 

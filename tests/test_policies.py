@@ -634,6 +634,7 @@ def test_dumped_records_rebuild_the_trace():
                 assert rebuilt.decisions == trace.decisions, (name, key, p, i)
                 assert rebuilt.accepted == trace.accepted
                 assert rebuilt.sample_set == trace.sample_set
+                assert rebuilt.sample_count == trace.sample_count == trace.schedule.first_live(p)
                 again = io.StringIO()
                 dump_trace(trace_records(rebuilt, b.view, b.weights), again)
                 assert again.getvalue() == buf.getvalue(), (name, key, p, i)

@@ -1,7 +1,10 @@
 """Arrival schedules, the trial harness, and trace serialization."""
 
+import hashlib
 import io
 import json
+import math
+from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,12 +18,18 @@ from matsec import (
     DomainError,
     HarnessViolation,
     Policy,
+    check_claw_blocker,
+    check_first_live_accepted,
+    check_forbidden_consistency,
+    check_modified_hat_trap,
     draw_schedule,
     dump_schedule,
     dump_trace,
     forced_schedule,
+    hat_forbidden_oracle,
     hat_graph,
     load_records,
+    modified_hat_graph,
     parse_schedule,
     random_graphic,
     run_trial,
@@ -548,6 +557,10 @@ class TestTraceSerialization:
                         "inCurrentMwb", "kicked", "kickedWasSample"]
 
 
+PINNED_FAMILIES = {"hat3": lambda: hat_graph(3), "uniform200": lambda: uniform_instance(200, 1),
+                   "mhat64": lambda: modified_hat_graph(64)}
+
+
 class TestScheduleSerialization:
     def test_round_trip_is_exact(self):
         b = uniform_instance(5, 2)
@@ -567,3 +580,95 @@ class TestScheduleSerialization:
     def test_rejects_malformed_lines(self):
         with pytest.raises(ValueError, match="bad schedule line"):
             parse_schedule(io.StringIO("arrival 0 0.5\n"))
+
+    # sha256 of dump_schedule's lines for the schedule drawn from trial_rng(seed, trial):
+    # every time at full repr precision, which the 9-digit golden traces do not pin
+    @pytest.mark.parametrize("family, seed, trial, digest", [
+        ("hat3", 0, 0, "4ec49e5dc858fb4f95163ee267c7f7a18be1e4605dbe9b2f770750803a54fe49"),
+        ("hat3", 1, 7, "4959b7a62420fb6c933348a6939bd2b1e03c26a9b962d5e3758b5b9d7418c9b0"),
+        ("hat3", 2**40 + 3, 5000,
+         "d779d7f5969d1c71213e33659caf8b8c94d7a2f0294ec78e5ed7899035a26d92"),
+        ("uniform200", 0, 0, "929232f8733715e399de2303a92c2d41eeee8531046623f0843c04b3a672af4e"),
+        ("uniform200", 1, 7, "3e8012764da420d63360343f840655194732080123650ee3568dd1388d4749a9"),
+        ("uniform200", 2**40 + 3, 5000,
+         "d6b07634906cd4e4e727096ccdb1108dea4422da1d6e326d48a5c153b1a0a690"),
+        ("mhat64", 0, 0, "14c470108e0775469c01a54732f5f1949202833760619db6d825aa694ce088c6"),
+        ("mhat64", 1, 7, "1d62ba6b7f86db8cb42779a30dbc738e01736e3dfad265f4818d6aa0922bd932"),
+        ("mhat64", 2**40 + 3, 5000,
+         "f0c955380f1f1635c8f0df6351a21222429ce7c0a900c3fa2180db61e941f5e9"),
+    ])
+    def test_drawn_schedule_bytes_are_pinned(self, family, seed, trial, digest):
+        sched = draw_schedule(PINNED_FAMILIES[family]().weights, trial_rng(seed, trial))
+        buf = io.StringIO()
+        dump_schedule(sched, buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+# -- the schedule and trace representations ---------------------------------------------
+
+
+class TestRepresentation:
+    @pytest.mark.parametrize("family", sorted(PINNED_FAMILIES))
+    def test_first_live_bisects_the_float_arrivals(self, family):
+        sched = draw_schedule(PINNED_FAMILIES[family]().weights, trial_rng(5, 3))
+        cutoffs = [0.0, 1.0]
+        for t in sched.arrival:
+            cutoffs += [t, math.nextafter(t, 0.0), math.nextafter(t, 1.0)]
+        for p in cutoffs:
+            assert sched.first_live(p) == bisect_left(sched.arrival, p), p
+
+    def test_stored_times_refuse_writes(self):
+        b = uniform_instance(5, 2)
+        drawn = draw_schedule(b.weights, trial_rng(3, 7))
+        buf = io.StringIO()
+        dump_schedule(drawn, buf)
+        loaded = parse_schedule(io.StringIO(buf.getvalue()))
+        rebuilt = trace_from_records(trace_records(
+            run_trial("sample", b.view, b.weights, drawn, 0.5), b.view, b.weights)).schedule
+        for sched in (drawn, forced_schedule([(0, 0.5), (1, 0.25)]), loaded, rebuilt):
+            assert sched.sorted_times.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                sched.sorted_times[0] = 0.75
+
+    def test_hand_built_tuple_schedule_still_serves_everything(self):
+        sched = ArrivalSchedule((2, 0, 1), (0.125, 0.5, 0.75))
+        assert sched.arrival == (0.125, 0.5, 0.75)
+        assert sched.times == {2: 0.125, 0: 0.5, 1: 0.75}
+        assert [sched.first_live(p) for p in (0.0, 0.125, 0.3, 0.5, 1.0)] == [0, 0, 1, 1, 3]
+        buf = io.StringIO()
+        dump_schedule(sched, buf)
+        assert buf.getvalue() == "schedule 2 0.125\nschedule 0 0.5\nschedule 1 0.75\n"
+        trace = run_trial("sample", triangle().view, triangle().weights, sched, 0.3)
+        assert (trace.sample_count, trace.sample_set) == (1, frozenset({2}))
+
+    def test_empty_instance_draws_and_runs_an_empty_schedule(self):
+        b = uniform_instance(0, 0)
+        sched = draw_schedule(b.weights, trial_rng(0, 0))
+        assert (sched.order, sched.arrival, sched.first_live(0.5)) == ((), (), 0)
+        trace = run_trial("sample", b.view, b.weights, sched, 0.5)
+        assert (trace.decisions, trace.accepted, trace.sample_count) == ((), frozenset(), 0)
+        assert trace.sample_set == frozenset()
+
+    def test_dumped_records_keep_every_checker_verdict(self):
+        hat, mhat = hat_graph(3), modified_hat_graph(4)
+        oracle = hat_forbidden_oracle(hat)
+        checks = {"claw": (hat, lambda t: check_claw_blocker(t, hat)),
+                  "forbidden": (hat, lambda t: check_forbidden_consistency(
+                      t, oracle, hat.view, hat.weights)[0]),
+                  "first-live": (hat, lambda t: check_first_live_accepted(t, hat.view, hat.weights)),
+                  "trap": (mhat, lambda t: check_modified_hat_trap(t, mhat))}
+        failed = set()
+        for name, (b, check) in checks.items():
+            for policy in ("sample", "virtual-msp"):
+                for p in (0.3, 0.6):
+                    for trace in trial_stream(policy, b.view, b.weights, p, 100, 11):
+                        buf = io.StringIO()
+                        dump_trace(trace_records(trace, b.view, b.weights), buf)
+                        rebuilt = trace_from_records(load_records(io.StringIO(buf.getvalue())))
+                        assert rebuilt.sample_count == trace.sample_count
+                        assert rebuilt.sample_set == trace.sample_set
+                        assert rebuilt.accepted == trace.accepted
+                        assert check(rebuilt) == check(trace), (name, policy, p)
+                        if not check(trace):
+                            failed.add(name)
+        assert failed == {"claw", "forbidden"}      # both verdicts were carried over
