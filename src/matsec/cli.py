@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -321,6 +322,7 @@ class _Parser(argparse.ArgumentParser):   # add_subparsers makes each subparser 
         raise ValueError(message)
 
 
+@functools.cache    # built on the first main(); each parse still returns a fresh Namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="matsec",

@@ -9,6 +9,8 @@ and a view can be shared freely across simulation trials.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable, TextIO, Union
@@ -308,6 +310,11 @@ def dump_instance(base: BaseMatroid, weights: WeightedGroundSet, fp: TextIO) -> 
 
 
 def _parse_weight(text: str, line: str) -> Fraction:
+    # Fraction("1e999999999") would compute 10**999999999: cap |exponent| at the int digit limit
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    exponent = re.search(r"[eE]([-+]?\d[\d_]*)", text)
+    if exponent and abs(int(exponent[1])) > limit:
+        raise ValueError(f"weight exponent too large (limit {limit}): {line!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -121,6 +121,11 @@ class TestExitCodes:
         # verify's --n is capped too, before the suite builds hat_graph(n)
         (("verify", "claw-blocker", "--n", "1000000000"),
          "error: --n 1000000000 is too large (limit 100000)"),
+        # Fraction would expand these to 10**999999999; the exponent is capped first
+        (("estimate", "--instance-file", "exp_up.inst"),
+         "error: weight exponent too large (limit 4300): 'elem 1 1e999999999'"),
+        (("estimate", "--instance-file", "exp_down.inst"),
+         "error: weight exponent too large (limit 4300): 'elem 1 1e-999999999'"),
         # --n-grid sets n, so a --n beside it would be dropped
         (("sweep", "--instance", "hat", "--n", "3", "--n-grid", "2", "--trials", "5"),
          "error: --n does not apply with --n-grid"),
@@ -143,6 +148,8 @@ class TestExitCodes:
                                                      "edge 0 0 1 1\n")
         (tmp_path / "big_vertices.inst").write_text(f"matroid graphic {2**62} 1\n"
                                                     "edge 0 0 1 1\n")
+        for name, exponent in (("exp_up.inst", "999999999"), ("exp_down.inst", "-999999999")):
+            (tmp_path / name).write_text(f"matroid uniform 2 1\nelem 0 1\nelem 1 1e{exponent}\n")
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
@@ -502,6 +509,37 @@ class TestEstimate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "ec5c69e361ffab65d6e4172c319bd591740871b49d8caf377a715279e58fee3c")
+
+
+# -- repeated in-process calls ------------------------------------------------------
+
+
+class TestInProcessCalls:
+    HAT = ("estimate", "--instance", "hat", "--trials", "50")
+
+    def test_a_call_leaves_nothing_behind(self, capsys):
+        code, first, _ = run_cli(capsys, *self.HAT)
+        assert code == 0
+        assert len(json.loads(first)["perElementAcceptFreq"]) == 6     # hat_graph(5): n = 5
+        for argv, expected in [
+                (("sweep", "--instance", "hat", "--n-grid", "3,4", "--trials", "20"), 0),
+                (("estimate", "-h"), 0),
+                (("estimate", "--instance", "hat", "--n", "3", "--p", "1.5"), 2)]:
+            assert run_cli(capsys, *argv)[0] == expected
+            assert run_cli(capsys, *self.HAT) == (0, first, "")
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        assert run_cli(capsys, *self.HAT)[0] == 0       # the process's first call may build it
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        for argv in (self.HAT, ("replay", "triangle-sample"), ("estimate", "-h"), ("summon",)):
+            run_cli(capsys, *argv)
+        assert built == []
 
 
 # -- sweep ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import io
 import itertools
 import random
 import re
+import sys
 from collections import defaultdict, deque
 from fractions import Fraction
 
@@ -375,6 +376,26 @@ class TestFormatWeight:
     def test_examples(self, w, text):
         assert format_weight(w) == text
         assert Fraction(text) == w
+
+
+class TestParseWeight:
+    def test_exponent_limit_is_inclusive(self):
+        limit = sys.get_int_max_str_digits()
+        assert _parse_weight(f"1e{limit}", "") == 10 ** limit
+        assert _parse_weight(f"1E-{limit}", "") == Fraction(1, 10 ** limit)
+        assert _parse_weight(f"2.5e+{limit - 1}", "") == Fraction(25) * 10 ** (limit - 2)
+        for text in (f"1e{limit + 1}", f"1E-{limit + 1}", f"0.5e+{limit + 1}",
+                     f"1e{limit + 1:_}", "7e999999999", "7e-999999999"):
+            message = f"weight exponent too large (limit {limit}): 'elem 0 {text}'"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _parse_weight(text, f"elem 0 {text}")
+
+    def test_an_unlimited_interpreter_keeps_the_default_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        limit = sys.int_info.default_max_str_digits
+        assert _parse_weight(f"1e{limit}", "") == 10 ** limit
+        with pytest.raises(ValueError, match="exponent too large"):
+            _parse_weight(f"1e{limit + 1}", "")
 
 
 class TestInstanceFiles:
