@@ -138,18 +138,26 @@ class UnionFind:
 class AcceptedSetTracker:
     """The one independence test: a set grown from the view's contraction,
     as a slot count on a uniform base (uf is None) or a union-find on a
-    graphic one. View queries, policies and the trial harness all use it."""
+    graphic one. A view builds one; its users each add() to their own copy()."""
+
+    __slots__ = ("_slots", "uf", "_endpoints")
 
     def __init__(self, view: "MatroidView"):
         base = view.base
         if isinstance(base, UniformMatroid):
-            self._slots = base.k
-            self.uf = None
+            self._slots, self.uf, self._endpoints = base.k, None, None
         else:
-            self.uf = UnionFind(base.num_vertices)
-            self._endpoints = base.endpoints
+            self._slots, self.uf, self._endpoints = 0, UnionFind(base.num_vertices), base.endpoints
         if not all(map(self.add, view.contraction)):
             raise PreconditionError("contraction set must be independent in the base")
+
+    def copy(self) -> "AcceptedSetTracker":
+        new, uf = object.__new__(AcceptedSetTracker), self.uf
+        new._slots, new._endpoints, new.uf = self._slots, self._endpoints, uf
+        if uf is not None:
+            new.uf = object.__new__(UnionFind)
+            new.uf.parent, new.uf.size = uf.parent.copy(), uf.size.copy()
+        return new
 
     def can_add(self, u: int) -> bool:
         if self.uf is None:
@@ -197,7 +205,7 @@ class MatroidView:
         for u in self.restriction | self.contraction:
             if not 0 <= u < n:
                 raise DomainError(f"element {u} outside base ground set")
-        AcceptedSetTracker(self)        # raises PreconditionError on a dependent contraction
+        object.__setattr__(self, "_tracker", AcceptedSetTracker(self))   # checks the contraction
         object.__setattr__(self, "_ground", self.restriction - self.contraction)
 
     @classmethod
@@ -220,13 +228,15 @@ class MatroidView:
         self._check(S)
         return S
 
+    def tracker(self) -> AcceptedSetTracker:
+        """A new tracker holding the contraction, copied from the view's own."""
+        return self._tracker.copy()
+
     def is_independent(self, S: Iterable[int]) -> bool:
-        S = self._checked(S)
-        return all(map(AcceptedSetTracker(self).add, S))
+        return all(map(self.tracker().add, self._checked(S)))
 
     def rank(self, S: Iterable[int]) -> int:
-        S = self._checked(S)
-        return sum(map(AcceptedSetTracker(self).add, S))
+        return sum(map(self.tracker().add, self._checked(S)))
 
     def span(self, S: Iterable[int]) -> frozenset:
         """Elements whose addition to S does not raise its rank.
@@ -236,7 +246,7 @@ class MatroidView:
         capacity left).
         """
         S = self._checked(S)
-        tracker = AcceptedSetTracker(self)
+        tracker = self.tracker()
         for u in S:
             tracker.add(u)
         return S | frozenset(u for u in self._ground if not tracker.can_add(u))
@@ -249,13 +259,13 @@ class MatroidView:
         independent. Unique because weights are pairwise distinct.
         """
         S = self._checked(self._ground if S is None else S)
-        return frozenset(filter(AcceptedSetTracker(self).add, weights.sort_desc(S)))
+        return frozenset(filter(self.tracker().add, weights.sort_desc(S)))
 
     def in_mwb(self, weights: WeightedGroundSet, S: Collection[int], u: int) -> bool:
         """Whether u lies in MWB(S + u), i.e. the elements of S heavier than u do not span u."""
         if u not in self._ground or not self._ground.issuperset(S):
             self._check([*S, u])            # raises DomainError naming the strays
-        ranks, tracker = weights.ranks, AcceptedSetTracker(self)
+        ranks, tracker = weights.ranks, self.tracker()
         for v in S:
             if ranks[v] < ranks[u]:
                 tracker.add(v)
@@ -316,9 +326,15 @@ def _parse_weight(text: str, line: str) -> Fraction:
     if exponent and abs(int(exponent[1])) > limit:
         raise ValueError(f"weight exponent too large (limit {limit}): {line!r}")
     try:
-        return Fraction(text)
+        w = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in weight: {line!r}") from None
+    # a part of more than `limit` digits could not be printed back; 10**limit has
+    # over 3*limit bits, so only a part that long pays for the power
+    part = max(abs(w.numerator), w.denominator)
+    if part.bit_length() > 3 * limit and part >= 10 ** limit:
+        raise ValueError(f"weight has more than {limit} digits: {line!r}")
+    return w
 
 
 # kind -> (body line keyword, fields per line, noun for its ids)

@@ -74,7 +74,7 @@ class _GreedyRunningMwb(RunningMwb):
         j = bisect.bisect(basis, ranks[u], key=ranks.__getitem__)
         basis.insert(j, u)
         # B[:j] is independent, so the first refusal, if any, is u or the element u displaces
-        k = len(list(takewhile(AcceptedSetTracker(self._view).add, basis)))
+        k = len(list(takewhile(self._view.tracker().add, basis)))
         if k == j:
             del basis[j]
             return False, None
@@ -184,7 +184,7 @@ class SamplePolicy(_SampleRule):
 
     def start(self, view, weights, samples):
         super().start(view, weights, samples)
-        self._tracker = AcceptedSetTracker(view)
+        self._tracker: AcceptedSetTracker = view.tracker()
 
     def decide(self, u):
         if self.view.in_mwb(self.weights, self.samples, u) and self._tracker.add(u):
@@ -254,7 +254,7 @@ class VirtualMspPolicy(Policy):
         self._insert = insert = running_mwb(view, weights).insert
         for u in samples:                   # the order shapes the forest, not its edges
             insert(u)
-        self._add = AcceptedSetTracker(view).add
+        self._add = view.tracker().add
         self._sampled = set(samples)
         self.accepted: set[int] = set()
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .matroid import AcceptedSetTracker, DomainError, MatroidView, WeightedGroundSet
+from .matroid import DomainError, MatroidView, WeightedGroundSet
 from .policies import Decision, build_policy, running_mwb
 
 PHASE_SAMPLE = "sample"
@@ -167,7 +167,7 @@ def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
     policy = build_policy(policy)
     m = schedule.first_live(p)
     policy.start(view, weights, order[:m])
-    decide, add = policy.decide, AcceptedSetTracker(view).add
+    decide, add = policy.decide, view.tracker().add
     accepted, decisions = [], []
     for u in order[m:]:
         d = decide(u)

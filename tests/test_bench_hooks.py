@@ -51,6 +51,10 @@ def test_traced_run_counts_every_layer_and_restores_bindings():
     # the tracker is defined in matroid; the tracer hooks it as policies.AcceptedSetTracker
     assert policies.AcceptedSetTracker is matroid.AcceptedSetTracker
     assert t.calls["policies.tracker"] > 0
+    # trackers copied from the view's own still add, test and find through the
+    # hooked methods, so the counts equal those of trackers built from scratch
+    assert counts["matroid.union_find.finds"] == 140
+    assert t.calls["policies.tracker"] == 123
     for owner, attrs in before.items():     # every rebound attribute is the original again
         now = vars(owner)
         assert now.keys() == attrs.keys(), owner

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -126,6 +127,11 @@ class TestExitCodes:
          "error: weight exponent too large (limit 4300): 'elem 1 1e999999999'"),
         (("estimate", "--instance-file", "exp_down.inst"),
          "error: weight exponent too large (limit 4300): 'elem 1 1e-999999999'"),
+        # 10**4300 has 4301 digits: such a weight could be parsed but not printed
+        (("simulate", "--instance-file", "digits_up.inst", "--policy", "optimistic"),
+         "error: weight has more than 4300 digits: 'elem 1 1e4300'"),
+        (("simulate", "--instance-file", "digits_down.inst", "--policy", "optimistic"),
+         "error: weight has more than 4300 digits: 'elem 1 1e-4300'"),
         # --n-grid sets n, so a --n beside it would be dropped
         (("sweep", "--instance", "hat", "--n", "3", "--n-grid", "2", "--trials", "5"),
          "error: --n does not apply with --n-grid"),
@@ -148,13 +154,29 @@ class TestExitCodes:
                                                      "edge 0 0 1 1\n")
         (tmp_path / "big_vertices.inst").write_text(f"matroid graphic {2**62} 1\n"
                                                     "edge 0 0 1 1\n")
-        for name, exponent in (("exp_up.inst", "999999999"), ("exp_down.inst", "-999999999")):
+        for name, exponent in (("exp_up.inst", "999999999"), ("exp_down.inst", "-999999999"),
+                               ("digits_up.inst", "4300"), ("digits_down.inst", "-4300")):
             (tmp_path / name).write_text(f"matroid uniform 2 1\nelem 0 1\nelem 1 1e{exponent}\n")
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert needle in err
+
+    @pytest.mark.parametrize("exponent, largest", [("4300", "4299"), ("-4300", "-4299")])
+    def test_an_unprintable_weight_writes_no_dump(self, capsys, tmp_path, exponent, largest):
+        inst, dump = tmp_path / "w.inst", tmp_path / "dump.inst"
+        inst.write_text(f"matroid uniform 2 1\nelem 0 1\nelem 1 1e{exponent}\n")
+        code, out, err = run_cli(capsys, "simulate", "--instance-file", str(inst),
+                                 "--dump-instance", str(dump))
+        assert (code, out) == (2, "")
+        assert err == f"error: weight has more than 4300 digits: 'elem 1 1e{exponent}'\n"
+        assert not dump.exists()
+        inst.write_text(f"matroid uniform 2 1\nelem 0 1\nelem 1 1e{largest}\n")
+        assert run_cli(capsys, "simulate", "--instance-file", str(inst),
+                       "--dump-instance", str(dump))[0] == 0
+        weights = parse_instance(io.StringIO(dump.read_text()))[1].weights
+        assert weights[1] == Fraction(f"1e{largest}")
 
     @pytest.mark.parametrize("command, out", [("estimate", "no_dir/x.json"),
                                               ("sweep", "no_dir/x.csv")])

@@ -22,9 +22,12 @@ from matsec import (
     brute_force_mwb,
     dump_instance,
     fuzz_corpus,
+    hat_graph,
     parse_instance,
+    random_graphic,
+    trial_stream,
 )
-from matsec.matroid import _parse_weight, format_weight
+from matsec.matroid import AcceptedSetTracker, _parse_weight, format_weight
 
 
 # -- weighted ground sets ------------------------------------------------------
@@ -360,6 +363,82 @@ class TestInMwb:
         assert not minor.in_mwb(ws, [3], 1)
 
 
+# -- trackers copied from the view's own -----------------------------------------
+
+
+def tracker_state(tracker):
+    """Everything add() can change: the slot count and the union-find lists."""
+    uf = tracker.uf
+    return tracker._slots, None if uf is None else (list(uf.parent), list(uf.size))
+
+
+SQUARE_WITH_DIAGONAL = GraphicMatroid(4, ((0, 1), (1, 2), (2, 0), (2, 3), (0, 3)))
+
+
+class TestTrackerCopies:
+    @pytest.mark.parametrize("view", [
+        MatroidView.full(UniformMatroid(4, 2)),
+        MatroidView.full(triangle_base()),
+        MatroidView.full(SQUARE_WITH_DIAGONAL).contract([0, 3]),
+    ], ids=["uniform", "graphic", "contracted"])
+    def test_add_on_one_copy_changes_no_other(self, view):
+        stored = tracker_state(view._tracker)
+        assert stored == tracker_state(AcceptedSetTracker(view))
+        first, second = view.tracker(), view.tracker()
+        assert tracker_state(first) == tracker_state(second) == stored
+        outcomes = [first.add(u) for u in sorted(view.ground)]
+        assert True in outcomes and False in outcomes       # at least one refused add
+        assert tracker_state(first) != stored
+        assert tracker_state(second) == tracker_state(view._tracker) == stored
+        assert [second.add(u) for u in sorted(view.ground)] == outcomes
+
+    @pytest.mark.parametrize("policy, bundle", [("virtual-msp", hat_graph(5)),
+                                                ("sample-contracted", hat_graph(4))],
+                             ids=["virtual-msp-hat5", "sample-contracted-hat4"])
+    def test_a_trial_stream_leaves_the_view_as_built(self, policy, bundle):
+        view = bundle.view
+        traces = list(trial_stream(policy, view, bundle.weights, 0.5, 100, 0))
+        assert sum(map(len, (t.accepted for t in traces))) > 100
+        assert tracker_state(view._tracker) == tracker_state(AcceptedSetTracker(view))
+
+
+def from_scratch(view, elements):
+    """A tracker that re-adds the view's contraction, then adds `elements` in
+    order; returns it with the outcome of each add."""
+    tracker = AcceptedSetTracker(view)
+    return tracker, [tracker.add(v) for v in elements]
+
+
+def test_contracted_queries_match_trackers_built_from_scratch():
+    rng = np.random.default_rng(17)
+    contracted = dependent = 0
+    for _ in range(60):
+        bundle = random_graphic(int(rng.integers(1, 7)), int(rng.integers(1, 11)), rng)
+        view, weights = bundle.view, bundle.weights
+        chooser = AcceptedSetTracker(view)      # keeps the random contraction independent
+        minor = view.contract(u for u in rng.permutation(sorted(view.ground)).tolist()
+                              if rng.random() < 0.5 and chooser.add(u))
+        contracted += bool(minor.contraction)
+        ground = sorted(minor.ground)
+        for _ in range(6 if ground else 0):
+            S = [v for v in ground if rng.random() < 0.6]
+            u = ground[int(rng.integers(len(ground)))]
+            added = from_scratch(minor, S)[1]
+            dependent += not all(added)
+            assert minor.is_independent(S) == all(added)
+            assert minor.rank(S) == sum(added)
+            tracker = from_scratch(minor, S)[0]
+            assert minor.span(S) == frozenset(S) | {v for v in ground if not tracker.can_add(v)}
+            for subset in (S, ground):
+                order = weights.sort_desc(subset)
+                kept = from_scratch(minor, order)[1]
+                assert minor.greedy_mwb(weights, subset) == {v for v, k in zip(order, kept) if k}
+            assert minor.greedy_mwb(weights) == minor.greedy_mwb(weights, ground)
+            heavier = [v for v in S if weights.ranks[v] < weights.ranks[u]]
+            assert minor.in_mwb(weights, S, u) == from_scratch(minor, heavier)[0].can_add(u)
+    assert contracted >= 30 and dependent >= 30
+
+
 # -- file format ----------------------------------------------------------------
 
 
@@ -381,19 +460,35 @@ class TestFormatWeight:
 class TestParseWeight:
     def test_exponent_limit_is_inclusive(self):
         limit = sys.get_int_max_str_digits()
-        assert _parse_weight(f"1e{limit}", "") == 10 ** limit
-        assert _parse_weight(f"1E-{limit}", "") == Fraction(1, 10 ** limit)
+        assert _parse_weight(f"1e{limit - 1}", "") == 10 ** (limit - 1)
+        assert _parse_weight(f"1E-{limit - 1}", "") == Fraction(1, 10 ** (limit - 1))
         assert _parse_weight(f"2.5e+{limit - 1}", "") == Fraction(25) * 10 ** (limit - 2)
+        assert _parse_weight(f"0.1e{limit}", "") == 10 ** (limit - 1)
         for text in (f"1e{limit + 1}", f"1E-{limit + 1}", f"0.5e+{limit + 1}",
                      f"1e{limit + 1:_}", "7e999999999", "7e-999999999"):
             message = f"weight exponent too large (limit {limit}): 'elem 0 {text}'"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 _parse_weight(text, f"elem 0 {text}")
 
+    def test_digit_limit_is_inclusive(self):
+        # every weight that parses must print back: no part over `limit` digits
+        limit = sys.get_int_max_str_digits()
+        nines = "9" * limit
+        assert _parse_weight(nines, "") == 10 ** limit - 1
+        assert _parse_weight(f"1/{nines}", "") == Fraction(1, 10 ** limit - 1)
+        assert _parse_weight(f"0.5e-{limit - 1}", "") == Fraction(1, 2 * 10 ** (limit - 1))
+        for text in (f"1e{limit}", f"1E-{limit}", f"{nines}e1", f"{nines}.5",
+                     f"0.{'0' * (limit - 1)}1"):
+            message = f"weight has more than {limit} digits: 'elem 0 {text}'"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _parse_weight(text, f"elem 0 {text}")
+
     def test_an_unlimited_interpreter_keeps_the_default_limit(self, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         limit = sys.int_info.default_max_str_digits
-        assert _parse_weight(f"1e{limit}", "") == 10 ** limit
+        assert _parse_weight(f"1e{limit - 1}", "") == 10 ** (limit - 1)
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            _parse_weight(f"1e{limit}", "")
         with pytest.raises(ValueError, match="exponent too large"):
             _parse_weight(f"1e{limit + 1}", "")
 
