@@ -165,6 +165,15 @@ class AcceptedSetTracker:
         a, b = self._endpoints[u]
         return self.uf.find(a) != self.uf.find(b)
 
+    def in_mwb(self, ranks: tuple[int, ...], S: Iterable[int], u: int) -> bool:
+        """Whether u lies in MWB(S + u) in the view contracted by this set: the
+        elements of S heavier than u do not span u. Leaves this tracker unchanged."""
+        tracker = self.copy()
+        for v in S:
+            if ranks[v] < ranks[u]:
+                tracker.add(v)
+        return tracker.can_add(u)
+
     def add(self, u: int) -> bool:
         """Add u and return True; return False and change nothing when u
         would make the set dependent."""
@@ -265,11 +274,7 @@ class MatroidView:
         """Whether u lies in MWB(S + u), i.e. the elements of S heavier than u do not span u."""
         if u not in self._ground or not self._ground.issuperset(S):
             self._check([*S, u])            # raises DomainError naming the strays
-        ranks, tracker = weights.ranks, self.tracker()
-        for v in S:
-            if ranks[v] < ranks[u]:
-                tracker.add(v)
-        return tracker.can_add(u)
+        return self._tracker.in_mwb(weights.ranks, S, u)
 
     def restrict(self, S: Iterable[int]) -> "MatroidView":
         return MatroidView(self.base, self._checked(S), self.contraction)

@@ -167,13 +167,14 @@ class Policy:
 
 class _SampleRule(Policy):
     """The start the three sample-basis rules share: the view and weights
-    of the trial, the sample set and the accepted set."""
+    of the trial, the sample set and the accepted set (also as a tracker)."""
 
     def start(self, view, weights, samples):
         self.view = view
         self.weights = weights
         self.samples = set(samples)
         self.accepted: set[int] = set()
+        self.tracker: AcceptedSetTracker = view.tracker()
 
 
 class SamplePolicy(_SampleRule):
@@ -182,25 +183,21 @@ class SamplePolicy(_SampleRule):
 
     name = "sample"
 
-    def start(self, view, weights, samples):
-        super().start(view, weights, samples)
-        self._tracker: AcceptedSetTracker = view.tracker()
-
     def decide(self, u):
-        if self.view.in_mwb(self.weights, self.samples, u) and self._tracker.add(u):
+        if self.view.in_mwb(self.weights, self.samples, u) and self.tracker.add(u):
             self.accepted.add(u)
             return _ACCEPT
         return _REJECT
 
 
 class SampleContractedPolicy(_SampleRule):
-    """Like SamplePolicy, but the basis query runs in the matroid contracted
-    by the accepted set, so earlier acceptances consume capacity."""
+    """Like SamplePolicy, but the basis query runs in the view contracted by the
+    accepted set (its tracker answers it), so earlier acceptances consume capacity."""
 
     name = "sample-contracted"
 
     def decide(self, u):
-        if self.view.contract(self.accepted).in_mwb(self.weights, self.samples, u):
+        if self.tracker.in_mwb(self.weights.ranks, self.samples, u) and self.tracker.add(u):
             self.accepted.add(u)
             return _ACCEPT
         return _REJECT

@@ -127,11 +127,15 @@ class DecisionRecord:
             raise ValueError("element and kicked must be JSON integers")
         if type(time) not in (int, float):
             raise ValueError("time must be a JSON number")
+        try:
+            time = float(time)
+        except OverflowError:       # an int beyond float range
+            raise ValueError("time is too large for a float") from None
         if not (was_sample is None or isinstance(was_sample, bool)):
             raise ValueError("kickedWasSample must be a JSON boolean or null")
         if obj["phase"] not in (PHASE_SAMPLE, PHASE_LIVE):
             raise ValueError(f"phase must be {PHASE_SAMPLE!r} or {PHASE_LIVE!r}")
-        return cls(element, float(time), obj["phase"], *flags, kicked, was_sample)
+        return cls(element, time, obj["phase"], *flags, kicked, was_sample)
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,7 +336,7 @@ def load_records(fp: TextIO) -> tuple[DecisionRecord, ...]:
         if line.strip():
             try:
                 records.append(DecisionRecord.from_json_obj(json.loads(line)))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:     # too deep a nesting
                 raise ValueError(f"trace line {n}: {exc}") from exc
     return tuple(records)
 

@@ -1,4 +1,4 @@
-"""The ten headline checks the package must satisfy, one test per criterion.
+"""The eleven headline checks the package must satisfy, one test per criterion.
 
 Each test prints a single `C<n> PASS/FAIL` line (echoed again in the
 terminal summary) before asserting, so a full `pytest -v` run always shows
@@ -62,6 +62,7 @@ from matsec import (
     uniform_instance,
 )
 from matsec.cli import main
+from matsec.simulate import schedule_stream
 
 
 def criterion(num, ok, detail):
@@ -199,6 +200,31 @@ def test_c06_claw_blocking(hat10_run):
     criterion(6, ok, f"claw blocking held in {trials - claw_failures}/{trials} "
                      f"of the same hat(10) trials")
     assert claw_failures == 0
+
+
+# -- C11: greedy against the virtual rule on a large hat graph -------------------
+
+
+def test_c11_greedy_loses_the_hub_edge_on_a_large_hat():
+    # the abstract's hat graph is the adversarial example for greedy rules: at
+    # n = 256 the contracted sample rule accepts the hub edge far less often
+    # than virtual-msp, compared on the same 150 schedules
+    bundle, trials = hat_graph(256), 150
+    hub = bundle.id_of("e_inf")
+    t0 = time.perf_counter()
+    pairs = [tuple(hub in run_trial(policy, bundle.view, bundle.weights, schedule, 0.5).accepted
+                   for policy in ("sample-contracted", "virtual-msp"))
+             for schedule in schedule_stream(bundle.weights, trials, 0)]
+    elapsed = time.perf_counter() - t0
+    greedy, virtual = (sum(column) for column in zip(*pairs))
+    gap = (virtual - greedy) / trials
+    band = 3.0 * math.sqrt(sum((v - g - gap) ** 2 for g, v in pairs) / (trials - 1) / trials)
+    ok = gap > band
+    criterion(11, ok, f"hat(256), p=0.5, {trials} paired schedules: Pr[hub edge] = "
+                      f"{greedy / trials:.4f} for sample-contracted, {virtual / trials:.4f} "
+                      f"for virtual-msp, gap {gap:.4f} > 3 sigma of the paired "
+                      f"difference {band:.4f}, {elapsed:.1f}s")
+    assert gap > band
 
 
 # -- C7: modified hat degradation ---------------------------------------------------

@@ -59,3 +59,22 @@ def test_traced_run_counts_every_layer_and_restores_bindings():
         now = vars(owner)
         assert now.keys() == attrs.keys(), owner
         assert [a for a, v in attrs.items() if now[a] is not v] == [], owner
+
+
+def test_traced_sample_rules_count_their_decides_and_tracker_calls():
+    """No benchmark workload runs `sample` or `sample-contracted`, so this is
+    the one check that a traced run still sees their decide and tracker calls."""
+    tracer, hat = load_tracer(), hat_graph(3)
+    calls = {}
+    for name in ("sample", "sample-contracted"):
+        t = tracer.Tracer()
+        with t.installed():
+            traces = list(simulate.trial_stream(name, hat.view, hat.weights, 0.5, 10, 0))
+        calls[name] = (t.calls["policies.start"], t.calls["policies.decide"],
+                       t.calls["policies.tracker"])
+        assert t.exact_counts()["policies.decide.accepted"] == sum(
+            len(trace.accepted) for trace in traces)
+    # (start spans, decides, tracker add/can_add calls, the harness's included):
+    # neither rule defines its own start, and sample-contracted's queries run
+    # on its accepted-set tracker
+    assert calls == {"sample": (10, 35, 154), "sample-contracted": (10, 35, 140)}

@@ -26,6 +26,7 @@ from matsec import (
     parse_instance,
     random_graphic,
     trial_stream,
+    uniform_instance,
 )
 from matsec.matroid import AcceptedSetTracker, _parse_weight, format_weight
 
@@ -416,8 +417,9 @@ def test_contracted_queries_match_trackers_built_from_scratch():
         bundle = random_graphic(int(rng.integers(1, 7)), int(rng.integers(1, 11)), rng)
         view, weights = bundle.view, bundle.weights
         chooser = AcceptedSetTracker(view)      # keeps the random contraction independent
-        minor = view.contract(u for u in rng.permutation(sorted(view.ground)).tolist()
-                              if rng.random() < 0.5 and chooser.add(u))
+        A = [u for u in rng.permutation(sorted(view.ground)).tolist()
+             if rng.random() < 0.5 and chooser.add(u)]
+        minor = view.contract(A)
         contracted += bool(minor.contraction)
         ground = sorted(minor.ground)
         for _ in range(6 if ground else 0):
@@ -436,7 +438,32 @@ def test_contracted_queries_match_trackers_built_from_scratch():
             assert minor.greedy_mwb(weights) == minor.greedy_mwb(weights, ground)
             heavier = [v for v in S if weights.ranks[v] < weights.ranks[u]]
             assert minor.in_mwb(weights, S, u) == from_scratch(minor, heavier)[0].can_add(u)
+            assert_tracker_answers_minor(view, A, weights, S, u)
     assert contracted >= 30 and dependent >= 30
+    # one uniform input: 2 of 5 slots held, so an element is in MWB(S + u) over
+    # the minor exactly when fewer than 3 elements of S outweigh it
+    uniform = uniform_instance(9, 5)
+    A, ground, ranks = [1, 6], sorted(uniform.view.ground - {1, 6}), uniform.weights.ranks
+    answers = set()
+    for _ in range(40):
+        S = [v for v in ground if rng.random() < 0.6]
+        u = ground[int(rng.integers(len(ground)))]
+        answer = assert_tracker_answers_minor(uniform.view, A, uniform.weights, S, u)
+        assert answer == (sum(ranks[v] < ranks[u] for v in S) < 3)
+        answers.add(answer)
+    assert answers == {False, True}
+
+
+def assert_tracker_answers_minor(view, A, weights, S, u):
+    """A view.tracker() copy holding A answers view.contract(A).in_mwb through
+    its own in_mwb, and the query leaves it as it was; returns the answer."""
+    held = view.tracker()
+    assert all(map(held.add, A))
+    before = [held.can_add(v) for v in sorted(view.ground)]
+    answer = held.in_mwb(weights.ranks, S, u)
+    assert answer == view.contract(A).in_mwb(weights, S, u)
+    assert [held.can_add(v) for v in sorted(view.ground)] == before
+    return answer
 
 
 # -- file format ----------------------------------------------------------------

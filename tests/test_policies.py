@@ -521,6 +521,22 @@ class TestEquivalences:
             c = run_trial("sample-contracted", b.view, b.weights, sched, p)
             assert a.accepted == c.accepted
 
+    @pytest.mark.parametrize("bundle", [hat_graph(8), modified_hat_graph(4),
+                                        uniform_instance(12, 3)],
+                             ids=["hat8", "mhat4", "u12k3"])
+    def test_sample_contracted_builds_no_minor(self, monkeypatch, bundle):
+        """sample-contracted asks its accepted-set tracker, never view.contract."""
+        def runs():
+            return [(t.decisions, t.accepted) for t in trial_stream(
+                "sample-contracted", bundle.view, bundle.weights, 0.5, 40, 5)]
+        expected = runs()
+        assert sum(len(accepted) for _, accepted in expected) > 40
+
+        def no_minor(self, I):
+            raise AssertionError("sample-contracted built a contracted view")
+        monkeypatch.setattr(MatroidView, "contract", no_minor)
+        assert runs() == expected
+
     def test_dynkin_matches_sample_on_one_uniform(self):
         for seed in range(20):
             rng = np.random.default_rng(300 + seed)

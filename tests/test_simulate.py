@@ -521,6 +521,9 @@ class TestTraceSerialization:
          ' "inCurrentMwb": true}', "JSON number"),
         ('{"element": 1, "time": null, "phase": "live", "accepted": false,'
          ' "inCurrentMwb": true}', "JSON number"),
+        ('{"element": 1, "time": 1' + "0" * 400 + ', "phase": "live", "accepted": false,'
+         ' "inCurrentMwb": true}', "too large for a float"),
+        ("[" * 100_000 + "]" * 100_000, "recursion depth"),
         ('{"element": 1, "time": 0.5, "phase": "live", "accepted": false,'
          ' "inCurrentMwb": true, "kicked": 2, "kickedWasSample": "yes"}', "boolean or null"),
         ('{"element": 1, "time": 0.5, "phase": "live", "accepted": false,'
