@@ -90,8 +90,9 @@ class EstimateReport:
         }
 
 
-def check_estimate(bundle: InstanceBundle, ps, trials: int) -> None:
-    """The rules on an estimate's inputs, checked before its first trial."""
+def check_estimate(policy, bundle: InstanceBundle, ps, trials: int) -> None:
+    """The rules on an estimate's inputs, checked before its first trial;
+    last, start() on an empty sample raises for a policy that cannot run here."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not bundle.mwb:
@@ -100,6 +101,7 @@ def check_estimate(bundle: InstanceBundle, ps, trials: int) -> None:
         raise ValueError("an estimate needs at least one cutoff")
     for p in ps:
         check_cutoff(p)
+    build_policy(policy).start(bundle.view, bundle.weights, ())
 
 
 def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int) -> EstimateReport:
@@ -117,7 +119,7 @@ def estimate_grid(policy, bundle: InstanceBundle, ps, trials: int, seed: int) ->
     """estimate at each cutoff of ps, in order. Each trial's schedule is
     drawn once and run at every cutoff."""
     ps = tuple(ps)
-    check_estimate(bundle, ps, trials)
+    check_estimate(policy, bundle, ps, trials)
     policy, view, weights = build_policy(policy), bundle.view, bundle.weights
     tallies = [[0] * weights.count for _ in ps]     # acceptances per element
     for schedule in schedule_stream(weights, trials, seed):

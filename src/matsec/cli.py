@@ -22,7 +22,7 @@ from .analysis import (SUITE_NAMES, certify_no_size1_strong_fs, check_estimate, 
                        estimate_grid, reference_bound, run_suite, three_sigma)
 from .instances import InstanceBundle
 from .matroid import GraphicMatroid, UniformMatroid, dump_instance, parse_instance
-from .policies import POLICIES, build_policy
+from .policies import POLICIES
 from .simulate import (draw_schedule, dump_json_line, dump_schedule,
                        dump_trace, forced_schedule, json_ready, parse_schedule,
                        run_trial, trace_records, trial_rng)
@@ -149,9 +149,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     bundle, family = _resolve_instance(args)
-    # every input before --out opens; start() raises for a policy that cannot run here
-    check_estimate(bundle, (args.p,), args.trials)
-    build_policy(args.policy).start(bundle.view, bundle.weights, ())
+    check_estimate(args.policy, bundle, (args.p,), args.trials)    # before --out opens
     bound = reference_bound(family, args.policy, args.p)
     direction = None if bound is None else "lower"
     with _out_stream(args.out) as fp:
@@ -183,8 +181,7 @@ def _cmd_sweep(args) -> int:
             args.n = n
             yield _resolve_instance(args)
     for bundle, _ in bundles():     # the whole grid is checked before --out opens, as above
-        check_estimate(bundle, ps, args.trials)
-        build_policy(args.policy).start(bundle.view, bundle.weights, ())
+        check_estimate(args.policy, bundle, ps, args.trials)
     with _out_stream(args.out) as fp:
         rows = [["instance", "n", "policy", "p", "trials", "element", "freq", "ci", "bound"]]
         for bundle, family in bundles():

@@ -166,8 +166,11 @@ class Policy:
 
 
 class _SampleRule(Policy):
-    """The start the three sample-basis rules share: the view and weights
-    of the trial, the sample set and the accepted set (also as a tracker)."""
+    """Accept u when u belongs to the max-weight basis of the samples plus u
+    and the accepted set stays independent. The basis query asks `_basis`:
+    the accepted-set tracker when `contracted`, else a copy that never grows."""
+
+    contracted = False
 
     def start(self, view, weights, samples):
         self.view = view
@@ -175,32 +178,26 @@ class _SampleRule(Policy):
         self.samples = set(samples)
         self.accepted: set[int] = set()
         self.tracker: AcceptedSetTracker = view.tracker()
+        self._basis = self.tracker if self.contracted else view.tracker()
+
+    def decide(self, u):
+        if self._basis.in_mwb(self.weights.ranks, self.samples, u) and self.tracker.add(u):
+            self.accepted.add(u)
+            return _ACCEPT
+        return _REJECT
 
 
 class SamplePolicy(_SampleRule):
-    """Accept u when the accepted set stays independent and u belongs to the
-    max-weight basis of the samples plus u."""
+    """The basis query ignores the accepted set."""
 
     name = "sample"
 
-    def decide(self, u):
-        if self.view.in_mwb(self.weights, self.samples, u) and self.tracker.add(u):
-            self.accepted.add(u)
-            return _ACCEPT
-        return _REJECT
-
 
 class SampleContractedPolicy(_SampleRule):
-    """Like SamplePolicy, but the basis query runs in the view contracted by the
-    accepted set (its tracker answers it), so earlier acceptances consume capacity."""
+    """The basis query runs in the view contracted by the accepted set."""
 
     name = "sample-contracted"
-
-    def decide(self, u):
-        if self.tracker.in_mwb(self.weights.ranks, self.samples, u) and self.tracker.add(u):
-            self.accepted.add(u)
-            return _ACCEPT
-        return _REJECT
+    contracted = True
 
 
 class GreedyFrameworkPolicy(_SampleRule):
@@ -215,6 +212,7 @@ class GreedyFrameworkPolicy(_SampleRule):
     """
 
     name = "greedy-framework"
+    contracted = True       # as its twin: start() then copies no tracker that decide never asks
 
     def start(self, view, weights, samples):
         super().start(view, weights, samples)
@@ -328,8 +326,9 @@ class OptimisticPolicy(Policy):
 class VirtualUniformPolicy(Policy):
     """Top-k reference list with sample flags. The list always absorbs an
     arrival that beats its lightest entry, accepted or not; acceptance
-    additionally requires the displaced entry to be a sample. Kept
-    list-based on purpose as an independent twin of VirtualMspPolicy."""
+    additionally requires the displaced entry to be a sample, which caps
+    acceptances at k: each one turns an empty or sampled slot live for good.
+    Kept list-based on purpose as an independent twin of VirtualMspPolicy."""
 
     name = "virtual-uniform"
 
@@ -348,7 +347,7 @@ class VirtualUniformPolicy(Policy):
                 return _REJECT              # u stays out of the top k
             kicked = refs.pop()
         bisect.insort(refs, u, key=ranks.__getitem__)
-        accept = len(self.accepted) < self._k and (kicked is None or kicked in self._sampled)
+        accept = kicked is None or kicked in self._sampled
         if accept:
             self.accepted.add(u)
         return _decision(accept, kicked)

@@ -232,6 +232,18 @@ class TestEstimate:
         with pytest.raises(ValueError, match="optimum is empty"):
             estimate_grid("sample", empty, (2.0,), 5, 0)
 
+    def test_grid_probes_the_policy_last_and_before_the_first_trial(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the policy was probed")
+        monkeypatch.setattr(analysis, "run_trial", no_trial)
+        hat = hat_graph(3)
+        with pytest.raises(ValueError, match="uniform matroids only"):
+            estimate_grid("dynkin", hat, (0.5,), 10, 0)
+        with pytest.raises(ValueError, match="outside"):    # the cutoffs come first
+            analysis.check_estimate("dynkin", hat, (2.0,), 10)
+        with pytest.raises(ValueError, match="unknown policy"):
+            analysis.check_estimate("nope", hat, (0.5,), 10)
+
 
 # -- analytic values ----------------------------------------------------------------
 

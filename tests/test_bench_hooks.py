@@ -11,7 +11,10 @@ import importlib.util
 import math
 from pathlib import Path
 
-from matsec import analysis, hat_graph, matroid, policies, simulate, uniform_instance
+import pytest
+
+from matsec import (POLICY_NAMES, analysis, hat_graph, matroid, policies, simulate,
+                    uniform_instance)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -44,7 +47,9 @@ def test_traced_run_counts_every_layer_and_restores_bindings():
     counts = t.exact_counts()
     assert len(traces) == 20
     assert counts["simulate.arrivals"] == 20 * 7 + 50 * 20
-    assert t.calls["policies.start"] == 20 + 50     # one start per trial takes the sample
+    # one start per trial takes the sample; the estimate's check_estimate
+    # starts one more policy on an empty sample before its first trial
+    assert t.calls["policies.start"] == 20 + 50 + 1
     for name in ("policies.mwb_insert.calls", "policies.decide.calls",
                  "matroid.union_find.finds"):
         assert counts[name] > 0, name
@@ -78,3 +83,23 @@ def test_traced_sample_rules_count_their_decides_and_tracker_calls():
     # neither rule defines its own start, and sample-contracted's queries run
     # on its accepted-set tracker
     assert calls == {"sample": (10, 35, 154), "sample-contracted": (10, 35, 140)}
+
+
+# the uniform-only policies run on uniform instances, every other on a hat
+TRACED_BUNDLES = {"dynkin": uniform_instance(8, 1), "optimistic": uniform_instance(8, 3),
+                  "virtual-uniform": uniform_instance(8, 3)}
+
+
+@pytest.mark.parametrize("name", POLICY_NAMES)
+def test_one_decide_span_per_live_arrival(name):
+    """A decide that calls another traced decide (say a subclass calling a base
+    rule through super()) would open nested spans and count a decision twice."""
+    tracer, bundle = load_tracer(), TRACED_BUNDLES.get(name, hat_graph(3))
+    t = tracer.Tracer()
+    with t.installed():
+        traces = list(simulate.trial_stream(name, bundle.view, bundle.weights, 0.5, 20, 3))
+    live = sum(len(trace.decisions) for trace in traces)
+    accepted = sum(len(trace.accepted) for trace in traces)
+    assert live > 0 and accepted > 0
+    assert t.calls["policies.decide"] == live
+    assert t.exact_counts()["policies.decide.accepted"] == accepted

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from matsec import (
     UniformMatroid,
     WeightedGroundSet,
     build_policy,
+    double_triangle,
     draw_schedule,
     dump_trace,
     forced_schedule,
@@ -547,6 +549,73 @@ class TestEquivalences:
             c = run_trial("sample", b.view, b.weights, sched, p)
             d = run_trial("sample-contracted", b.view, b.weights, sched, p)
             assert a.accepted == c.accepted == d.accepted
+
+
+# -- every schedule of a small instance ---------------------------------------------
+
+
+CUT = 0.5
+
+
+def every_schedule(bundle):
+    """Every arrival order with every sample count m: the first m arrivals
+    are forced below CUT and the rest above it, as in C10's enumeration."""
+    n = bundle.weights.count
+    for m in range(n + 1):
+        times = ([CUT * (i + 1) / (m + 1) for i in range(m)]
+                 + [CUT + (1 - CUT) * (j + 1) / (n - m + 1) for j in range(n - m)])
+        for order in itertools.permutations(range(n)):
+            yield forced_schedule(zip(order, times)), m
+
+
+@pytest.mark.parametrize("bundle", [triangle(), double_triangle(), hat_graph(2),
+                                    uniform_instance(5, 2)],
+                         ids=["triangle", "double_triangle", "hat2", "u5k2"])
+def test_sample_rules_decide_as_their_definitions(monkeypatch, bundle):
+    """Every live decision of the two sample-basis rules equals its definition,
+    computed from scratch with greedy_mwb on the samples S and the accepted set A:
+    `sample` accepts u iff u in MWB(S + u) and A + u is independent, and
+    `sample-contracted` iff u in MWB(S + u) in the view contracted by A.
+    No in_mwb answers for either side."""
+    def no_in_mwb(*args):
+        raise AssertionError("MatroidView.in_mwb was called")
+    monkeypatch.setattr(MatroidView, "in_mwb", no_in_mwb)
+    view, weights = bundle.view, bundle.weights
+    rules = {
+        "sample": lambda S, A, u: (u in view.greedy_mwb(weights, S | {u})
+                                   and view.is_independent(A | {u})),
+        "sample-contracted": lambda S, A, u: u in view.contract(A).greedy_mwb(weights, S | {u}),
+    }
+    decisions = accepts = 0
+    for schedule, m in every_schedule(bundle):
+        S, live = frozenset(schedule.order[:m]), schedule.order[m:]
+        for name, rule in rules.items():
+            trace = run_trial(name, view, weights, schedule, CUT)
+            A = set()
+            for u, d in zip(live, trace.decisions, strict=True):
+                assert d == _decision(rule(S, A, u), None), (name, schedule.order, m, u)
+                if d.accept:
+                    A.add(u)
+            decisions += len(live)
+            accepts += len(A)
+    assert 0 < accepts < decisions
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_virtual_twins_agree_on_every_uniform_schedule(n):
+    """virtual-uniform and virtual-msp make equal decisions, kicks included,
+    on every schedule of U(n, k), and neither accepts more than k: the
+    capacity virtual-uniform does not test is implied by its rule."""
+    kicks = 0
+    for k in range(n + 1):
+        b = uniform_instance(n, k)
+        for schedule, _ in every_schedule(b):
+            a = run_trial("virtual-uniform", b.view, b.weights, schedule, CUT)
+            c = run_trial("virtual-msp", b.view, b.weights, schedule, CUT)
+            assert a.decisions == c.decisions, (k, schedule.order)
+            assert len(a.accepted) <= k and len(c.accepted) <= k
+            kicks += sum(d.kicked is not None for d in a.decisions)
+    assert kicks > 0 or n == 1
 
 
 # -- the sample is a set ------------------------------------------------------------
