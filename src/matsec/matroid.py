@@ -45,9 +45,9 @@ class WeightedGroundSet:
         for w in self.weights:
             if not isinstance(w, Fraction):
                 raise ValueError("weights must be Fractions; use from_weights()")
-            if w <= 0:
+            if w.numerator <= 0:            # a Fraction's denominator is positive
                 raise ValueError(f"weights must be positive, got {w}")
-        if len(set(self.weights)) != len(self.weights):
+        if len({w.as_integer_ratio() for w in self.weights}) != len(self.weights):
             raise ValueError("weights must be pairwise distinct")
         order = sorted(range(len(self.weights)), key=self.weights.__getitem__, reverse=True)
         # argsorting a permutation inverts it: ranks[u] is u's place in the

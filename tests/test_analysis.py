@@ -674,11 +674,46 @@ class TestLazyBasis:
             seen.add((ok, first_live))
         assert seen == {(True, True), (False, True), (False, False)}
 
+    def test_first_live_verdict_is_the_pass_stopping_at_the_first_live_arrival(self):
+        # no earlier live arrival can excuse the first one, so the forbidden
+        # pass asks check_first_live_accepted's question there, under any table
+        verdicts = set()
+        for view, weights, table, trace in self.cases():
+            ok, u = check_forbidden_consistency(trace, table, view, weights)
+            first_live = check_first_live_accepted(trace, view, weights)
+            assert first_live == (ok or u != trace.schedule.order[trace.sample_count])
+            verdicts.add(first_live)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("policy", ["virtual-msp", RejectEverything()],
+                             ids=["virtual-msp", "reject-everything"])
+    def test_suite_equals_the_two_checker_loop(self, monkeypatch, n, p, policy):
+        # the suite body that ran both checkers on every trace; the suite's
+        # own streams are swapped for a rejecting policy's to make it report
+        # first-live failures as well
+        b = hat_graph(n)
+        table, expected = hat_forbidden_oracle(b), []
+        for idx, trace in enumerate(trial_stream(policy, b.view, b.weights, p, 400, seed=n)):
+            ok, u = check_forbidden_consistency(trace, table, b.view, b.weights)
+            if not ok:
+                expected.append(f"trial {idx}: unexcused rejection of element {u}")
+            if not check_first_live_accepted(trace, b.view, b.weights):
+                expected.append(f"trial {idx}: first live arrival wrongly rejected")
+        stream = analysis.trial_stream
+        monkeypatch.setattr(analysis, "trial_stream",
+                            lambda _, *args, **kwargs: stream(policy, *args, **kwargs))
+        result = run_suite("forbidden-consistency", trials=400, seed=n, n=n, p=p)
+        assert result.failures == expected
+        if policy != "virtual-msp" and p < 1:
+            assert any("first live" in f for f in expected)
+
     def test_suite_computes_a_basis_only_where_a_verdict_reads_it(self, monkeypatch):
         # count from the traces, before in_mwb is counted: one membership
         # query per rejected live arrival that no earlier live arrival
-        # excuses, up to the first offending one, plus one per trace whose
-        # first live arrival was rejected
+        # excuses, up to the first offending one (the suite's first-live
+        # verdict reads the query this pass made at the first live arrival)
         b = hat_graph(5)
         table = hat_forbidden_oracle(b)
         expected = 0
@@ -696,8 +731,6 @@ class TestLazyBasis:
                     if rec.element in b.view.greedy_mwb(b.weights, arrived):
                         break
                 earlier_live.append(rec.element)
-            live = [rec for rec in records if rec.phase == PHASE_LIVE]
-            expected += bool(live) and not live[0].accepted
         queries, bases = [], []
         in_mwb, greedy_mwb = MatroidView.in_mwb, MatroidView.greedy_mwb
 
@@ -714,7 +747,7 @@ class TestLazyBasis:
         result = run_suite("forbidden-consistency", trials=200, seed=0)
         assert result.failures                      # C8's gap shows at this size too
         assert bases == [None]                      # building hat_graph(5): its optimum
-        assert 0 < len(queries) == expected
+        assert len(queries) == expected == 348
 
 
 class TestClawBlocker:
@@ -974,7 +1007,8 @@ class TestClawLayout:
             assert verdicts[-1] == label_modified_hat_trap(trace, b)
         assert set(verdicts) == {True, False}
 
-    @pytest.mark.parametrize("n", [2, 3])
+    # n = 5 is C8's own instance: 2^11 subsets Y times 11 elements u
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_blocked_sets_match_the_label_reference(self, n):
         b = hat_graph(n)
         rule, reference = hat_forbidden_oracle(b).rule, label_forbidden_rule(b)

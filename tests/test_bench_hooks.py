@@ -34,6 +34,14 @@ def bindings(tracer):
     return {owner: dict(vars(owner)) for owner in owners}
 
 
+def assert_restored(before):
+    """Every attribute the tracer rebound is the original again."""
+    for owner, attrs in before.items():
+        now = vars(owner)
+        assert now.keys() == attrs.keys(), owner
+        assert [a for a, v in attrs.items() if now[a] is not v] == [], owner
+
+
 def test_traced_run_counts_every_layer_and_restores_bindings():
     tracer = load_tracer()
     before = bindings(tracer)
@@ -60,10 +68,21 @@ def test_traced_run_counts_every_layer_and_restores_bindings():
     # hooked methods, so the counts equal those of trackers built from scratch
     assert counts["matroid.union_find.finds"] == 140
     assert t.calls["policies.tracker"] == 123
-    for owner, attrs in before.items():     # every rebound attribute is the original again
-        now = vars(owner)
-        assert now.keys() == attrs.keys(), owner
-        assert [a for a, v in attrs.items() if now[a] is not v] == [], owner
+    assert_restored(before)
+
+
+def test_traced_forbidden_suite_runs_one_check_per_trace():
+    """The suite reads its first-live verdict off the blocked-set pass, so
+    `analysis.check` opens one span per trace, not two."""
+    tracer = load_tracer()
+    before = bindings(tracer)
+    t = tracer.Tracer()
+    with t.installed():
+        result = analysis.run_suite("forbidden-consistency", trials=50, seed=0)
+    assert result.cases == 50
+    assert t.calls["analysis.suite"] == 1
+    assert t.calls["analysis.check"] == 50
+    assert_restored(before)
 
 
 def test_traced_sample_rules_count_their_decides_and_tracker_calls():

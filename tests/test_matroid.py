@@ -60,12 +60,23 @@ class TestWeightedGroundSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
             WeightedGroundSet.from_weights([1, 2, 1])
+        # equal values written apart: Fraction normalises 2/4 to 1/2
+        with pytest.raises(ValueError, match="^weights must be pairwise distinct$"):
+            WeightedGroundSet((Fraction(1, 2), Fraction(3), Fraction(2, 4)), ("a", "b", "c"))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             WeightedGroundSet.from_weights([0])
         with pytest.raises(ValueError, match="positive"):
             WeightedGroundSet.from_weights([2, -1])
+        # the sign test reads the numerator; the message still shows the weight
+        for w, shown in ((Fraction(-1, 3), "-1/3"), (Fraction(0), "0")):
+            with pytest.raises(ValueError, match=f"^weights must be positive, got {shown}$"):
+                WeightedGroundSet((Fraction(1, 2), w), ("a", "b"))
+
+    def test_type_is_checked_before_sign_and_duplicates(self):
+        with pytest.raises(ValueError, match="must be Fractions"):
+            WeightedGroundSet((Fraction(1), Fraction(1), -1), ("a", "b", "c"))
 
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
