@@ -116,10 +116,15 @@ def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int) -
 
 
 def estimate_grid(policy, bundle: InstanceBundle, ps, trials: int, seed: int) -> list:
-    """estimate at each cutoff of ps, in order. Each trial's schedule is
-    drawn once and run at every cutoff."""
+    """estimate at each cutoff of ps, in order: check_estimate, then run_estimates."""
     ps = tuple(ps)
     check_estimate(policy, bundle, ps, trials)
+    return run_estimates(policy, bundle, ps, trials, seed)
+
+
+def run_estimates(policy, bundle: InstanceBundle, ps, trials: int, seed: int) -> list:
+    """estimate_grid's reports, for inputs that passed check_estimate. Each
+    trial's schedule is drawn once and run at every cutoff."""
     policy, view, weights = build_policy(policy), bundle.view, bundle.weights
     tallies = [[0] * weights.count for _ in ps]     # acceptances per element
     for schedule in schedule_stream(weights, trials, seed):

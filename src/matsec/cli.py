@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import instances
-from .analysis import (SUITE_NAMES, certify_no_size1_strong_fs, check_estimate, estimate,
-                       estimate_grid, reference_bound, run_suite, three_sigma)
+from .analysis import (SUITE_NAMES, certify_no_size1_strong_fs, check_estimate,
+                       reference_bound, run_estimates, run_suite, three_sigma)
 from .instances import InstanceBundle
 from .matroid import GraphicMatroid, UniformMatroid, dump_instance, parse_instance
 from .policies import POLICIES
@@ -153,7 +153,8 @@ def _cmd_estimate(args) -> int:
     bound = reference_bound(family, args.policy, args.p)
     direction = None if bound is None else "lower"
     with _out_stream(args.out) as fp:
-        report = estimate(args.policy, bundle, args.p, args.trials, args.seed).to_json_obj()
+        report = run_estimates(args.policy, bundle, (args.p,), args.trials,
+                               args.seed)[0].to_json_obj()
         dump_json_line({**report, "analyticBound": bound, "boundDirection": direction}, fp)
     return 0
 
@@ -176,19 +177,19 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--n-grid does not apply to {where}")
     if args.n_grid is not None and args.n is not None:
         raise ValueError("--n does not apply with --n-grid")
-    def bundles():          # one bundle alive at a time
-        for n in ns:
-            args.n = n
-            yield _resolve_instance(args)
-    for bundle, _ in bundles():     # the whole grid is checked before --out opens, as above
+    grid = []
+    for n in ns:        # the whole grid is built and checked once, before --out opens
+        args.n = n
+        bundle, family = _resolve_instance(args)
         check_estimate(args.policy, bundle, ps, args.trials)
+        grid.append((args.n, bundle, family))      # args.n now holds the default, if any
     with _out_stream(args.out) as fp:
         rows = [["instance", "n", "policy", "p", "trials", "element", "freq", "ci", "bound"]]
-        for bundle, family in bundles():
+        for n, bundle, family in grid:
             name = family or Path(args.instance_file).stem
-            size = args.n if family and "n" in FAMILIES[family][1] else bundle.weights.count
+            size = n if family and "n" in FAMILIES[family][1] else bundle.weights.count
             label = bundle.weights.label
-            reports = estimate_grid(args.policy, bundle, ps, args.trials, args.seed)
+            reports = run_estimates(args.policy, bundle, ps, args.trials, args.seed)
             for p, report in zip(ps, reports):
                 for u, freq in sorted(report.per_element_accept_freq.items()):
                     bound = reference_bound(family, args.policy, p, label(u))

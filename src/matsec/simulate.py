@@ -65,10 +65,31 @@ def _read_only(times) -> np.ndarray:
 
 
 def draw_schedule(ground: WeightedGroundSet, rng: np.random.Generator) -> ArrivalSchedule:
-    times = rng.random(ground.count)
-    # stable argsort breaks (measure-zero) time collisions by element id
-    idx = times.argsort(kind="stable")
-    return ArrivalSchedule(tuple(idx.tolist()), _read_only(times[idx]))
+    """The schedule of rng's next ground.count doubles: element u arrives at the u-th."""
+    return next(_draw_schedules(ground.count, (rng,), 1))
+
+
+def _draw_schedules(count: int, rngs: Iterable[np.random.Generator],
+                    rows: int) -> Iterator[ArrivalSchedule]:
+    """draw_schedule for each generator of rngs, `rows` at a time. Each is read
+    before the next is taken (_trial_rngs reuses one); one unstable sort orders
+    the block, and a row with a tied time is sorted again stably, by id."""
+    rngs, drawn = iter(rngs), rows
+    starts = np.arange(rows)[:, None] * count       # each row's offset in the flat block
+    while drawn == rows:
+        times, drawn = np.empty((rows, count)), 0
+        for drawn, (row, rng) in enumerate(zip(times, rngs), 1):
+            rng.random(out=row)
+        times = times[:drawn]
+        idx = times.argsort(axis=1)
+        sorted_times = times.take(idx + starts[:drawn])
+        tied = sorted_times[:, 1:] == sorted_times[:, :-1]
+        if tied.any():      # the sorted times stand; only the order among equals moves
+            tied = tied.any(axis=1)
+            idx[tied] = times[tied].argsort(axis=1, kind="stable")
+        sorted_times.setflags(write=False)
+        for order, row in zip(idx, sorted_times):
+            yield ArrivalSchedule(tuple(order.tolist()), row)
 
 
 def forced_schedule(assignments: Iterable[tuple[int, float]]) -> ArrivalSchedule:
@@ -201,7 +222,8 @@ def trace_records(trace: DecisionTrace, view: MatroidView,
 
 def schedule_stream(weights: WeightedGroundSet, trials: int, seed: int) -> Iterator:
     """One schedule per trial; trial i's is always drawn from trial_rng(seed, i)'s stream."""
-    return (draw_schedule(weights, rng) for rng in _trial_rngs(seed, trials))
+    rows = max(1, min(trials, _DRAW_BLOCK // max(weights.count, 1)))
+    return _draw_schedules(weights.count, _trial_rngs(seed, trials), rows)
 
 
 def trial_stream(policy, view: MatroidView, weights: WeightedGroundSet,
@@ -220,6 +242,7 @@ def trial_stream(policy, view: MatroidView, weights: WeightedGroundSet,
 # PCG64's seeding step per trial, and sets the state of one reused generator.
 
 _SEED_BLOCK = 1024
+_DRAW_BLOCK = 1 << 13       # doubles in one block of schedule_stream's draws
 _M32, _M128 = 0xFFFFFFFF, (1 << 128) - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from matsec import SUITE_NAMES, SuiteResult, load_records, parse_instance, parse_schedule
-from matsec import cli
+from matsec import cli, instances, policies
 from matsec.analysis import CASE_SUITES
 from matsec.cli import FAMILIES, FIXTURES, INSTANCE_FLAGS, MAX_SIZE, main
 
@@ -184,8 +184,7 @@ class TestExitCodes:
                                                          monkeypatch, command, out):
         def no_estimate(*args):
             raise AssertionError("an estimate ran before --out was opened")
-        monkeypatch.setattr(cli, "estimate", no_estimate)
-        monkeypatch.setattr(cli, "estimate_grid", no_estimate)
+        monkeypatch.setattr(cli, "run_estimates", no_estimate)
         monkeypatch.chdir(tmp_path)
         code, stdout, err = run_cli(capsys, command, "--instance", "hat", "--n", "128",
                                     "--trials", "5000", "--out", out)
@@ -563,6 +562,28 @@ class TestInProcessCalls:
             run_cli(capsys, *argv)
         assert built == []
 
+    @pytest.mark.parametrize("argv, starts, builds", [
+        # one start per trial and cutoff, plus one empty-sample probe per bundle
+        (("estimate", "--instance", "hat", "--n", "3", "--trials", "7"), 7 + 1, [3]),
+        (("sweep", "--instance", "hat", "--n-grid", "2,3", "--p-grid", "0.25,0.5",
+          "--trials", "7"), 2 * (7 * 2 + 1), [2, 3]),
+        (("sweep", "--instance", "hat", "--p-grid", "0.5", "--trials", "7"), 7 + 1, [5]),
+    ])
+    def test_each_bundle_is_built_and_probed_once(self, capsys, monkeypatch, tmp_path,
+                                                  argv, starts, builds):
+        calls, built = [], []
+        start, hat_graph = policies.VirtualMspPolicy.start, instances.hat_graph
+
+        def counting_start(self, *args):
+            calls.append(args)
+            start(self, *args)
+        monkeypatch.setattr(policies.VirtualMspPolicy, "start", counting_start)
+        monkeypatch.setattr(instances, "hat_graph", lambda n: built.append(n) or hat_graph(n))
+        out = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--policy", "virtual-msp", "--out", str(out))[0] == 0
+        assert out.read_text()
+        assert (len(calls), built) == (starts, builds)
+
 
 # -- sweep ----------------------------------------------------------------------
 
@@ -604,7 +625,7 @@ class TestSweep:
                                                              grid, message):
         def no_estimate(*args):
             raise AssertionError("an estimate ran before the grid was checked")
-        monkeypatch.setattr(cli, "estimate_grid", no_estimate)
+        monkeypatch.setattr(cli, "run_estimates", no_estimate)
         code, out, err = run_cli(capsys, "sweep", "--instance", "hat", *grid, "--trials", "5")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -188,6 +188,72 @@ class TestDrawSchedule:
         assert abs((times < 0.3).mean() - 0.3) < 0.04
 
 
+class StubRng:
+    """Hands out fixed times, as a generator's random(out=...) would."""
+
+    def __init__(self, times):
+        self.times = times
+
+    def random(self, out):
+        out[:] = self.times
+
+
+def by_time_then_id(times):
+    return tuple(sorted(range(len(times)), key=lambda u: (times[u], u)))
+
+
+class TestBlockDraw:
+    """schedule_stream draws its schedules in blocks, sorts each block at once
+    and re-sorts only the rows with a tied time; draw_schedule is its one-row case."""
+
+    def test_tied_times_break_by_element_id(self):
+        sched = draw_schedule(uniform_instance(4, 1).weights, StubRng([0.5, 0.25, 0.5, 0.25]))
+        assert sched.order == (1, 3, 0, 2)
+        assert sched.arrival == (0.25, 0.25, 0.5, 0.5)
+
+    def test_a_tied_row_inside_a_block_keeps_time_then_id_order(self, monkeypatch):
+        count = 200
+        tied = [(u * 7 % 5) / 8 for u in range(count)]      # five times, 40 elements each
+        # the default sort alone would misorder this row, so the repair is exercised
+        assert tuple(np.argsort(tied).tolist()) != by_time_then_id(tied)
+        rng = np.random.default_rng(3)
+        rows = [rng.random(count).tolist() for _ in range(6)]
+        rows[2] = tied
+        rows[4] = rows[4][:100] + rows[4][:100]             # every time twice
+        monkeypatch.setattr(simulate, "_trial_rngs", lambda seed, trials: map(StubRng, rows))
+        monkeypatch.setattr(simulate, "_DRAW_BLOCK", 4 * count)    # a block of 4 rows, then 2
+        drawn = list(simulate.schedule_stream(uniform_instance(count, 1).weights, 6, 0))
+        assert [s.order for s in drawn] == [by_time_then_id(r) for r in rows]
+        assert [s.arrival for s in drawn] == [tuple(sorted(r)) for r in rows]
+
+    def test_stream_equals_one_draw_per_trial_across_both_blocks(self):
+        weights, seed = uniform_instance(200, 1).weights, 4
+        rows = simulate._DRAW_BLOCK // 200
+        trials = simulate._SEED_BLOCK + rows + 3
+        assert simulate._SEED_BLOCK % rows and trials % rows    # both boundaries cut a block
+        drawn = list(simulate.schedule_stream(weights, trials, seed))
+        assert len(drawn) == trials
+        for i, sched in enumerate(drawn):
+            direct = draw_schedule(weights, trial_rng(seed, i))
+            raw = trial_rng(seed, i).random(200)
+            assert sched.order == direct.order == tuple(raw.argsort(kind="stable").tolist()), i
+            assert np.array_equal(sched.sorted_times, direct.sorted_times), i
+            assert np.array_equal(sched.sorted_times, np.sort(raw)), i
+            assert not sched.sorted_times.flags.writeable, i
+
+    def test_no_trials_and_no_elements(self):
+        assert list(simulate.schedule_stream(uniform_instance(200, 1).weights, 0, 1)) == []
+        empty = list(simulate.schedule_stream(uniform_instance(0, 0).weights, 3, 1))
+        assert [(s.order, s.arrival) for s in empty] == [((), ())] * 3
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 200])
+    def test_a_draw_reads_exactly_count_doubles(self, count):
+        shared, reference = np.random.default_rng(9), np.random.default_rng(9)
+        draw_schedule(uniform_instance(count, min(count, 1)).weights, shared)
+        reference.random(count)
+        assert shared.random() == reference.random()
+
+
 class TestForcedSchedule:
     def test_round_trip_order(self):
         sched = forced_schedule([(2, 0.9), (0, 0.1), (1, 0.5)])
