@@ -187,7 +187,7 @@ def _cmd_sweep(args) -> int:
         rows = [["instance", "n", "policy", "p", "trials", "element", "freq", "ci", "bound"]]
         for n, bundle, family in grid:
             name = family or Path(args.instance_file).stem
-            size = n if family and "n" in FAMILIES[family][1] else bundle.weights.count
+            size = bundle.weights.count if n is None else n
             label = bundle.weights.label
             reports = run_estimates(args.policy, bundle, ps, args.trials, args.seed)
             for p, report in zip(ps, reports):

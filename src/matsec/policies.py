@@ -165,11 +165,12 @@ class Policy:
         raise NotImplementedError
 
 
-class _SampleRule(Policy):
+class SamplePolicy(Policy):
     """Accept u when u belongs to the max-weight basis of the samples plus u
     and the accepted set stays independent. The basis query asks `_basis`:
     the accepted-set tracker when `contracted`, else a copy that never grows."""
 
+    name = "sample"
     contracted = False
 
     def start(self, view, weights, samples):
@@ -187,36 +188,33 @@ class _SampleRule(Policy):
         return _REJECT
 
 
-class SamplePolicy(_SampleRule):
-    """The basis query ignores the accepted set."""
-
-    name = "sample"
-
-
-class SampleContractedPolicy(_SampleRule):
+class SampleContractedPolicy(SamplePolicy):
     """The basis query runs in the view contracted by the accepted set."""
 
     name = "sample-contracted"
     contracted = True
 
 
-class GreedyFrameworkPolicy(_SampleRule):
+class GreedyFrameworkPolicy(Policy):
     """Reference-set framework: keep an independent reference set I with
     A <= I <= A + S whose span covers everything seen; accept u iff u enters
     the max-weight basis of I + u after contracting the accepted set.
 
     I is the accepted set plus the sample basis in the contracted matroid,
-    which makes this the invariant-checked twin of SampleContractedPolicy.
-    The structural invariants are re-checked at every decision and a
-    violation raises PolicyViolation instead of being repaired.
+    which makes this the invariant-checked twin of SampleContractedPolicy;
+    the two share no code. The structural invariants are re-checked at
+    every decision and a violation raises PolicyViolation instead of being
+    repaired.
     """
 
     name = "greedy-framework"
-    contracted = True       # as its twin: start() then copies no tracker that decide never asks
 
     def start(self, view, weights, samples):
-        super().start(view, weights, samples)
+        self.view = view
+        self.weights = weights
+        self.samples = set(samples)
         self.arrived = set(samples)
+        self.accepted: set[int] = set()
         self._reference = self._rebuild()
 
     def _rebuild(self) -> set[int]:
@@ -276,7 +274,7 @@ class DynkinPolicy(Policy):
     name = "dynkin"
 
     def start(self, view, weights, samples):
-        if _effective_uniform_k(view, "dynkin") != 1:
+        if _effective_uniform_k(view, self.name) != 1:
             raise ValueError("dynkin needs a 1-uniform instance")
         self._ranks = ranks = weights.ranks
         # weight rank of the heaviest sample, lower is heavier; count when none
@@ -303,7 +301,7 @@ class OptimisticPolicy(Policy):
     name = "optimistic"
 
     def start(self, view, weights, samples):
-        self._k = _effective_uniform_k(view, "optimistic")
+        self._k = _effective_uniform_k(view, self.name)
         self._ranks = weights.ranks
         # the k heaviest samples, heaviest first
         self._refs = sorted(samples, key=self._ranks.__getitem__)[:self._k]
@@ -333,7 +331,7 @@ class VirtualUniformPolicy(Policy):
     name = "virtual-uniform"
 
     def start(self, view, weights, samples):
-        self._k = _effective_uniform_k(view, "virtual-uniform")
+        self._k = _effective_uniform_k(view, self.name)
         self._ranks = weights.ranks
         # the k heaviest arrivals, heaviest first
         self._refs = sorted(samples, key=self._ranks.__getitem__)[:self._k]

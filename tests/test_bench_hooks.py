@@ -111,8 +111,8 @@ TRACED_BUNDLES = {"dynkin": uniform_instance(8, 1), "optimistic": uniform_instan
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_one_decide_span_per_live_arrival(name):
-    """A decide that calls another traced decide (say a subclass calling a base
-    rule through super()) would open nested spans and count a decision twice."""
+    """A start or decide that calls another traced one (say a subclass calling a
+    base rule through super()) would open nested spans and count a call twice."""
     tracer, bundle = load_tracer(), TRACED_BUNDLES.get(name, hat_graph(3))
     t = tracer.Tracer()
     with t.installed():
@@ -120,5 +120,6 @@ def test_one_decide_span_per_live_arrival(name):
     live = sum(len(trace.decisions) for trace in traces)
     accepted = sum(len(trace.accepted) for trace in traces)
     assert live > 0 and accepted > 0
+    assert t.calls["policies.start"] == 20
     assert t.calls["policies.decide"] == live
     assert t.exact_counts()["policies.decide.accepted"] == accepted

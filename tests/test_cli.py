@@ -513,6 +513,7 @@ class TestEstimate:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert {r[0] for r in rows} == {"hat"}
+        assert {r[1] for r in rows} == {"5"}       # a file's size is its element count
         assert all(r[8] == "" for r in rows)
 
     def test_dynkin_auto_bound(self, capsys):
@@ -600,6 +601,17 @@ class TestSweep:
         assert rows[0] == ["instance", "n", "policy", "p", "trials",
                            "element", "freq", "ci", "bound"]
         assert len(rows) == 1 + 3 * 2    # default p grid x optimum size
+
+    @pytest.mark.parametrize("instance, n", [
+        (("--instance", "triangle"), "3"),
+        (("--instance", "uniform", "--n", "4", "--k", "2"), "4"),
+    ])
+    def test_n_column_is_the_resolved_size(self, capsys, instance, n):
+        code, out, _ = run_cli(capsys, "sweep", *instance, "--policy", "sample",
+                               "--p-grid", "0.5", "--trials", "10")
+        assert code == 0
+        rows = self.read_rows(out)[1:]
+        assert rows and {r[1] for r in rows} == {n}
 
     def test_n_grid_over_hat(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--instance", "hat",
