@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Collection, Iterable, TextIO, Union
 
@@ -187,10 +188,11 @@ class AcceptedSetTracker:
         ra, rb = uf.find(a), uf.find(b)
         if ra == rb:
             return False
-        if uf.size[ra] < uf.size[rb]:     # link the smaller component below the larger
+        size = uf.size
+        if size[ra] < size[rb]:           # link the smaller component below the larger
             ra, rb = rb, ra
         uf.parent[rb] = ra
-        uf.size[ra] += uf.size[rb]
+        size[ra] += size[rb]
         return True
 
 
@@ -224,6 +226,11 @@ class MatroidView:
     @property
     def ground(self) -> frozenset:
         return self._ground
+
+    @cached_property
+    def other_end(self) -> tuple[int, ...]:
+        """Each graphic base edge's a ^ b: x ^ other_end[e] is the end of e that is not x."""
+        return tuple(a ^ b for a, b in self.base.endpoints)
 
     def _check(self, S: Collection[int]) -> None:
         """Raise DomainError naming the elements of S outside the effective

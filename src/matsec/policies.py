@@ -61,15 +61,15 @@ class _GreedyRunningMwb(RunningMwb):
     def __init__(self, view: MatroidView, weights: WeightedGroundSet):
         self._view = view
         self._ranks = weights.ranks
-        self._inserted: set[int] = set()
+        self._pending = set(view.ground)    # not yet inserted
         self._basis: list[int] = []
 
     def insert(self, u: int) -> tuple[bool, int | None]:
-        if u not in self._view.ground:
-            raise DomainError(f"element {u} outside effective ground set")
-        if u in self._inserted:
-            raise ValueError(f"element {u} inserted twice")
-        self._inserted.add(u)
+        try:
+            self._pending.remove(u)
+        except KeyError:
+            raise (ValueError(f"element {u} inserted twice") if u in self._view.ground
+                   else DomainError(f"element {u} outside effective ground set")) from None
         basis, ranks = self._basis, self._ranks
         j = bisect.bisect(basis, ranks[u], key=ranks.__getitem__)
         basis.insert(j, u)
@@ -86,55 +86,57 @@ class _GreedyRunningMwb(RunningMwb):
 
 class _GraphicRunningMwb(RunningMwb):
     """The basis as a rooted forest on the vertices of a graphic view with
-    nothing contracted: each vertex stores its parent and the edge to it.
+    nothing contracted: each vertex stores only the edge to its parent, the
+    edge's other end x ^ view.other_end[e].
 
-    An insert of u = (a, b) takes two walks. It re-roots a's tree at a by
-    reversing a's root path; then u closes a circuit exactly when the walk
-    up from b reaches a, and that walk finds the lightest edge on the
-    path. The displaced edge is cut at its child endpoint, and u is linked
-    by hanging a below b. A rejected insert leaves the basis unchanged but
-    may leave a's tree re-rooted. An insert allocates nothing and costs
-    O(tree depth).
+    An insert of u = (a, b) needs a to be a root: if only b is, the ends
+    swap, and if neither is, a's tree is re-rooted at a by reversing a's
+    root path. Then u closes a circuit exactly when the walk up from b ends
+    at a, and that walk finds the lightest edge on the path. The displaced
+    edge is cut at its child endpoint, and u is linked by hanging a below b.
+    A rejected insert leaves the basis unchanged but may leave a tree
+    re-rooted. An insert allocates nothing and costs O(tree depth).
     """
 
     def __init__(self, view: MatroidView, weights: WeightedGroundSet):
-        base = view.base
-        self._ground = view.ground
-        self._endpoints = base.endpoints
+        self._view = view
+        self._pending = set(view.ground)    # not yet inserted
+        self._endpoints = view.base.endpoints
+        self._other_end = view.other_end
         self._ranks = weights.ranks
-        self._parent: list[int | None] = [None] * base.num_vertices
-        self._parent_edge: list[int | None] = [None] * base.num_vertices
-        self._edges: set[int] = set()
+        self._parent_edge: list[int | None] = [None] * view.base.num_vertices
 
     def insert(self, u: int) -> tuple[bool, int | None]:
-        if u not in self._ground:
-            raise DomainError(f"element {u} outside effective ground set")
-        if u in self._edges:
-            raise ValueError(f"element {u} inserted twice")
-        self._edges.add(u)
+        try:
+            self._pending.remove(u)
+        except KeyError:
+            raise (ValueError(f"element {u} inserted twice") if u in self._view.ground
+                   else DomainError(f"element {u} outside effective ground set")) from None
         a, b = self._endpoints[u]
-        parent, parent_edge, ranks = self._parent, self._parent_edge, self._ranks
-        x, new_parent, new_edge = a, None, None   # re-root: reverse a's root path
-        while x is not None:
-            next_x, next_edge = parent[x], parent_edge[x]
-            parent[x], parent_edge[x] = new_parent, new_edge
-            x, new_parent, new_edge = next_x, x, next_edge
-        # a is a root now: the circuit is path b..a + u (u alone if a == b)
-        x, worst_rank, worst_child, kicked = b, ranks[u], None, None
-        while x != a:
-            e = parent_edge[x]
-            if e is None:                   # b's tree is another tree: no circuit
-                break
-            r = ranks[e]
-            if r > worst_rank:
-                worst_rank, worst_child = r, x
-            x = parent[x]
-        else:
-            if worst_child is None:
-                return False, None
-            kicked = parent_edge[worst_child]
-            parent[worst_child] = parent_edge[worst_child] = None
-        parent[a], parent_edge[a] = b, u
+        parent_edge, other_end, ranks = self._parent_edge, self._other_end, self._ranks
+        if parent_edge[a] is not None:
+            if parent_edge[b] is None:      # u is undirected: hang a root endpoint
+                a, b = b, a
+            else:                           # re-root: reverse a's root path
+                x, new_edge = a, None
+                while (e := parent_edge[x]) is not None:
+                    parent_edge[x], x, new_edge = new_edge, x ^ other_end[e], e
+                parent_edge[x] = new_edge
+        # a is a root now: b's root path ends at a exactly when u closes the
+        # circuit path b..a + u (u alone if a == b)
+        x, worst_rank, worst_child = b, ranks[u], None
+        while (e := parent_edge[x]) is not None:
+            if ranks[e] > worst_rank:
+                worst_rank, worst_child = ranks[e], x
+            x ^= other_end[e]
+        if x != a:                          # b's tree is another tree: no circuit
+            parent_edge[a] = u
+            return True, None
+        if worst_child is None:
+            return False, None
+        kicked = parent_edge[worst_child]
+        parent_edge[worst_child] = None
+        parent_edge[a] = u
         return True, kicked
 
     def basis(self) -> frozenset:

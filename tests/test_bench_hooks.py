@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from matsec import (POLICY_NAMES, analysis, hat_graph, matroid, policies, simulate,
-                    uniform_instance)
+from matsec import (POLICY_NAMES, analysis, hat_graph, matroid, modified_hat_graph,
+                    policies, simulate, uniform_instance)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -68,6 +68,27 @@ def test_traced_run_counts_every_layer_and_restores_bindings():
     # hooked methods, so the counts equal those of trackers built from scratch
     assert counts["matroid.union_find.finds"] == 140
     assert t.calls["policies.tracker"] == 123
+    assert_restored(before)
+
+
+def test_traced_forest_kernel_counts_are_pinned():
+    """`virtual-msp` on a modified hat inserts into the forest kernel, as the
+    mhat64-trap workload does: one traced insert per arrival, and the
+    kernel's representation moves none of the exact counts."""
+    tracer, hat = load_tracer(), modified_hat_graph(8)
+    before = bindings(tracer)
+    t = tracer.Tracer()
+    with t.installed():
+        traces = list(simulate.trial_stream("virtual-msp", hat.view, hat.weights, 0.5, 20, 0))
+    assert len(traces) == 20
+    counts = t.exact_counts()
+    assert {name: counts[name] for name in (
+        "simulate.arrivals", "policies.mwb_insert.calls", "policies.mwb_insert.entered",
+        "policies.decide.calls", "policies.decide.accepted", "matroid.union_find.finds")} == {
+        "simulate.arrivals": 660, "policies.mwb_insert.calls": 660,
+        "policies.mwb_insert.entered": 533, "policies.decide.calls": 328,
+        "policies.decide.accepted": 173, "matroid.union_find.finds": 694}
+    assert t.calls["policies.tracker"] == 380
     assert_restored(before)
 
 

@@ -1,5 +1,6 @@
 """Policy decision procedures and the incremental basis kernels behind them."""
 
+import collections
 import hashlib
 import io
 import itertools
@@ -55,10 +56,24 @@ from matsec.policies import (
 from matsec.cli import main
 
 
+def forest_parents(kernel):
+    """Each vertex's parent in the forest kernel, or None at a root, read off
+    its parent edge and the edge's endpoints; [] for the greedy kernel, which
+    keeps no forest."""
+    parents = []
+    for x, e in enumerate(getattr(kernel, "_parent_edge", [])):
+        if e is None:
+            parents.append(None)
+            continue
+        ends = kernel._endpoints[e]
+        assert x in ends, (x, e)            # x is an endpoint of its parent edge
+        parents.append(ends[ends[0] == x])
+    return parents
+
+
 def forest_depth(kernel):
-    """Longest parent chain in the forest kernel; 0 for the greedy kernel,
-    which keeps no forest."""
-    parent = getattr(kernel, "_parent", [])
+    """Longest parent chain in the forest kernel; 0 for the greedy kernel."""
+    parent = forest_parents(kernel)
     depth = 0
     for v in range(len(parent)):
         steps = 0
@@ -69,13 +84,9 @@ def forest_depth(kernel):
 
 
 def assert_forest_well_formed(kernel):
-    """Each parent edge joins its vertex to the parent, every parent chain
+    """Each parent edge has its vertex as an endpoint, every parent chain
     ends at a root, and the parent edges are the basis, each stored once."""
-    parent, parent_edge = kernel._parent, kernel._parent_edge
-    for x, (p, e) in enumerate(zip(parent, parent_edge)):
-        assert (p is None) == (e is None), x
-        if e is not None:
-            assert sorted(kernel._endpoints[e]) == sorted((x, p)), (x, p, e)
+    parent = forest_parents(kernel)
     for v in range(len(parent)):
         x = v
         for _ in range(len(parent)):        # a chain in a forest has fewer steps
@@ -83,7 +94,7 @@ def assert_forest_well_formed(kernel):
                 break
             x = parent[x]
         assert x is None, f"the parent chain of {v} never ends"
-    edges = [e for e in parent_edge if e is not None]
+    edges = [e for e in kernel._parent_edge if e is not None]
     assert sorted(edges) == sorted(kernel.basis())
 
 
@@ -114,15 +125,19 @@ class TestRunningMwb:
         assert kernel.basis() == frozenset({2, 5})
 
     def test_rejects_duplicates_and_strangers(self):
+        # the restriction puts the forest kernel on fewer elements than its base:
+        # the base edge 2 outside it is a stranger, not a repeat
         tri, uni = triangle(), uniform_instance(3, 1)
         for view, weights in ((uni.view, uni.weights), (tri.view, tri.weights),
-                              (tri.view.contract([2]), tri.weights)):
+                              (tri.view.contract([2]), tri.weights),
+                              (tri.view.restrict([0, 1]), tri.weights)):
             kernel = running_mwb(view, weights)
             kernel.insert(1)
             with pytest.raises(ValueError, match="twice"):
                 kernel.insert(1)
-            with pytest.raises(DomainError):
-                kernel.insert(9)
+            for stranger in sorted({2, 9} - view.ground):
+                with pytest.raises(DomainError):
+                    kernel.insert(stranger)
             assert kernel.basis() == {1}            # a failed insert changes nothing
             assert kernel.insert(0)[0] == (0 in view.greedy_mwb(weights, {0, 1}))
             with pytest.raises(ValueError, match="twice"):
@@ -224,6 +239,36 @@ class TestRunningMwb:
                     assert_forest_well_formed(kernel)
                 deepest = max(deepest, forest_depth(kernel))
         assert deepest > 10
+
+    @staticmethod
+    def large_streams():
+        """(view, weights, insertion order) cases too large for from-scratch
+        greedy per insert: seeded trial orders on the 256-spoke hats, and
+        multigraphs with loops and parallel edges, full and restricted."""
+        for make in (modified_hat_graph, hat_graph):
+            b = make(256)
+            for seed in range(2):
+                yield b.view, b.weights, _seeded_schedule(b, seed).order
+        for case in range(4):
+            rng = np.random.default_rng(300 + case)
+            b = random_graphic(40, 200, rng)
+            yield b.view, b.weights, rng.permutation(b.weights.count)
+            minor = b.view.restrict(u for u in range(200) if rng.random() < 0.6)
+            yield minor, b.weights, rng.permutation(sorted(minor.ground))
+
+    def test_forest_matches_greedy_kernel_on_large_streams(self):
+        # both kernels agree on every insert; the forest takes each of its
+        # three paths: a root endpoint as is, swapped ends, and a re-root
+        paths = collections.Counter()
+        for view, weights, order in self.large_streams():
+            forest, greedy = _GraphicRunningMwb(view, weights), _GreedyRunningMwb(view, weights)
+            for u in map(int, order):
+                a, b = forest._endpoints[u]
+                a_root, b_root = (forest._parent_edge[x] is None for x in (a, b))
+                paths["as is" if a_root else "swap" if b_root else "re-root"] += 1
+                assert forest.insert(u) == greedy.insert(u)
+            assert forest.basis() == greedy.basis()
+        assert min(paths.values()) > 100, paths
 
     def test_contracted_graphic(self):
         b = triangle()
