@@ -90,20 +90,6 @@ class EstimateReport:
         }
 
 
-def check_estimate(policy, bundle: InstanceBundle, ps, trials: int) -> None:
-    """The rules on an estimate's inputs, checked before its first trial;
-    last, start() on an empty sample raises for a policy that cannot run here."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if not bundle.mwb:
-        raise ValueError("the optimum is empty: no element can be accepted")
-    if not ps:
-        raise ValueError("an estimate needs at least one cutoff")
-    for p in ps:
-        check_cutoff(p)
-    build_policy(policy).start(bundle.view, bundle.weights, ())
-
-
 def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int) -> EstimateReport:
     """Acceptance frequency of each optimum element plus the mean utility
     ratio, over `trials` independent schedules. The report carries no
@@ -112,34 +98,45 @@ def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int) -
     Deterministic given (seed, trials): trial i always consumes the stream
     trial_rng(seed, i), whatever order trials execute in.
     """
-    return estimate_grid(policy, bundle, (p,), trials, seed)[0]
+    report, = estimate_grid(policy, bundle, (p,), trials, seed)
+    return report
 
 
-def estimate_grid(policy, bundle: InstanceBundle, ps, trials: int, seed: int) -> list:
-    """estimate at each cutoff of ps, in order: check_estimate, then run_estimates."""
+def estimate_grid(policy, bundle: InstanceBundle, ps, trials: int, seed: int):
+    """estimate at each cutoff of ps, in order, as an iterator of reports.
+
+    The call checks the inputs: trials, the optimum, then the cutoffs; last,
+    start() on an empty sample raises for a policy that cannot run here. The
+    first read runs every trial: each schedule is drawn once and run at
+    every cutoff.
+    """
     ps = tuple(ps)
-    check_estimate(policy, bundle, ps, trials)
-    return run_estimates(policy, bundle, ps, trials, seed)
-
-
-def run_estimates(policy, bundle: InstanceBundle, ps, trials: int, seed: int) -> list:
-    """estimate_grid's reports, for inputs that passed check_estimate. Each
-    trial's schedule is drawn once and run at every cutoff."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if not bundle.mwb:
+        raise ValueError("the optimum is empty: no element can be accepted")
+    if not ps:
+        raise ValueError("an estimate needs at least one cutoff")
+    for p in ps:
+        check_cutoff(p)
     policy, view, weights = build_policy(policy), bundle.view, bundle.weights
-    tallies = [[0] * weights.count for _ in ps]     # acceptances per element
-    for schedule in schedule_stream(weights, trials, seed):
-        for p, tally in zip(ps, tallies):
-            for u in run_trial(policy, view, weights, schedule, p).accepted:
-                tally[u] += 1
-    opt_sum, reports = weights.total(bundle.mwb) * trials, []
-    for tally in tallies:
-        # the accepted weight over all trials, as one exact sum over elements
-        value_sum = sum((c * w for c, w in zip(tally, weights.weights) if c), Fraction(0))
-        freqs = {u: tally[u] / trials for u in sorted(bundle.mwb)}
-        min_freq = min(freqs.values())
-        reports.append(EstimateReport(trials, freqs, min_freq, float(value_sum / opt_sum),
-                                      three_sigma(min_freq, trials)))
-    return reports
+    policy.start(view, weights, ())
+
+    def reports():
+        tallies = [[0] * weights.count for _ in ps]     # acceptances per element
+        for schedule in schedule_stream(weights, trials, seed):
+            for p, tally in zip(ps, tallies):
+                for u in run_trial(policy, view, weights, schedule, p).accepted:
+                    tally[u] += 1
+        opt_sum = weights.total(bundle.mwb) * trials
+        for tally in tallies:
+            # the accepted weight over all trials, as one exact sum over elements
+            value_sum = sum((c * w for c, w in zip(tally, weights.weights) if c), Fraction(0))
+            freqs = {u: tally[u] / trials for u in sorted(bundle.mwb)}
+            min_freq = min(freqs.values())
+            yield EstimateReport(trials, freqs, min_freq, float(value_sum / opt_sum),
+                                 three_sigma(min_freq, trials))
+    return reports()
 
 
 # -- analytic values -----------------------------------------------------------

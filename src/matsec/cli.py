@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import instances
-from .analysis import (SUITE_NAMES, certify_no_size1_strong_fs, check_estimate,
-                       reference_bound, run_estimates, run_suite, three_sigma)
+from .analysis import (SUITE_NAMES, certify_no_size1_strong_fs, estimate_grid,
+                       reference_bound, run_suite, three_sigma)
 from .instances import InstanceBundle
 from .matroid import GraphicMatroid, UniformMatroid, dump_instance, parse_instance
 from .policies import POLICIES
@@ -149,12 +149,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     bundle, family = _resolve_instance(args)
-    check_estimate(args.policy, bundle, (args.p,), args.trials)    # before --out opens
+    # checked before --out opens; the trials run when the report is read
+    reports = estimate_grid(args.policy, bundle, (args.p,), args.trials, args.seed)
     bound = reference_bound(family, args.policy, args.p)
     direction = None if bound is None else "lower"
     with _out_stream(args.out) as fp:
-        report = run_estimates(args.policy, bundle, (args.p,), args.trials,
-                               args.seed)[0].to_json_obj()
+        report = next(reports).to_json_obj()
         dump_json_line({**report, "analyticBound": bound, "boundDirection": direction}, fp)
     return 0
 
@@ -181,15 +181,14 @@ def _cmd_sweep(args) -> int:
     for n in ns:        # the whole grid is built and checked once, before --out opens
         args.n = n
         bundle, family = _resolve_instance(args)
-        check_estimate(args.policy, bundle, ps, args.trials)
-        grid.append((args.n, bundle, family))      # args.n now holds the default, if any
+        reports = estimate_grid(args.policy, bundle, ps, args.trials, args.seed)
+        grid.append((args.n, bundle, family, reports))     # args.n now holds the default, if any
     with _out_stream(args.out) as fp:
         rows = [["instance", "n", "policy", "p", "trials", "element", "freq", "ci", "bound"]]
-        for n, bundle, family in grid:
+        for n, bundle, family, reports in grid:     # each bundle's trials run here
             name = family or Path(args.instance_file).stem
             size = bundle.weights.count if n is None else n
             label = bundle.weights.label
-            reports = run_estimates(args.policy, bundle, ps, args.trials, args.seed)
             for p, report in zip(ps, reports):
                 for u, freq in sorted(report.per_element_accept_freq.items()):
                     bound = reference_bound(family, args.policy, p, label(u))

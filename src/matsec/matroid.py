@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Collection, Iterable, TextIO, Union
+from typing import TextIO, Union
 
 WeightLike = Union[int, str, float, Fraction]
 
@@ -277,8 +278,9 @@ class MatroidView:
         S = self._checked(self._ground if S is None else S)
         return frozenset(filter(self.tracker().add, weights.sort_desc(S)))
 
-    def in_mwb(self, weights: WeightedGroundSet, S: Collection[int], u: int) -> bool:
+    def in_mwb(self, weights: WeightedGroundSet, S: Iterable[int], u: int) -> bool:
         """Whether u lies in MWB(S + u), i.e. the elements of S heavier than u do not span u."""
+        S = S if isinstance(S, Collection) else tuple(S)    # S is read twice below
         if u not in self._ground or not self._ground.issuperset(S):
             self._check([*S, u])            # raises DomainError naming the strays
         return self._tracker.in_mwb(weights.ranks, S, u)

@@ -176,7 +176,6 @@ class SamplePolicy(Policy):
     contracted = False
 
     def start(self, view, weights, samples):
-        self.view = view
         self.weights = weights
         self.samples = set(samples)
         self.accepted: set[int] = set()

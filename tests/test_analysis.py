@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import matsec
-from matsec import analysis
+from matsec import analysis, policies
 from matsec import (
     DecisionRecord,
     DomainError,
@@ -240,9 +240,21 @@ class TestEstimate:
         with pytest.raises(ValueError, match="uniform matroids only"):
             estimate_grid("dynkin", hat, (0.5,), 10, 0)
         with pytest.raises(ValueError, match="outside"):    # the cutoffs come first
-            analysis.check_estimate("dynkin", hat, (2.0,), 10)
+            estimate_grid("dynkin", hat, (2.0,), 10, 0)
         with pytest.raises(ValueError, match="unknown policy"):
-            analysis.check_estimate("nope", hat, (0.5,), 10)
+            estimate_grid("nope", hat, (0.5,), 10, 0)
+
+    def test_the_call_probes_once_and_the_first_read_runs_the_trials(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+        starts, start = [], policies.VirtualMspPolicy.start
+        monkeypatch.setattr(policies.VirtualMspPolicy, "start",
+                            lambda self, *args: starts.append(args) or start(self, *args))
+        monkeypatch.setattr(analysis, "run_trial", no_trial)
+        reports = estimate_grid("virtual-msp", hat_graph(3), (0.25, 0.5), 10, 0)
+        assert [samples for _, _, samples in starts] == [()]    # the probe alone
+        with pytest.raises(AssertionError, match="a trial ran"):
+            next(reports)
 
 
 # -- analytic values ----------------------------------------------------------------

@@ -55,8 +55,8 @@ def test_traced_run_counts_every_layer_and_restores_bindings():
     counts = t.exact_counts()
     assert len(traces) == 20
     assert counts["simulate.arrivals"] == 20 * 7 + 50 * 20
-    # one start per trial takes the sample; the estimate's check_estimate
-    # starts one more policy on an empty sample before its first trial
+    # one start per trial takes the sample; the estimate's call starts one
+    # more policy on an empty sample before its first trial
     assert t.calls["policies.start"] == 20 + 50 + 1
     for name in ("policies.mwb_insert.calls", "policies.decide.calls",
                  "matroid.union_find.finds"):

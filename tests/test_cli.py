@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from matsec import SUITE_NAMES, SuiteResult, load_records, parse_instance, parse_schedule
-from matsec import cli, instances, policies
+from matsec import analysis, cli, instances, policies
 from matsec.analysis import CASE_SUITES
 from matsec.cli import FAMILIES, FIXTURES, INSTANCE_FLAGS, MAX_SIZE, main
 
@@ -184,7 +184,7 @@ class TestExitCodes:
                                                          monkeypatch, command, out):
         def no_estimate(*args):
             raise AssertionError("an estimate ran before --out was opened")
-        monkeypatch.setattr(cli, "run_estimates", no_estimate)
+        monkeypatch.setattr(analysis, "run_trial", no_estimate)
         monkeypatch.chdir(tmp_path)
         code, stdout, err = run_cli(capsys, command, "--instance", "hat", "--n", "128",
                                     "--trials", "5000", "--out", out)
@@ -637,7 +637,7 @@ class TestSweep:
                                                              grid, message):
         def no_estimate(*args):
             raise AssertionError("an estimate ran before the grid was checked")
-        monkeypatch.setattr(cli, "run_estimates", no_estimate)
+        monkeypatch.setattr(analysis, "run_trial", no_estimate)
         code, out, err = run_cli(capsys, "sweep", "--instance", "hat", *grid, "--trials", "5")
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

@@ -354,7 +354,7 @@ class TestInMwb:
                 u = rng.choice(ground)
                 expect = u in view.greedy_mwb(weights, set(S) | {u})
                 assert expect == (u in brute_force_mwb(view, weights, set(S) | {u}))
-                for given in (S, tuple(S), frozenset(S)):
+                for given in (S, tuple(S), frozenset(S), iter(S)):     # iter: read once
                     assert view.in_mwb(weights, given, u) == expect, (view, S, u)
                 seen.add((u in S, expect))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}

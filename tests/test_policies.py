@@ -72,15 +72,28 @@ def forest_parents(kernel):
 
 
 def forest_depth(kernel):
-    """Longest parent chain in the forest kernel; 0 for the greedy kernel."""
+    """Longest parent chain in the forest kernel; 0 for the greedy kernel.
+    A chain in a forest has fewer steps than vertices; a longer one fails."""
     parent = forest_parents(kernel)
     depth = 0
     for v in range(len(parent)):
-        steps = 0
-        while parent[v] is not None:
-            v, steps = parent[v], steps + 1
+        x, steps = v, 0
+        while parent[x] is not None:
+            x, steps = parent[x], steps + 1
+            assert steps < len(parent), f"the parent chain of {v} never ends"
         depth = max(depth, steps)
     return depth
+
+
+def assert_chain_ends(kernel, v):
+    """The forest kernel's parent chain from v reaches a root in fewer steps
+    than there are vertices, so it walks no cycle."""
+    parent_edge, other_end, x = kernel._parent_edge, kernel._other_end, v
+    for _ in parent_edge:
+        if parent_edge[x] is None:
+            return
+        x ^= other_end[parent_edge[x]]
+    raise AssertionError(f"the parent chain of {v} never ends")
 
 
 def assert_forest_well_formed(kernel):
@@ -258,7 +271,9 @@ class TestRunningMwb:
 
     def test_forest_matches_greedy_kernel_on_large_streams(self):
         # both kernels agree on every insert; the forest takes each of its
-        # three paths: a root endpoint as is, swapped ends, and a re-root
+        # three paths: a root endpoint as is, swapped ends, and a re-root.
+        # A cycle that an insert closes through u's ends fails here, before
+        # the next insert could walk it for ever.
         paths = collections.Counter()
         for view, weights, order in self.large_streams():
             forest, greedy = _GraphicRunningMwb(view, weights), _GreedyRunningMwb(view, weights)
@@ -267,6 +282,8 @@ class TestRunningMwb:
                 a_root, b_root = (forest._parent_edge[x] is None for x in (a, b))
                 paths["as is" if a_root else "swap" if b_root else "re-root"] += 1
                 assert forest.insert(u) == greedy.insert(u)
+                assert_chain_ends(forest, a)
+                assert_chain_ends(forest, b)
             assert forest.basis() == greedy.basis()
         assert min(paths.values()) > 100, paths
 
