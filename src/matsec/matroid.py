@@ -121,13 +121,13 @@ BaseMatroid = Union[UniformMatroid, GraphicMatroid]
 
 
 class UnionFind:
-    """Array union-find with path halving; AcceptedSetTracker.add links by size."""
+    """Array union-find with path halving and no ranks or sizes:
+    AcceptedSetTracker.add links one root under the other."""
 
-    __slots__ = ("parent", "size")
+    __slots__ = ("parent",)
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
+    def __init__(self, parent: list[int]):
+        self.parent = parent
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -140,7 +140,10 @@ class UnionFind:
 class AcceptedSetTracker:
     """The one independence test: a set grown from the view's contraction,
     as a slot count on a uniform base (uf is None) or a union-find on a
-    graphic one. A view builds one; its users each add() to their own copy()."""
+    graphic one. A view builds one; its users each add() to their own copy(),
+    which copies one parent list. Path halving keeps a long-lived tracker at
+    amortized O(log V) per find; a chain a copy inherits costs no more to
+    walk than the O(V) copy itself."""
 
     __slots__ = ("_slots", "uf", "_endpoints")
 
@@ -149,16 +152,15 @@ class AcceptedSetTracker:
         if isinstance(base, UniformMatroid):
             self._slots, self.uf, self._endpoints = base.k, None, None
         else:
-            self._slots, self.uf, self._endpoints = 0, UnionFind(base.num_vertices), base.endpoints
+            uf = UnionFind(list(range(base.num_vertices)))
+            self._slots, self.uf, self._endpoints = 0, uf, base.endpoints
         if not all(map(self.add, view.contraction)):
             raise PreconditionError("contraction set must be independent in the base")
 
     def copy(self) -> "AcceptedSetTracker":
         new, uf = object.__new__(AcceptedSetTracker), self.uf
-        new._slots, new._endpoints, new.uf = self._slots, self._endpoints, uf
-        if uf is not None:
-            new.uf = object.__new__(UnionFind)
-            new.uf.parent, new.uf.size = uf.parent.copy(), uf.size.copy()
+        new._slots, new._endpoints = self._slots, self._endpoints
+        new.uf = None if uf is None else UnionFind(uf.parent.copy())
         return new
 
     def can_add(self, u: int) -> bool:
@@ -189,11 +191,7 @@ class AcceptedSetTracker:
         ra, rb = uf.find(a), uf.find(b)
         if ra == rb:
             return False
-        size = uf.size
-        if size[ra] < size[rb]:           # link the smaller component below the larger
-            ra, rb = rb, ra
         uf.parent[rb] = ra
-        size[ra] += size[rb]
         return True
 
 

@@ -203,9 +203,9 @@ class GreedyFrameworkPolicy(Policy):
 
     I is the accepted set plus the sample basis in the contracted matroid,
     which makes this the invariant-checked twin of SampleContractedPolicy;
-    the two share no code. The structural invariants are re-checked at
-    every decision and a violation raises PolicyViolation instead of being
-    repaired.
+    it decides by greedy_mwb, never by the tracker's in_mwb that the twin
+    asks. The structural invariants are re-checked at every decision and a
+    violation raises PolicyViolation instead of being repaired.
     """
 
     name = "greedy-framework"
@@ -229,7 +229,8 @@ class GreedyFrameworkPolicy(Policy):
                 "reference set must satisfy accepted <= reference <= accepted | samples")
         if not self.arrived <= self.view.span(ref):
             raise PolicyViolation("reference set fails to span the arrived elements")
-        accept = self.view.contract(self.accepted).in_mwb(self.weights, ref - self.accepted, u)
+        minor = self.view.contract(self.accepted)
+        accept = u in minor.greedy_mwb(self.weights, (ref - self.accepted) | {u})
         self.arrived.add(u)
         if accept:
             self.accepted.add(u)

@@ -379,9 +379,9 @@ class TestInMwb:
 
 
 def tracker_state(tracker):
-    """Everything add() can change: the slot count and the union-find lists."""
+    """Everything add() can change: the slot count and the union-find's parents."""
     uf = tracker.uf
-    return tracker._slots, None if uf is None else (list(uf.parent), list(uf.size))
+    return tracker._slots, None if uf is None else list(uf.parent)
 
 
 SQUARE_WITH_DIAGONAL = GraphicMatroid(4, ((0, 1), (1, 2), (2, 0), (2, 3), (0, 3)))
@@ -475,6 +475,93 @@ def assert_tracker_answers_minor(view, A, weights, S, u):
     assert answer == view.contract(A).in_mwb(weights, S, u)
     assert [held.can_add(v) for v in sorted(view.ground)] == before
     return answer
+
+
+# -- deep union-find chains ----------------------------------------------------
+#
+# add() links one root under the other with no sizes, so a tracker can hold a
+# chain as deep as the graph has vertices: path edges (k + 1, k) added in id
+# order build one, and a view contracted by them stores it for every copy.
+
+CHAIN_VERTICES = 300
+
+
+def chain_base(order):
+    """A spanning tree on CHAIN_VERTICES vertices, its edges at the even ids in
+    the named order, each followed by a seeded chord (odd id) that closes a
+    cycle or not, depending on what came before it."""
+    n = CHAIN_VERTICES
+    rng = np.random.default_rng(35)
+    path = [(k + 1, k) for k in range(n - 1)]
+    tree = {"path": path, "reversed": path[::-1], "star": [(k, 0) for k in range(1, n)],
+            "random": [path[i] for i in rng.permutation(n - 1)]}[order]
+    chords = [tuple(ends) for ends in rng.integers(n, size=(n - 1, 2)).tolist()]
+    return GraphicMatroid(n, [e for pair in zip(tree, chords) for e in pair])
+
+
+def reaches(adj, a, b):
+    """Whether a reaches b in the graph adj, by BFS."""
+    seen, queue = {a}, deque([a])
+    while queue:
+        x = queue.popleft()
+        if x == b:
+            return True
+        for y in adj[x] - seen:
+            seen.add(y)
+            queue.append(y)
+    return False
+
+
+def grow_like_bfs(tracker, base, held, elements):
+    """Add `elements` one by one to `tracker`, which holds `held`: each can_add
+    and add answer must be BFS's, that the edge's ends are not yet joined.
+    Returns the answers."""
+    adj = defaultdict(set)
+
+    def join(u):
+        a, b = base.endpoints[u]
+        adj[a].add(b)
+        adj[b].add(a)
+
+    for u in held:
+        join(u)
+    answers = []
+    for u in elements:
+        free = not reaches(adj, *base.endpoints[u])
+        assert tracker.can_add(u) == free, u
+        assert tracker.add(u) == free, u
+        answers.append(free)
+        if free:
+            join(u)
+    return answers
+
+
+@pytest.mark.parametrize("order", ["path", "reversed", "star", "random"])
+class TestDeepChains:
+    def test_a_tracker_grown_in_id_order_answers_like_bfs(self, order):
+        view = MatroidView.full(chain_base(order))
+        answers = grow_like_bfs(view.tracker(), view.base, (), range(view.base.size))
+        assert True in answers[1::2] and False in answers[1::2]     # chords go both ways
+        for i in [*range(0, view.base.size, 23), view.base.size]:
+            assert view.rank(range(i)) == oracle_rank(view, frozenset(range(i))) == sum(answers[:i])
+
+    def test_copies_of_a_view_contracted_by_the_tree_answer_like_bfs(self, order):
+        base = chain_base(order)
+        held = range(0, base.size // 2, 2)             # the first half of the tree
+        view = MatroidView.full(base).contract(held)
+        rest = sorted(view.ground)
+        half = len(rest) // 2
+        first = view.tracker()
+        early = grow_like_bfs(first, base, held, rest[:half])
+        mid = first.copy()                              # taken mid-chain
+        stored = tracker_state(first)
+        late = grow_like_bfs(mid, base, [*held, *itertools.compress(rest, early)], rest[half:])
+        assert tracker_state(first) == stored
+        assert tracker_state(view._tracker) == tracker_state(AcceptedSetTracker(view))
+        assert [first.add(u) for u in rest[half:]] == late
+        assert grow_like_bfs(view.tracker(), base, held, rest) == early + late
+        for i in [*range(0, len(rest), 23), len(rest)]:
+            assert view.rank(rest[:i]) == oracle_rank(view, frozenset(rest[:i]))
 
 
 # -- file format ----------------------------------------------------------------

@@ -601,6 +601,26 @@ class TestEquivalences:
         monkeypatch.setattr(MatroidView, "contract", no_minor)
         assert runs() == expected
 
+    @pytest.mark.parametrize("bundle", [hat_graph(6), modified_hat_graph(4),
+                                        random_graphic(6, 12, 3), uniform_instance(9, 3)],
+                             ids=["hat6", "mhat4", "random6x12", "u9k3"])
+    def test_greedy_framework_asks_no_tracker_basis_query(self, monkeypatch, bundle):
+        """greedy-framework decides by greedy_mwb, so it shares no basis query
+        with sample-contracted: its traces stand with the tracker's in_mwb gone."""
+        def runs():
+            out = io.StringIO()
+            for trace in trial_stream("greedy-framework", bundle.view, bundle.weights,
+                                      0.5, 40, 5):
+                dump_trace(trace_records(trace, bundle.view, bundle.weights), out)
+            return out.getvalue()
+        expected = runs()
+        assert expected.count('"accepted":true') > 40
+
+        def no_query(self, ranks, S, u):
+            raise AssertionError("greedy-framework asked AcceptedSetTracker.in_mwb")
+        monkeypatch.setattr(AcceptedSetTracker, "in_mwb", no_query)
+        assert runs() == expected
+
     def test_dynkin_matches_sample_on_one_uniform(self):
         for seed in range(20):
             rng = np.random.default_rng(300 + seed)
