@@ -196,8 +196,8 @@ def modified_hat_bounds(n: int, p: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class ForbiddenSetOracle:
-    """Strong-form blocked-set table: rule(Y, u) names the elements of
-    Y - {u} whose earlier live arrival excuses rejecting u."""
+    """Strong-form blocked-set table: rule(Y, u) names the elements of Y - {u} whose
+    earlier live arrival excuses rejecting u. Y is the checker's live set: read, never kept."""
 
     rule: Callable
     size_bound: int
@@ -226,7 +226,7 @@ def hat_forbidden_oracle(bundle: InstanceBundle) -> ForbiddenSetOracle:
     first, own = frozenset(claws[0]), [frozenset({b}) for _, b in claws] + [frozenset()]
     claw_of = {u: i for i, claw in enumerate(claws) for u in claw}
 
-    def rule(Y: frozenset, u: int) -> frozenset:
+    def rule(Y: set, u: int) -> frozenset:
         if u == e_inf:
             return first & Y
         i = claw_of[u]
@@ -252,16 +252,17 @@ def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle
     Returns (True, None) or (False, first offending element).
     """
     view._check(trace.schedule.order)
-    order, m = trace.schedule.order, trace.sample_count
-    for i, u in enumerate(order[m:], m):
-        Y = frozenset(order[:i + 1])
-        blocked = oracle.rule(Y, u)
-        if u in blocked or not blocked <= Y:
+    order, m, sampled = trace.schedule.order, trace.sample_count, trace.sample_set
+    seen = set(sampled)
+    for u in order[m:]:
+        seen.add(u)
+        blocked = oracle.rule(seen, u)
+        if u in blocked or not blocked <= seen:
             raise OracleError("blocked set must be drawn from the seen elements")
         if len(blocked) > oracle.size_bound:
             raise OracleError(f"blocked set exceeds size bound {oracle.size_bound}")
-        if (u not in trace.accepted and blocked.isdisjoint(order[m:i])
-                and view.in_mwb(weights, Y, u)):
+        # blocked lies in seen - {u}, so no earlier live arrival is in it iff it lies in the sample
+        if u not in trace.accepted and blocked <= sampled and view.in_mwb(weights, seen, u):
             return (False, u)
     return (True, None)
 

@@ -280,7 +280,7 @@ class DynkinPolicy(Policy):
             raise ValueError("dynkin needs a 1-uniform instance")
         self._ranks = ranks = weights.ranks
         # weight rank of the heaviest sample, lower is heavier; count when none
-        self._best_sample = min(map(ranks.__getitem__, samples), default=weights.count)
+        self._best_sample = min([ranks[u] for u in samples], default=weights.count)
         self.accepted: set[int] = set()
 
     def decide(self, u):

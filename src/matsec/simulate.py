@@ -36,6 +36,11 @@ class ArrivalSchedule:
     order: tuple                # element ids sorted by (time, id)
     sorted_times: np.ndarray    # read-only; sorted_times[i] is order[i]'s time in [0, 1]
 
+    @cached_property
+    def elements(self) -> frozenset:
+        """frozenset(order), built on first use; a drawn schedule gets its set when drawn."""
+        return frozenset(self.order)
+
     @property
     def arrival(self) -> tuple:
         """The sorted times as Python floats, built on each read."""
@@ -72,9 +77,11 @@ def draw_schedule(ground: WeightedGroundSet, rng: np.random.Generator) -> Arriva
 def _draw_schedules(count: int, rngs: Iterable[np.random.Generator],
                     rows: int) -> Iterator[ArrivalSchedule]:
     """draw_schedule for each generator of rngs, `rows` at a time. Each is read
-    before the next is taken (_trial_rngs reuses one); one unstable sort orders
-    the block, and a row with a tied time is sorted again stably, by id."""
-    rngs, drawn = iter(rngs), rows
+    before the next is taken (_trial_rngs reuses one); one unstable sort orders the
+    block, and a row with a tied time is sorted again stably, by id. If rows > 1 and
+    a block's rows all permute range(count), they share one `elements`; else each has its own."""
+    # a lone row has no block to share with; its own frozenset(order) is cheaper than a check
+    rngs, drawn, ids = iter(rngs), rows, frozenset(range(count)) if rows > 1 else None
     starts = np.arange(rows)[:, None] * count       # each row's offset in the flat block
     while drawn == rows:
         times, drawn = np.empty((rows, count)), 0
@@ -82,14 +89,19 @@ def _draw_schedules(count: int, rngs: Iterable[np.random.Generator],
             rng.random(out=row)
         times = times[:drawn]
         idx = times.argsort(axis=1)
-        sorted_times = times.take(idx + starts[:drawn])
+        sorted_times = times.take(flat := idx + starts[:drawn])     # flat: positions in the block
         tied = sorted_times[:, 1:] == sorted_times[:, :-1]
         if tied.any():      # the sorted times stand; only the order among equals moves
             tied = tied.any(axis=1)
             idx[tied] = times[tied].argsort(axis=1, kind="stable")
+            flat[tied] = idx[tied] + starts[:drawn][tied]
         sorted_times.setflags(write=False)
+        # rows that each permute range(count) hit every flat position exactly once
+        shared = ids is not None and (np.bincount(flat.ravel(), minlength=flat.size) == 1).all()
         for order, row in zip(idx, sorted_times):
-            yield ArrivalSchedule(tuple(order.tolist()), row)
+            schedule = ArrivalSchedule(order := tuple(order.tolist()), row)
+            object.__setattr__(schedule, "elements", ids if shared else frozenset(order))
+            yield schedule
 
 
 def forced_schedule(assignments: Iterable[tuple[int, float]]) -> ArrivalSchedule:
@@ -183,11 +195,11 @@ def check_cutoff(p: float) -> None:
 
 def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
               schedule: ArrivalSchedule, p: float) -> DecisionTrace:
-    """Deliver one schedule to a fresh (or reset) policy: the sample to
-    start(), then each live arrival to decide()."""
+    """Deliver one schedule to a fresh (or reset) policy: the sample to start(), then
+    each live arrival to decide(); the schedule's length and `elements` must match view.ground."""
     check_cutoff(p)
     order = schedule.order
-    if len(order) != len(view.ground) or set(order) != view.ground:
+    if len(order) != len(view.ground) or schedule.elements != view.ground:
         raise DomainError("schedule must cover exactly the effective ground set")
     policy = build_policy(policy)
     m = schedule.first_live(p)

@@ -7,6 +7,7 @@ import math
 from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -252,6 +253,101 @@ class TestBlockDraw:
         draw_schedule(uniform_instance(count, min(count, 1)).weights, shared)
         reference.random(count)
         assert shared.random() == reference.random()
+
+
+def count_element_builds(monkeypatch) -> list:
+    """Swap ArrivalSchedule.elements for a copy that logs each schedule it builds a set for."""
+    builds = []
+
+    def elements(self):
+        builds.append(self)
+        return frozenset(self.order)
+
+    prop = cached_property(elements)
+    prop.__set_name__(ArrivalSchedule, "elements")
+    monkeypatch.setattr(ArrivalSchedule, "elements", prop)
+    return builds
+
+
+class TestSharedElements:
+    """A drawn block of several rows that all permute range(count) hands each
+    schedule one shared element set; any other drawn schedule gets
+    frozenset(order) when drawn, and every other schedule builds it on first use."""
+
+    def test_drawn_elements_are_the_order_set_across_both_blocks(self):
+        weights = uniform_instance(200, 1).weights
+        trials = simulate._SEED_BLOCK + simulate._DRAW_BLOCK // 200 + 3     # 1067
+        drawn = list(simulate.schedule_stream(weights, trials, 4))
+        assert len(drawn) == trials
+        for i, sched in enumerate(drawn):
+            assert sched.elements == frozenset(sched.order) == frozenset(range(200)), i
+        assert all(sched.elements is drawn[0].elements for sched in drawn)
+        hat = hat_graph(5)
+        hat_drawn = [t.schedule for t in trial_stream("virtual-msp", hat.view, hat.weights,
+                                                      0.5, 300, 2)]
+        assert all(s.elements == frozenset(s.order) == hat.view.ground for s in hat_drawn)
+        assert all(s.elements is hat_drawn[0].elements for s in hat_drawn)
+        for count in (0, 1, 7, 200):
+            one = draw_schedule(uniform_instance(count, min(count, 1)).weights, trial_rng(3, count))
+            assert one.elements == frozenset(one.order) == frozenset(range(count))
+
+    def test_tie_repaired_rows_hold_their_own_ids(self, monkeypatch):
+        count = 200
+        rng = np.random.default_rng(5)
+        rows = [[(u * 7 % 5) / 8 for u in range(count)], rng.random(count).tolist()]
+        rows.append(rows[1][:100] + rows[1][:100])          # every time twice
+        monkeypatch.setattr(simulate, "_trial_rngs", lambda seed, trials: map(StubRng, rows))
+        monkeypatch.setattr(simulate, "_DRAW_BLOCK", 2 * count)    # a block of 2 rows, then 1
+        drawn = list(simulate.schedule_stream(uniform_instance(count, 1).weights, 3, 0))
+        tied = draw_schedule(uniform_instance(4, 1).weights, StubRng([0.5, 0.25, 0.5, 0.25]))
+        for sched in drawn + [tied]:
+            assert sched.elements == frozenset(sched.order)
+            assert sched.elements == frozenset(range(len(sched.order)))
+
+    def test_drawn_schedules_never_build_their_set(self, monkeypatch):
+        builds = count_element_builds(monkeypatch)
+        for b, policy in ((uniform_instance(200, 1), "dynkin"), (hat_graph(5), "virtual-msp")):
+            assert len(list(trial_stream(policy, b.view, b.weights, 0.4, 50, 1))) == 50
+            lone = draw_schedule(b.weights, trial_rng(1, 0))
+            run_trial(policy, b.view, b.weights, lone, 0.4)
+            assert lone.elements == frozenset(lone.order)
+        assert builds == []
+
+    def test_other_schedules_build_their_set_once(self, monkeypatch):
+        builds = count_element_builds(monkeypatch)
+        b = triangle()
+        forced = forced_schedule([(2, 0.1), (0, 0.4), (1, 0.7)])
+        buf = io.StringIO()
+        dump_schedule(forced, buf)
+        parsed = parse_schedule(io.StringIO(buf.getvalue()))
+        trace = run_trial("sample", b.view, b.weights, forced, 0.3)
+        reloaded = trace_from_records(trace_records(trace, b.view, b.weights)).schedule
+        hand_built = ArrivalSchedule((1, 2, 0), (0.2, 0.5, 0.9))
+        for sched in (parsed, reloaded, hand_built):
+            run_trial("sample", b.view, b.weights, sched, 0.3)
+        for sched in (forced, parsed, reloaded, hand_built):
+            assert sched.elements == frozenset({0, 1, 2})
+        assert builds == [forced, parsed, reloaded, hand_built]
+
+    def test_only_a_verified_block_of_several_rows_shares_its_set(self, monkeypatch):
+        b = hat_graph(3)
+        streamed = [t.schedule for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 20, 6)]
+        assert len({id(s.elements) for s in streamed}) == 1
+        lone = [draw_schedule(b.weights, trial_rng(6, i)) for i in range(20)]
+        single = [t.schedule for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 1, 6)]
+        monkeypatch.setattr(np, "bincount", lambda x, minlength: np.zeros(minlength, np.intp))
+        failed = [t.schedule for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 20, 6)]
+        for own in (lone + single, failed):
+            assert len({id(s.elements) for s in own}) == len(own)
+            assert all(s.elements == frozenset(s.order) == b.view.ground for s in own)
+
+    def test_a_drawn_schedule_is_checked_against_a_restricted_view(self):
+        for b in (uniform_instance(200, 1), hat_graph(5)):
+            view = b.view.restrict(range(1, b.weights.count))
+            with pytest.raises(DomainError, match="ground set"):
+                run_trial("sample", view, b.weights, draw_schedule(b.weights, trial_rng(0, 0)), 0.5)
+            with pytest.raises(DomainError, match="ground set"):
+                next(trial_stream("sample", view, b.weights, 0.5, 3, 0))
 
 
 class TestForcedSchedule:
