@@ -69,7 +69,7 @@ trace = replay(HUB_GAP)
 ok, offender = check_forbidden_consistency(trace, hat_forbidden_oracle(bundle),
                                            view, weights)
 print(f"  consistent = {ok}, offending arrival = {label(offender)}"
-      f" at t = {trace.schedule.times[offender]}")
+      f" at t = {dict(HUB_GAP)[label(offender)]}")
 print(f"  first live arrival handled correctly = "
       f"{check_first_live_accepted(trace, view, weights)}")
 print("  the deviation needs the whole accepted set, not any two elements")

@@ -9,6 +9,7 @@ and a view can be shared freely across simulation trials.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from collections.abc import Collection, Iterable
@@ -26,6 +27,14 @@ class DomainError(ValueError):
 
 class PreconditionError(ValueError):
     """A structural precondition failed, e.g. contracting a dependent set."""
+
+
+def as_id(value, error: type[ValueError] = ValueError) -> int:
+    """value as an int id (a Python or numpy int); 1.5 or 1.0 raises error naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"ids must be integers, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -107,7 +116,7 @@ class GraphicMatroid:
         if self.num_vertices < 0:
             raise ValueError("num_vertices must be nonnegative")
         object.__setattr__(self, "endpoints",
-                           tuple((int(a), int(b)) for a, b in self.endpoints))
+                           tuple((as_id(a), as_id(b)) for a, b in self.endpoints))
         for a, b in self.endpoints:
             if not (0 <= a < self.num_vertices and 0 <= b < self.num_vertices):
                 raise ValueError(f"edge endpoint out of range: ({a}, {b})")
@@ -207,24 +216,21 @@ class MatroidView:
     base: BaseMatroid
     restriction: frozenset
     contraction: frozenset
+    ground: frozenset = field(init=False, repr=False, compare=False)    # the effective ground set
 
     def __post_init__(self):
         object.__setattr__(self, "restriction", frozenset(self.restriction))
         object.__setattr__(self, "contraction", frozenset(self.contraction))
         n = self.base.size
-        for u in self.restriction | self.contraction:
-            if not 0 <= u < n:
+        for u in (*self.restriction, *self.contraction):     # a union would hide 1.0 behind 1
+            if not 0 <= as_id(u, DomainError) < n:
                 raise DomainError(f"element {u} outside base ground set")
         object.__setattr__(self, "_tracker", AcceptedSetTracker(self))   # checks the contraction
-        object.__setattr__(self, "_ground", self.restriction - self.contraction)
+        object.__setattr__(self, "ground", self.restriction - self.contraction)
 
     @classmethod
     def full(cls, base: BaseMatroid) -> "MatroidView":
         return cls(base, frozenset(range(base.size)), frozenset())
-
-    @property
-    def ground(self) -> frozenset:
-        return self._ground
 
     @cached_property
     def other_end(self) -> tuple[int, ...]:
@@ -234,8 +240,8 @@ class MatroidView:
     def _check(self, S: Collection[int]) -> None:
         """Raise DomainError naming the elements of S outside the effective
         ground set; allocates nothing when there are none."""
-        if not self._ground.issuperset(S):
-            bad = sorted(set(S) - self._ground)
+        if not self.ground.issuperset(S):
+            bad = sorted(set(S) - self.ground)
             raise DomainError(f"elements outside effective ground set: {bad}")
 
     def _checked(self, S: Iterable[int]) -> frozenset:
@@ -264,7 +270,7 @@ class MatroidView:
         tracker = self.tracker()
         for u in S:
             tracker.add(u)
-        return S | frozenset(u for u in self._ground if not tracker.can_add(u))
+        return S | frozenset(u for u in self.ground if not tracker.can_add(u))
 
     def greedy_mwb(self, weights: WeightedGroundSet,
                    S: Iterable[int] | None = None) -> frozenset:
@@ -273,13 +279,13 @@ class MatroidView:
         Standard greedy: scan S heaviest first, keep whatever stays
         independent. Unique because weights are pairwise distinct.
         """
-        S = self._checked(self._ground if S is None else S)
+        S = self._checked(self.ground if S is None else S)
         return frozenset(filter(self.tracker().add, weights.sort_desc(S)))
 
     def in_mwb(self, weights: WeightedGroundSet, S: Iterable[int], u: int) -> bool:
         """Whether u lies in MWB(S + u), i.e. the elements of S heavier than u do not span u."""
         S = S if isinstance(S, Collection) else tuple(S)    # S is read twice below
-        if u not in self._ground or not self._ground.issuperset(S):
+        if u not in self.ground or not self.ground.issuperset(S):
             self._check([*S, u])            # raises DomainError naming the strays
         return self._tracker.in_mwb(weights.ranks, S, u)
 

@@ -15,12 +15,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from types import MappingProxyType
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .matroid import DomainError, MatroidView, WeightedGroundSet
+from .matroid import DomainError, MatroidView, WeightedGroundSet, as_id
 from .policies import Decision, build_policy, running_mwb
 
 PHASE_SAMPLE = "sample"
@@ -33,23 +32,16 @@ class HarnessViolation(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ArrivalSchedule:
-    order: tuple                # element ids sorted by (time, id)
-    sorted_times: np.ndarray    # read-only; sorted_times[i] is order[i]'s time in [0, 1]
+    """When each element arrives: `order` is the ids sorted by (time, id), and
+    `sorted_times` their times in [0, 1], one read-only float64 array aligned with it."""
+
+    order: tuple
+    sorted_times: np.ndarray
 
     @cached_property
     def elements(self) -> frozenset:
         """frozenset(order), built on first use; a drawn schedule gets its set when drawn."""
         return frozenset(self.order)
-
-    @property
-    def arrival(self) -> tuple:
-        """The sorted times as Python floats, built on each read."""
-        return tuple(np.asarray(self.sorted_times, dtype=float).tolist())
-
-    @cached_property
-    def times(self) -> MappingProxyType:
-        """Read-only element id -> arrival time, built on first use."""
-        return MappingProxyType(dict(zip(self.order, self.arrival)))
 
     def first_live(self, p: float) -> int:
         """Index in order of the first live arrival: samples arrive strictly
@@ -105,15 +97,15 @@ def _draw_schedules(count: int, rngs: Iterable[np.random.Generator],
 
 
 def forced_schedule(assignments: Iterable[tuple[int, float]]) -> ArrivalSchedule:
-    """Schedule with exactly the given (element, time) pairs; times must be
-    distinct and in [0, 1]."""
+    """Schedule with exactly the given (element, time) pairs; ids must be
+    integers, and times distinct and in [0, 1]."""
     times = {}
     for u, t in assignments:
-        if u in times:
+        if (u := as_id(u)) in times:
             raise ValueError(f"element {u} assigned twice")
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"time {t} outside [0, 1]")
-        times[int(u)] = float(t)
+        times[u] = float(t)
     if len(set(times.values())) != len(times):
         raise ValueError("forced schedules need distinct times")
     order = tuple(sorted(times, key=times.__getitem__))
@@ -223,8 +215,8 @@ def trace_records(trace: DecisionTrace, view: MatroidView,
     """One record per arrival, in arrival order: time and phase from the
     schedule, in_current_mwb from the harness's own running basis and
     kicked_was_sample from the sample set."""
-    order, arrival, sampled = trace.schedule.order, trace.schedule.arrival, trace.sample_set
-    m, insert = trace.sample_count, running_mwb(view, weights).insert
+    order, arrival = trace.schedule.order, trace.schedule.sorted_times.tolist()
+    m, sampled, insert = trace.sample_count, trace.sample_set, running_mwb(view, weights).insert
     return tuple([DecisionRecord(u, t, PHASE_SAMPLE, False, insert(u)[0])
                   for u, t in zip(order[:m], arrival)]
                  + [DecisionRecord(u, t, PHASE_LIVE, d.accept, insert(u)[0],
@@ -398,7 +390,7 @@ def trace_from_records(records: Iterable[DecisionRecord]) -> DecisionTrace:
 
 
 def dump_schedule(schedule: ArrivalSchedule, fp: TextIO) -> None:
-    for u, t in zip(schedule.order, schedule.arrival):
+    for u, t in zip(schedule.order, schedule.sorted_times.tolist()):
         fp.write(f"schedule {u} {t!r}\n")
 
 

@@ -11,6 +11,7 @@ vanish once the first claw is fully sampled.
 import hashlib
 import itertools
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -32,6 +33,7 @@ from matsec import (
     Policy,
     SUITE_NAMES,
     UniformMatroid,
+    WeightedGroundSet,
     alpha_p,
     brute_force_mwb,
     certify_no_size1_strong_fs,
@@ -61,7 +63,8 @@ from matsec import (
     uniform_instance,
 )
 from matsec.instances import random_graphic
-from matsec.policies import OptimisticPolicy
+from matsec.policies import (DynkinPolicy, GreedyFrameworkPolicy, OptimisticPolicy,
+                             VirtualUniformPolicy)
 from matsec.simulate import PHASE_LIVE, PHASE_SAMPLE, draw_schedule
 
 
@@ -106,6 +109,15 @@ class TestBruteForceMwb:
         big = uniform_instance(21, 3)
         with pytest.raises(OracleError, match="capped"):
             brute_force_mwb(big.view, big.weights)
+
+    def test_a_tie_raises(self, monkeypatch):
+        # distinct weights cannot tie in a matroid; {0, 1} and {2} both weigh 3
+        # under this independence test, whose maximal sets differ in size
+        monkeypatch.setattr(MatroidView, "is_independent",
+                            lambda self, S: len(S) < 2 or set(S) == {0, 1})
+        view = MatroidView.full(UniformMatroid(3, 2))
+        with pytest.raises(OracleError, match=re.escape("maximum not unique: [2] vs [0, 1]")):
+            brute_force_mwb(view, WeightedGroundSet.from_weights([1, 2, 3]))
 
     def test_agrees_with_greedy_on_corpus(self):
         for bundle in fuzz_corpus(40, seed=9):
@@ -485,8 +497,8 @@ class TestKnownTableGaps:
         assert not ok
         assert u == b.id_of("e_inf")
         # the rejection is real: the accepted claws span the hub edge
-        before = {v for v in trace.accepted
-                  if trace.schedule.times[v] < trace.schedule.times[u]}
+        order = trace.schedule.order
+        before = trace.accepted.intersection(order[:order.index(u)])
         assert b.id_of("e_inf") in b.view.span(before)
 
     def test_feasibility_clause_gap(self):
@@ -515,7 +527,8 @@ class TestKnownTableGaps:
         while checked < 120:
             sched = draw_schedule(b.weights, trial_rng(424242, trial))
             trial += 1
-            if sched.times[t_1] >= 0.5 or sched.times[b_1] >= 0.5:
+            times = dict(zip(sched.order, sched.sorted_times.tolist()))
+            if times[t_1] >= 0.5 or times[b_1] >= 0.5:
                 continue
             checked += 1
             trace = run_trial("virtual-msp", b.view, b.weights, sched, 0.5)
@@ -938,7 +951,7 @@ def label_claw_blocker(trace, bundle):
         return True
     if e_inf not in trace.accepted:
         return False
-    times = trace.schedule.times
+    times = dict(zip(trace.schedule.order, trace.schedule.sorted_times.tolist()))
     t_hub = times[e_inf]
     for i in range(1, n + 1):
         ti, bi = named[f"t_{i}"], named[f"b_{i}"]
@@ -955,7 +968,7 @@ def label_modified_hat_trap(trace, bundle):
     S = trace.sample_set
     if e_inf in S:
         return True
-    times = trace.schedule.times
+    times = dict(zip(trace.schedule.order, trace.schedule.sorted_times.tolist()))
     t_hub = times[e_inf]
     first_sampled = next((j for j in range(1, n + 1) if named[f"2_{j}"] in S
                           and named[f"3_{j}"] in S and named[f"4_{j}"] in S), n)
@@ -1214,9 +1227,112 @@ class TestSuites:
         assert hashlib.sha256(out).hexdigest() == (
             "5292c19e0a8894b7386060b8472358fc5e5ce3f7ca0a663aab89573f08f6a8cd")
 
+    def test_forbidden_consistency_suite_names_a_first_live_rejection(self, monkeypatch):
+        monkeypatch.setattr(analysis, "check_forbidden_consistency",
+                            lambda trace, *_: (False, trace.schedule.order[trace.sample_count]))
+        result = run_suite("forbidden-consistency", trials=2, seed=0)
+        assert [f.split(": ", 1)[1].split(" of ")[0] for f in result.failures] == \
+            ["unexcused rejection", "first live arrival wrongly rejected"] * 2
+        assert re.fullmatch(r"trial 0: unexcused rejection of element \d+", result.failures[0])
+
     def test_forbidden_consistency_suite_reports_the_gap(self):
         # the honest outcome: the size-2 hat table is refuted by simulation,
         # so this suite reports a small but steady violation rate
         result = run_suite("forbidden-consistency", trials=300, seed=0, n=5)
         assert not result.passed
         assert 0 < len(result.failures) < 60
+
+
+# -- each suite's failure messages, fired by a planted bug ---------------------------
+
+
+IDS = r"\[(\d+(, \d+)*)?\]"        # a sorted list of element ids
+MWB_LEMMA_FAILURES = {
+    "basis-of-subset containment": rf"S={IDS} T={IDS}",
+    "weight-prefix basis equality": rf"S={IDS} j=\d+",
+    "single-displacement bound": rf"S={IDS} u=\d+",
+    "basis-of-basis equality": rf"S={IDS} u=\d+",
+    "unit rank increment": rf"S={IDS} u=\d+",
+    "rank submodularity": rf"A={IDS} B={IDS}",
+    "span monotonicity": rf"T={IDS} S={IDS}",
+    "greedy span criterion": rf"S={IDS}",
+    "span swap equality": rf"I={IDS} u=\d+ u'=\d+",
+}
+
+
+def basis_lost_on_odd_sets(greedy_mwb):
+    def mutant(self, weights, S=None):
+        basis = greedy_mwb(self, weights, S)
+        return frozenset() if S is not None and len(frozenset(S)) % 2 else basis
+    return mutant
+
+
+def rank_squared(rank):
+    return lambda self, S: rank(self, S) ** 2
+
+
+def span_without_its_largest_id(span):
+    def mutant(self, S):
+        S = frozenset(S)
+        return span(self, S) - {max(S)} if S else span(self, S)
+    return mutant
+
+
+# (MatroidView method, mutant of it, the mwb-lemmas checks it trips at seed 0)
+MWB_LEMMA_MUTANTS = [
+    ("greedy_mwb", basis_lost_on_odd_sets,
+     {"basis-of-subset containment", "weight-prefix basis equality",
+      "single-displacement bound", "basis-of-basis equality", "greedy span criterion"}),
+    ("rank", rank_squared, {"unit rank increment", "rank submodularity"}),
+    ("span", span_without_its_largest_id, {"span monotonicity", "span swap equality"}),
+]
+
+
+class TestSuiteFailureMessages:
+    """A suite that never fails on working code must still word a real
+    finding right: plant a bug, then read every line the suite reports."""
+
+    def test_the_mutants_trip_every_mwb_lemma(self):
+        assert set().union(*(fired for _, _, fired in MWB_LEMMA_MUTANTS)) == set(MWB_LEMMA_FAILURES)
+
+    @pytest.mark.parametrize("method, mutate, fired", MWB_LEMMA_MUTANTS)
+    def test_mwb_lemmas(self, monkeypatch, method, mutate, fired):
+        monkeypatch.setattr(MatroidView, method, mutate(getattr(MatroidView, method)))
+        failures = run_suite("mwb-lemmas", cases=30, seed=0).failures
+        kinds = {f.split(" fails: ")[0] for f in failures}
+        assert kinds == fired
+        for f in failures:
+            kind, detail = f.split(" fails: ")
+            assert re.fullmatch(MWB_LEMMA_FAILURES[kind], detail), f
+
+    @pytest.mark.parametrize("policy, message", [
+        (GreedyFrameworkPolicy, r"contracted sampling != reference framework on \d+ edges"),
+        (VirtualUniformPolicy, r"virtual twins diverge on \d+-uniform"),
+        (OptimisticPolicy, r"optimistic diverges on \d+-uniform"),
+        (DynkinPolicy, r"(sample|sample-contracted) diverges from dynkin on 1-uniform"),
+    ])
+    def test_equivalences(self, monkeypatch, policy, message):
+        # rejecting is always feasible, so the harness lets the twin drift apart
+        monkeypatch.setattr(policy, "decide", RejectEverything.decide)
+        failures = run_suite("equivalences", cases=10, seed=0).failures
+        assert failures
+        for f in failures:
+            assert re.fullmatch(rf"run \d+: {message}", f), f
+        if policy is DynkinPolicy:
+            others = {f.split(": ")[1].split()[0] for f in failures}
+            assert others == {"sample", "sample-contracted"}
+
+    def test_claw_blocker(self, monkeypatch):
+        monkeypatch.setattr(analysis, "check_claw_blocker", lambda trace, bundle: False)
+        assert run_suite("claw-blocker", trials=3, seed=0).failures == [
+            f"trial {i}: hub edge not protected" for i in range(3)]
+
+    def test_matroid_axioms(self, monkeypatch):
+        is_independent = MatroidView.is_independent
+        monkeypatch.setattr(MatroidView, "is_independent",
+                            lambda self, S: bool(S) and is_independent(self, S))
+        failures = run_suite("matroid-axioms", cases=1, seed=0).failures
+        assert "empty set dependent" in failures
+        for f in failures:
+            assert re.fullmatch(r"empty set dependent|downward closure fails at \[\d+\] minus \d+",
+                                f), f

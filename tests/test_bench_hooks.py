@@ -1,14 +1,20 @@
-"""The benchmark's tracer must still find the library's hook points.
+"""The benchmark's tracer must still find the library's hook points, and
+its workloads must still reproduce their pinned outputs.
 
 bench/tracer.py rebinds matsec functions and methods by name (run_trial,
 AcceptedSetTracker, RunningMwb.insert, Policy.decide, policy.accepted, ...)
 while a traced unit runs. A refactor that renames one of them would break
 `bench/run.py --trace 1` without failing any other test, so this loads the
 tracer by path, traces a small run and checks its counts and its undo.
+Likewise a change that breaks bench/workloads.py, or moves one of its pinned
+digests, would first show as a refused benchmark run; so each workload's
+unit runs here once at its pin seed.
 """
 
+import hashlib
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +23,8 @@ from matsec import (POLICY_NAMES, analysis, hat_graph, matroid, modified_hat_gra
                     policies, simulate, uniform_instance)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+WORKLOADS_PATH = TRACER_PATH.with_name("workloads.py")
+BENCHMARKED = ["hat-sweep", "mhat64-trap", "dynkin200", "hat5-forbidden"]
 
 
 def load_tracer():
@@ -144,3 +152,28 @@ def test_one_decide_span_per_live_arrival(name):
     assert t.calls["policies.start"] == 20
     assert t.calls["policies.decide"] == live
     assert t.exact_counts()["policies.decide.accepted"] == accepted
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up by name
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("name", BENCHMARKED)
+def test_workload_unit_reproduces_its_pinned_digest(workloads, name):
+    # the final checks are left out: hat5's repeats C8, dynkin200's pools many units
+    w = workloads.WORKLOADS[name]
+    unit = w.unit(w.build(), workloads.PIN_SEED)
+    assert unit.problems == []
+    assert hashlib.sha256(unit.output).hexdigest() == w.pinned
+
+
+def test_the_workloads_are_the_four_benchmarked(workloads):
+    assert list(workloads.WORKLOADS) == BENCHMARKED

@@ -6,7 +6,12 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -392,6 +397,15 @@ class TestReplay:
         assert len(records) == 5
         assert sum(r.accepted for r in records) == 2
 
+    def test_module_entry_point_exits_with_mains_code(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "matsec.cli", "replay", "triangle-sample"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "PASS"
+
     def test_separation_pair(self, capsys):
         _, out_sample, _ = run_cli(capsys, "replay", "triangle-sample")
         _, out_greedy, _ = run_cli(capsys, "replay", "triangle-greedy")
@@ -426,7 +440,7 @@ class TestSimulate:
         assert code == 0
         with open(sched_path) as fp:
             parsed = parse_schedule(fp)
-        assert len(parsed.times) == 7
+        assert len(parsed.order) == len(parsed.elements) == 7
         code, out2, _ = run_cli(capsys, "simulate", "--instance", "hat",
                                 "--n", "3", "--schedule-file", str(sched_path))
         assert code == 0
@@ -679,6 +693,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "equivalences", "--cases", "10")
         assert code == 0
 
+    def test_more_than_ten_failures_print_ten_and_a_count(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "check_claw_blocker", lambda trace, bundle: False)
+        code, out, _ = run_cli(capsys, "verify", "claw-blocker", "--trials", "12")
+        assert code == 1
+        assert out.splitlines() == ["suite claw-blocker: 12 cases, 12 failures"] + [
+            f"  trial {i}: hub edge not protected" for i in range(10)] + ["  ... and 2 more"]
+
     def test_forbidden_consistency_reports_gap(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "forbidden-consistency",
                                "--trials", "250", "--n", "5")
@@ -701,6 +722,16 @@ class TestCertify:
         assert obj["checkedAssignments"] == 16
         assert len(obj["violations"]) == 16
         assert "checked 16 assignments" in err
+
+    def test_a_surviving_assignment_is_incomplete(self, capsys, monkeypatch):
+        cert = analysis.certify_no_size1_strong_fs()
+        monkeypatch.setattr(cli, "certify_no_size1_strong_fs",
+                            lambda: replace(cert, violations=cert.violations[1:]))
+        code, out, err = run_cli(capsys, "certify")
+        assert code == 1
+        assert len(json.loads(out)["violations"]) == 15
+        assert err.splitlines() == ["checked 16 assignments, 15 violated",
+                                    "INCOMPLETE: some assignment survived"]
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "cert.json"

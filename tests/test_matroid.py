@@ -163,6 +163,14 @@ class TestGraphicView:
         with pytest.raises(ValueError, match="out of range"):
             GraphicMatroid(2, ((0, 2),))
 
+    @pytest.mark.parametrize("end", [1.7, 1.0, "1"])
+    def test_endpoints_must_be_integers(self, end):
+        # int() would turn (0, 1.7) into the edge (0, 1)
+        with pytest.raises(ValueError, match=re.escape(f"integers, got {end!r}")):
+            GraphicMatroid(3, ((0, end), (1, 2)))
+        ends = GraphicMatroid(3, ((np.int64(0), np.int32(1)),)).endpoints
+        assert ends == ((0, 1),) and all(type(v) is int for v in ends[0])
+
     def test_greedy_on_chorded_cycle(self):
         # 4-cycle 0-1-2-3 plus the chord (0, 2); the heavy chord and the two
         # heaviest cycle edges that avoid closing a triangle win
@@ -213,6 +221,18 @@ class TestMinors:
             minor.greedy_mwb(WeightedGroundSet.from_weights([1, 2, 3, 4]), [0, 1])
         with pytest.raises(DomainError):
             MatroidView(triangle_base(), frozenset({0, 5}), frozenset())
+
+    @pytest.mark.parametrize("base", [UniformMatroid(3, 2), triangle_base()])
+    def test_ids_must_be_integers(self, base):
+        # a float id would pass the range check and, on a uniform base, count as an element
+        for restriction, contraction, bad in (({0, 1.5, 2}, set(), 1.5),
+                                              ({0, 1, 2}, {1.0}, 1.0)):
+            with pytest.raises(DomainError, match=re.escape(f"integers, got {bad!r}")):
+                MatroidView(base, restriction, contraction)
+        with pytest.raises(DomainError, match=r"got 1\.0"):
+            MatroidView.full(base).contract([1.0])
+        view = MatroidView(base, {np.int64(0), 1, 2}, {np.int64(2)})
+        assert view.ground == frozenset({0, 1}) and view.rank(view.ground) == 1
 
     def test_contracted_uniform_capacity(self):
         minor = MatroidView.full(UniformMatroid(5, 3)).contract([4])

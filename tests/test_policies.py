@@ -446,7 +446,8 @@ class TestVirtualCrossCheck:
                 b.weights, [u for u in range(12) if rng.random() < 0.3]))
             sched = _seeded_schedule(b, seed)
             yield minor, b.weights, forced_schedule(
-                (u, t) for u, t in zip(sched.order, sched.arrival) if u in minor.ground), 0.4
+                (u, t) for u, t in zip(sched.order, sched.sorted_times.tolist())
+                if u in minor.ground), 0.4
         for seed in range(6):
             b = uniform_instance(8 + seed, 1 + seed % 3)
             yield b.view, b.weights, _seeded_schedule(b, seed), 0.4
@@ -457,7 +458,7 @@ class TestVirtualCrossCheck:
         for view, weights, sched, p in self.drift_cases():
             trace = run_trial("virtual-msp", view, weights, sched, p)
             live = [r for r in trace_records(trace, view, weights) if r.phase == "live"]
-            sampled = {u for u, t in zip(sched.order, sched.arrival) if t < p}
+            sampled = {u for u, t in zip(sched.order, sched.sorted_times.tolist()) if t < p}
             seen = set(sampled)
             tracker = AcceptedSetTracker(view)
             for r in live:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import replace
 from fractions import Fraction
@@ -44,6 +45,17 @@ from matsec import (
 from matsec import simulate
 from matsec.simulate import (PHASE_LIVE, PHASE_SAMPLE, _pcg64_states, _words,
                              dump_json_line, json_ready)
+
+
+def times_of(schedule) -> dict:
+    """Element id -> arrival time, as Python floats, in arrival order."""
+    return dict(zip(schedule.order, schedule.sorted_times.tolist()))
+
+
+def hand_built(order, times) -> ArrivalSchedule:
+    """A schedule built directly, its times a read-only float64 array as drawn ones are."""
+    (times := np.array(times, dtype=float)).setflags(write=False)
+    return ArrivalSchedule(tuple(order), times)
 
 
 class AcceptEveryLive(Policy):
@@ -89,7 +101,7 @@ class TestTrialRng:
         b = uniform_instance(6, 2)
         streamed = list(trial_stream("sample", b.view, b.weights, 0.5, 5, seed=11))
         direct = draw_schedule(b.weights, trial_rng(11, 3))
-        assert streamed[3].schedule.times == direct.times
+        assert times_of(streamed[3].schedule) == times_of(direct)
 
 
 class TestBlockSeeding:
@@ -122,7 +134,7 @@ class TestBlockSeeding:
         for i, trace in enumerate(streamed):    # 1030 trials span the first block boundary
             direct = run_trial("virtual-msp", b.view, b.weights,
                                draw_schedule(b.weights, trial_rng(seed, i)), 0.5)
-            assert trace.schedule.arrival == direct.schedule.arrival, i
+            assert np.array_equal(trace.schedule.sorted_times, direct.schedule.sorted_times), i
             assert (trace_records(trace, b.view, b.weights)
                     == trace_records(direct, b.view, b.weights)), i
         assert i == 1029
@@ -139,14 +151,15 @@ class TestBlockSeeding:
     def test_numpy_and_sequence_seeds_keep_their_streams(self, seed):
         b = triangle()
         streamed = trial_stream("sample", b.view, b.weights, 0.5, 3, seed)
-        assert [t.schedule.arrival for t in streamed] == \
-               [draw_schedule(b.weights, trial_rng(seed, i)).arrival for i in range(3)]
+        assert [t.schedule.sorted_times.tolist() for t in streamed] == \
+               [draw_schedule(b.weights, trial_rng(seed, i)).sorted_times.tolist()
+                for i in range(3)]
 
     def test_self_check_mismatch_falls_back_to_trial_rng(self, monkeypatch):
         b = hat_graph(3)
 
         def arrivals():
-            return [t.schedule.arrival
+            return [t.schedule.sorted_times.tolist()
                     for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 40, 9)]
 
         derived, real_trial_rng, calls = arrivals(), simulate.trial_rng, []
@@ -161,30 +174,23 @@ class TestDrawSchedule:
     def test_shape(self):
         b = uniform_instance(6, 2)
         sched = draw_schedule(b.weights, trial_rng(0, 0))
-        assert set(sched.times) == set(range(6))
-        assert all(0.0 <= t < 1.0 for t in sched.times.values())
-        assert list(sched.order) == sorted(sched.times, key=lambda u: (sched.times[u], u))
+        times = times_of(sched)
+        assert set(times) == set(range(6))
+        assert all(0.0 <= t < 1.0 for t in times.values())
+        assert list(sched.order) == sorted(times, key=lambda u: (times[u], u))
 
     def test_arrival_is_sorted_and_aligned_with_order(self):
         b = uniform_instance(50, 2)
         sched = draw_schedule(b.weights, trial_rng(4, 9))
         raw = trial_rng(4, 9).random(50)
+        arrival = sched.sorted_times.tolist()
         assert sorted(sched.order) == list(range(50))
-        assert all(a <= c for a, c in zip(sched.arrival, sched.arrival[1:]))
-        assert sched.arrival == tuple(float(raw[u]) for u in sched.order)
-
-    def test_times_is_a_lazy_read_only_view(self):
-        b = uniform_instance(6, 2)
-        sched = draw_schedule(b.weights, trial_rng(2, 5))
-        assert sched.times == dict(zip(sched.order, sched.arrival))
-        assert sched.times is sched.times
-        with pytest.raises(TypeError):
-            sched.times[0] = 0.5
+        assert all(a <= c for a, c in zip(arrival, arrival[1:]))
+        assert arrival == [float(raw[u]) for u in sched.order]
 
     def test_times_look_uniform(self):
         ws = uniform_instance(2000, 1).weights
-        sched = draw_schedule(ws, trial_rng(1, 0))
-        times = np.fromiter(sched.times.values(), dtype=float)
+        times = draw_schedule(ws, trial_rng(1, 0)).sorted_times
         assert abs(times.mean() - 0.5) < 0.04
         assert abs((times < 0.3).mean() - 0.3) < 0.04
 
@@ -210,7 +216,7 @@ class TestBlockDraw:
     def test_tied_times_break_by_element_id(self):
         sched = draw_schedule(uniform_instance(4, 1).weights, StubRng([0.5, 0.25, 0.5, 0.25]))
         assert sched.order == (1, 3, 0, 2)
-        assert sched.arrival == (0.25, 0.25, 0.5, 0.5)
+        assert sched.sorted_times.tolist() == [0.25, 0.25, 0.5, 0.5]
 
     def test_a_tied_row_inside_a_block_keeps_time_then_id_order(self, monkeypatch):
         count = 200
@@ -225,7 +231,7 @@ class TestBlockDraw:
         monkeypatch.setattr(simulate, "_DRAW_BLOCK", 4 * count)    # a block of 4 rows, then 2
         drawn = list(simulate.schedule_stream(uniform_instance(count, 1).weights, 6, 0))
         assert [s.order for s in drawn] == [by_time_then_id(r) for r in rows]
-        assert [s.arrival for s in drawn] == [tuple(sorted(r)) for r in rows]
+        assert [s.sorted_times.tolist() for s in drawn] == [sorted(r) for r in rows]
 
     def test_stream_equals_one_draw_per_trial_across_both_blocks(self):
         weights, seed = uniform_instance(200, 1).weights, 4
@@ -245,7 +251,7 @@ class TestBlockDraw:
     def test_no_trials_and_no_elements(self):
         assert list(simulate.schedule_stream(uniform_instance(200, 1).weights, 0, 1)) == []
         empty = list(simulate.schedule_stream(uniform_instance(0, 0).weights, 3, 1))
-        assert [(s.order, s.arrival) for s in empty] == [((), ())] * 3
+        assert [(s.order, s.sorted_times.tolist()) for s in empty] == [((), [])] * 3
 
     @pytest.mark.parametrize("count", [0, 1, 7, 200])
     def test_a_draw_reads_exactly_count_doubles(self, count):
@@ -322,12 +328,12 @@ class TestSharedElements:
         parsed = parse_schedule(io.StringIO(buf.getvalue()))
         trace = run_trial("sample", b.view, b.weights, forced, 0.3)
         reloaded = trace_from_records(trace_records(trace, b.view, b.weights)).schedule
-        hand_built = ArrivalSchedule((1, 2, 0), (0.2, 0.5, 0.9))
-        for sched in (parsed, reloaded, hand_built):
+        direct = hand_built((1, 2, 0), (0.2, 0.5, 0.9))
+        for sched in (parsed, reloaded, direct):
             run_trial("sample", b.view, b.weights, sched, 0.3)
-        for sched in (forced, parsed, reloaded, hand_built):
+        for sched in (forced, parsed, reloaded, direct):
             assert sched.elements == frozenset({0, 1, 2})
-        assert builds == [forced, parsed, reloaded, hand_built]
+        assert builds == [forced, parsed, reloaded, direct]
 
     def test_only_a_verified_block_of_several_rows_shares_its_set(self, monkeypatch):
         b = hat_graph(3)
@@ -351,10 +357,23 @@ class TestSharedElements:
 
 
 class TestForcedSchedule:
+    @pytest.mark.parametrize("pairs", [
+        [(1.5, 0.2), (0, 0.4), (2, 0.7)],      # int() would schedule element 1
+        [(1.5, 0.2), (1, 0.3)],                # ... and call element 1 assigned twice
+        [(1.0, 0.2)],
+    ])
+    def test_ids_must_be_integers(self, pairs):
+        with pytest.raises(ValueError, match=re.escape(f"integers, got {pairs[0][0]!r}")):
+            forced_schedule(pairs)
+
+    def test_numpy_int_ids_become_ints(self):
+        sched = forced_schedule([(np.int64(1), 0.2), (np.int32(0), 0.4)])
+        assert sched.order == (1, 0) and all(type(u) is int for u in sched.order)
+
     def test_round_trip_order(self):
         sched = forced_schedule([(2, 0.9), (0, 0.1), (1, 0.5)])
         assert sched.order == (0, 1, 2)
-        assert sched.times[2] == 0.9
+        assert sched.sorted_times.tolist() == [0.1, 0.5, 0.9]
 
     def test_boundary_times_allowed(self):
         sched = forced_schedule([(0, 0.0), (1, 1.0)])
@@ -416,7 +435,7 @@ class TestRunTrial:
     def test_hand_built_schedule_must_cover_ground(self, order, arrival):
         b = triangle()
         with pytest.raises(DomainError, match="ground set"):
-            run_trial("sample", b.view, b.weights, ArrivalSchedule(order, arrival), 0.5)
+            run_trial("sample", b.view, b.weights, hand_built(order, arrival), 0.5)
 
     def test_p_one_samples_everything(self):
         b = triangle()
@@ -442,7 +461,7 @@ class TestRunTrial:
     def test_arrivals_tied_with_p_are_live(self):
         # the harness splits at the cutoff by bisection; ties with p stay live
         b = uniform_instance(3, 2)
-        sched = ArrivalSchedule((0, 1, 2), (0.25, 0.5, 0.5))
+        sched = hand_built((0, 1, 2), (0.25, 0.5, 0.5))
         trace = run_trial("sample", b.view, b.weights, sched, 0.5)
         assert trace.sample_set == frozenset({0})
         assert trace.accepted == frozenset({1, 2})
@@ -472,7 +491,7 @@ class TestRunTrial:
         records = trace_records(trace, b.view, b.weights)
         assert (trace.decisions, trace.accepted, trace.sample_set, trace.schedule) == before
         assert records == trace_records(trace, b.view, b.weights)
-        assert [(r.element, r.time) for r in records] == list(sched.times.items())
+        assert [(r.element, r.time) for r in records] == list(times_of(sched).items())
         samples = {r.element for r in records if r.phase == PHASE_SAMPLE}
         assert samples == trace.sample_set == {0, 2}
         live = records[len(trace.sample_set):]
@@ -528,7 +547,7 @@ class TestInvariances:
             rng = np.random.default_rng(seed)
             b = random_graphic(5, 8, rng)
             sched = draw_schedule(b.weights, trial_rng(seed, 1))
-            half = forced_schedule([(u, t / 2) for u, t in sched.times.items()])
+            half = forced_schedule([(u, t / 2) for u, t in times_of(sched).items()])
             a = run_trial("virtual-msp", b.view, b.weights, sched, 0.6)
             c = run_trial("virtual-msp", b.view, b.weights, half, 0.3)
             assert a.accepted == c.accepted
@@ -609,7 +628,7 @@ class TestTraceSerialization:
         assert rebuilt.decisions == trace.decisions
         assert rebuilt.accepted == trace.accepted
         assert rebuilt.sample_set == trace.sample_set
-        assert rebuilt.schedule.times == trace.schedule.times
+        assert times_of(rebuilt.schedule) == times_of(trace.schedule)
         assert rebuilt.schedule.order == trace.schedule.order
 
     @pytest.mark.parametrize("edit, message", [
@@ -734,13 +753,13 @@ class TestScheduleSerialization:
         dump_schedule(sched, buf)
         buf.seek(0)
         parsed = parse_schedule(buf)
-        assert parsed.times == sched.times
+        assert times_of(parsed) == times_of(sched)
         assert parsed.order == sched.order
 
     def test_comments_allowed(self):
         text = "# header\nschedule 0 0.25\n\nschedule 1 0.75\n"
         sched = parse_schedule(io.StringIO(text))
-        assert sched.times == {0: 0.25, 1: 0.75}
+        assert times_of(sched) == {0: 0.25, 1: 0.75}
 
     def test_rejects_malformed_lines(self):
         with pytest.raises(ValueError, match="bad schedule line"):
@@ -777,10 +796,11 @@ class TestRepresentation:
     def test_first_live_bisects_the_float_arrivals(self, family):
         sched = draw_schedule(PINNED_FAMILIES[family]().weights, trial_rng(5, 3))
         cutoffs = [0.0, 1.0]
-        for t in sched.arrival:
+        arrival = sched.sorted_times.tolist()
+        for t in arrival:
             cutoffs += [t, math.nextafter(t, 0.0), math.nextafter(t, 1.0)]
         for p in cutoffs:
-            assert sched.first_live(p) == bisect_left(sched.arrival, p), p
+            assert sched.first_live(p) == bisect_left(arrival, p), p
 
     def test_stored_times_refuse_writes(self):
         b = uniform_instance(5, 2)
@@ -795,10 +815,9 @@ class TestRepresentation:
             with pytest.raises(ValueError, match="read-only"):
                 sched.sorted_times[0] = 0.75
 
-    def test_hand_built_tuple_schedule_still_serves_everything(self):
-        sched = ArrivalSchedule((2, 0, 1), (0.125, 0.5, 0.75))
-        assert sched.arrival == (0.125, 0.5, 0.75)
-        assert sched.times == {2: 0.125, 0: 0.5, 1: 0.75}
+    def test_hand_built_schedule_serves_everything(self):
+        sched = hand_built((2, 0, 1), (0.125, 0.5, 0.75))
+        assert times_of(sched) == {2: 0.125, 0: 0.5, 1: 0.75}
         assert [sched.first_live(p) for p in (0.0, 0.125, 0.3, 0.5, 1.0)] == [0, 0, 1, 1, 3]
         buf = io.StringIO()
         dump_schedule(sched, buf)
@@ -809,7 +828,7 @@ class TestRepresentation:
     def test_empty_instance_draws_and_runs_an_empty_schedule(self):
         b = uniform_instance(0, 0)
         sched = draw_schedule(b.weights, trial_rng(0, 0))
-        assert (sched.order, sched.arrival, sched.first_live(0.5)) == ((), (), 0)
+        assert (sched.order, sched.sorted_times.tolist(), sched.first_live(0.5)) == ((), [], 0)
         trace = run_trial("sample", b.view, b.weights, sched, 0.5)
         assert (trace.decisions, trace.accepted, trace.sample_count) == ((), frozenset(), 0)
         assert trace.sample_set == frozenset()
