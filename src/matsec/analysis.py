@@ -253,16 +253,17 @@ def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle
     """
     view._check(trace.schedule.order)
     order, m, sampled = trace.schedule.order, trace.sample_count, trace.sample_set
+    rule, bound, accepted = oracle.rule, oracle.size_bound, trace.accepted
     seen = set(sampled)
     for u in order[m:]:
         seen.add(u)
-        blocked = oracle.rule(seen, u)
+        blocked = rule(seen, u)
         if u in blocked or not blocked <= seen:
             raise OracleError("blocked set must be drawn from the seen elements")
-        if len(blocked) > oracle.size_bound:
-            raise OracleError(f"blocked set exceeds size bound {oracle.size_bound}")
+        if len(blocked) > bound:
+            raise OracleError(f"blocked set exceeds size bound {bound}")
         # blocked lies in seen - {u}, so no earlier live arrival is in it iff it lies in the sample
-        if u not in trace.accepted and blocked <= sampled and view.in_mwb(weights, seen, u):
+        if u not in accepted and blocked <= sampled and view.in_mwb(weights, seen, u):
             return (False, u)
     return (True, None)
 

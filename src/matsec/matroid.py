@@ -152,7 +152,7 @@ class AcceptedSetTracker:
     graphic one. A view builds one; its users each add() to their own copy(),
     which copies one parent list. Path halving keeps a long-lived tracker at
     amortized O(log V) per find; a chain a copy inherits costs no more to
-    walk than the O(V) copy itself."""
+    walk than the O(V) copy itself. in_mwb() answers without growing a tracker."""
 
     __slots__ = ("_slots", "uf", "_endpoints")
 
@@ -180,12 +180,27 @@ class AcceptedSetTracker:
 
     def in_mwb(self, ranks: tuple[int, ...], S: Iterable[int], u: int) -> bool:
         """Whether u lies in MWB(S + u) in the view contracted by this set: the
-        elements of S heavier than u do not span u. Leaves this tracker unchanged."""
-        tracker = self.copy()
+        elements of S heavier than u do not span u. One pass over S counts them, or
+        links them on a parent-list copy that lives for this one answer, with no
+        per-element add() or find() call; this tracker is unchanged."""
+        r, uf = ranks[u], self.uf
+        if uf is None:
+            return self._slots > len({v for v in S if ranks[v] < r})     # a repeat counts once
+        parent, ends = uf.parent.copy(), self._endpoints
         for v in S:
-            if ranks[v] < ranks[u]:
-                tracker.add(v)
-        return tracker.can_add(u)
+            if ranks[v] < r:
+                a, b = ends[v]
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]     # path halving, as in find()
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                parent[b] = a
+        a, b = ends[u]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        return a != b
 
     def add(self, u: int) -> bool:
         """Add u and return True; return False and change nothing when u
@@ -247,6 +262,9 @@ class MatroidView:
     def _checked(self, S: Iterable[int]) -> frozenset:
         S = frozenset(S)
         self._check(S)
+        if not {int}.issuperset(map(type, S)):     # 1.0 passes _check as 1
+            for u in S:
+                as_id(u, DomainError)
         return S
 
     def tracker(self) -> AcceptedSetTracker:
@@ -284,10 +302,15 @@ class MatroidView:
 
     def in_mwb(self, weights: WeightedGroundSet, S: Iterable[int], u: int) -> bool:
         """Whether u lies in MWB(S + u), i.e. the elements of S heavier than u do not span u."""
-        S = S if isinstance(S, Collection) else tuple(S)    # S is read twice below
+        if not isinstance(S, (set, frozenset, tuple, list)):   # skip the slower ABC test
+            S = S if isinstance(S, Collection) else tuple(S)    # S is read twice below
         if u not in self.ground or not self.ground.issuperset(S):
             self._check([*S, u])            # raises DomainError naming the strays
-        return self._tracker.in_mwb(weights.ranks, S, u)
+        try:
+            return self._tracker.in_mwb(weights.ranks, S, u)
+        except TypeError:                   # ranks[1.0]: name the id that only equals an integer
+            self._checked([*S, u])
+            raise
 
     def restrict(self, S: Iterable[int]) -> "MatroidView":
         return MatroidView(self.base, self._checked(S), self.contraction)

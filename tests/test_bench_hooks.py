@@ -118,19 +118,35 @@ def test_traced_sample_rules_count_their_decides_and_tracker_calls():
     """No benchmark workload runs `sample` or `sample-contracted`, so this is
     the one check that a traced run still sees their decide and tracker calls."""
     tracer, hat = load_tracer(), hat_graph(3)
-    calls = {}
+    calls, accepted = {}, {}
     for name in ("sample", "sample-contracted"):
         t = tracer.Tracer()
         with t.installed():
             traces = list(simulate.trial_stream(name, hat.view, hat.weights, 0.5, 10, 0))
         calls[name] = (t.calls["policies.start"], t.calls["policies.decide"],
                        t.calls["policies.tracker"])
-        assert t.exact_counts()["policies.decide.accepted"] == sum(
-            len(trace.accepted) for trace in traces)
-    # (start spans, decides, tracker add/can_add calls, the harness's included):
-    # neither rule defines its own start, and sample-contracted's queries run
-    # on its accepted-set tracker
-    assert calls == {"sample": (10, 35, 154), "sample-contracted": (10, 35, 140)}
+        accepted[name] = sum(len(trace.accepted) for trace in traces)
+        assert t.exact_counts()["policies.decide.accepted"] == accepted[name]
+    # (start spans, decides, tracker add/can_add calls): neither rule defines
+    # its own start, and the basis query makes no tracker call, so the tracker
+    # calls are the harness's one add per acceptance plus the rule's own add
+    # after each yes from in_mwb (39 for sample, 30 for sample-contracted)
+    assert accepted == {"sample": 28, "sample-contracted": 23}
+    assert calls == {"sample": (10, 35, 67), "sample-contracted": (10, 35, 53)}
+
+
+def test_traced_basis_query_makes_no_tracker_call_or_find():
+    """view.in_mwb answers on a private parent list, not through the hooked
+    add, can_add and find, so the tracer counts none for it."""
+    tracer, hat = load_tracer(), hat_graph(5)
+    view, ground = hat.view, sorted(hat.view.ground)
+    t = tracer.Tracer()
+    with t.installed():
+        answers = {view.in_mwb(hat.weights, ground[:i], u) for i in range(len(ground))
+                   for u in ground}
+    assert answers == {False, True}
+    assert t.calls["policies.tracker"] == 0
+    assert t.exact_counts()["matroid.union_find.finds"] == 0
 
 
 # the uniform-only policies run on uniform instances, every other on a hat

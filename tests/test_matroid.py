@@ -234,6 +234,23 @@ class TestMinors:
         view = MatroidView(base, {np.int64(0), 1, 2}, {np.int64(2)})
         assert view.ground == frozenset({0, 1}) and view.rank(view.ground) == 1
 
+    @pytest.mark.parametrize("base", [UniformMatroid(3, 2), triangle_base()])
+    @pytest.mark.parametrize("bad", [1.0, np.float64(1.0), Fraction(1)])
+    def test_queries_refuse_ids_that_only_equal_integers(self, base, bad):
+        # 1.0 == 1 passes the ground-set test, so each query must look at the type
+        view, ws = MatroidView.full(base), WeightedGroundSet.from_weights([1, 2, 3])
+        queries = {"rank": lambda: view.rank([bad]),
+                   "is_independent": lambda: view.is_independent([bad, 2]),
+                   "span": lambda: view.span([bad]),
+                   "greedy_mwb": lambda: view.greedy_mwb(ws, [0, bad]),
+                   "in_mwb S": lambda: view.in_mwb(ws, [bad, 2], 0),
+                   "in_mwb u": lambda: view.in_mwb(ws, [2], bad)}
+        for name, query in queries.items():
+            with pytest.raises(DomainError, match=re.escape(f"integers, got {bad!r}")):
+                query()
+        ints = [np.int64(1), True]          # index-able ids still pass
+        assert view.rank(ints) == 1 and view.in_mwb(ws, ints, np.int64(2))
+
     def test_contracted_uniform_capacity(self):
         minor = MatroidView.full(UniformMatroid(5, 3)).contract([4])
         assert minor.rank(minor.ground) == 2
@@ -393,6 +410,46 @@ class TestInMwb:
         # in the minor, 1 and 3 are parallel and 3 is the heavier
         assert minor.in_mwb(ws, [1], 3)
         assert not minor.in_mwb(ws, [3], 1)
+
+    @pytest.mark.parametrize("base", [UniformMatroid(3, 2), triangle_base()])
+    def test_a_repeated_element_of_S_counts_once(self, base):
+        # weights make 2 the heaviest and 0 the lightest; MWB({2, 0}) holds 0
+        view, ws = MatroidView.full(base), WeightedGroundSet.from_weights([1, 2, 3])
+        assert view.in_mwb(ws, [2, 2], 0) and view.in_mwb(ws, iter([2, 2, 2]), 0)
+        assert not view.in_mwb(ws, [2, 1, 2], 0)
+
+
+def reference_in_mwb(tracker, ranks, S, u):
+    """The copy-and-add query the one-pass in_mwb replaced: add the elements
+    of S heavier than u to a copy of the tracker, then ask it can_add(u)."""
+    copy = tracker.copy()
+    for v in S:
+        if ranks[v] < ranks[u]:
+            copy.add(v)
+    return copy.can_add(u)
+
+
+def test_one_pass_query_matches_the_copy_and_add_reference():
+    """On every membership view, on its stored tracker and on one grown by a
+    random independent set, with the query's S drawn at random densities."""
+    rng = random.Random(41)
+    seen = set()
+    for view, weights in membership_views():
+        ground, ranks = sorted(view.ground), weights.ranks
+        grown = view.tracker()
+        for v in rng.sample(ground, len(ground) // 2):
+            grown.add(v)
+        for tracker in (view._tracker, grown):
+            stored = tracker_state(tracker)
+            for _ in range(10 if ground else 0):
+                density = rng.random()
+                S = [v for v in ground if rng.random() < density]
+                u = rng.choice(ground)
+                answer = tracker.in_mwb(ranks, S, u)
+                assert answer == reference_in_mwb(tracker, ranks, S, u), (view, S, u)
+                assert tracker_state(tracker) == stored
+                seen.add((tracker.uf is None, answer))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # -- trackers copied from the view's own -----------------------------------------
@@ -582,6 +639,31 @@ class TestDeepChains:
         assert grow_like_bfs(view.tracker(), base, held, rest) == early + late
         for i in [*range(0, len(rest), 23), len(rest)]:
             assert view.rank(rest[:i]) == oracle_rank(view, frozenset(rest[:i]))
+
+    def test_basis_queries_answer_like_bfs(self, order):
+        """in_mwb on the full view and on the one contracted by the first half
+        of the tree, whose stored parent list holds the deep chain."""
+        base = chain_base(order)
+        rng = np.random.default_rng(37)
+        weights = WeightedGroundSet.from_weights((rng.permutation(base.size) + 1).tolist())
+        ranks = weights.ranks
+        held = range(0, base.size // 2, 2)
+        for view in (MatroidView.full(base), MatroidView.full(base).contract(held)):
+            ground, stored = sorted(view.ground), tracker_state(view._tracker)
+            answers = []
+            for _ in range(24):
+                density = rng.random()
+                S = [v for v in ground if rng.random() < density]
+                u = ground[int(rng.integers(len(ground)))]
+                adj = defaultdict(set)
+                for v in [*view.contraction, *(v for v in S if ranks[v] < ranks[u])]:
+                    a, b = base.endpoints[v]
+                    adj[a].add(b)
+                    adj[b].add(a)
+                answers.append(view.in_mwb(weights, S, u))
+                assert answers[-1] == (not reaches(adj, *base.endpoints[u])), (S, u)
+            assert True in answers and False in answers
+            assert tracker_state(view._tracker) == stored
 
 
 # -- file format ----------------------------------------------------------------
