@@ -2,9 +2,11 @@
 
 The hat graph is the hard case for sampling-based rules: the hub edge
 dwarfs everything else, and a policy that lets any claw fill up both of
-its edges before the hub edge arrives loses it forever. The virtual rule
-keeps every optimum element's acceptance probability near 0.375 at
-p = 0.5, comfortably above the 1/4 guarantee and the p^2 (1-p) floor for
+its edges before the hub edge arrives loses it forever. At p = 0.5 the
+virtual rule accepts each top edge with probability about 0.37 and the
+hub edge with about 0.34 (exactly 0.341321 on hat(10); the run below
+prints 0.3393), so the hub edge is the minimum over the optimum, still
+comfortably above the 1/4 guarantee and the p^2 (1-p) = 0.125 floor for
 the hub edge.
 """
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -90,6 +91,14 @@ class EstimateReport:
         }
 
 
+def _count(name: str, value) -> int:
+    """A count read as ids are, by operator.index: 2.5 or "3" raises ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int) -> EstimateReport:
     """Acceptance frequency of each optimum element plus the mean utility
     ratio, over `trials` independent schedules. The report carries no
@@ -110,7 +119,7 @@ def estimate_grid(policy, bundle: InstanceBundle, ps, trials: int, seed: int):
     first read runs every trial: each schedule is drawn once and run at
     every cutoff.
     """
-    ps = tuple(ps)
+    ps, trials = tuple(ps), _count("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     if not bundle.mwb:
@@ -471,8 +480,8 @@ def _suite_matroid_axioms(cases: int, seed: int) -> SuiteResult:
     return result
 
 
-def _random_subset(rng, elems, prob=0.5):
-    return frozenset(u for u in elems if rng.random() < prob)
+def _random_subset(rng, elems):
+    return frozenset(u for u in elems if rng.random() < 0.5)
 
 
 def _suite_mwb_lemmas(cases: int, seed: int) -> SuiteResult:
@@ -631,7 +640,8 @@ def run_suite(name: str, *, cases: int | None = None, trials: int | None = None,
         if value is not None and arg not in defaults:
             raise ValueError(f"--{arg} does not apply to suite {name}")
     for arg in ("cases", "trials", "n"):
-        if given[arg] is not None and given[arg] < 1:
-            raise ValueError(f"{arg} must be at least 1, got {given[arg]}")
+        value = given[arg] = None if given[arg] is None else _count(arg, given[arg])
+        if value is not None and value < 1:
+            raise ValueError(f"{arg} must be at least 1, got {value}")
     return runner(seed=seed, **{arg: default if given[arg] is None else given[arg]
                                 for arg, default in defaults.items()})

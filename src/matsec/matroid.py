@@ -9,10 +9,11 @@ and a view can be shared freely across simulation trials.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 import sys
-from collections.abc import Collection, Iterable
+from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -320,44 +321,53 @@ class MatroidView:
         return MatroidView(self.base, self.restriction, self.contraction | self._checked(I))
 
 
-# -- instance file format ---------------------------------------------------
+# -- text file formats -------------------------------------------------------
 #
 #   matroid uniform <n> <k>          followed by n lines   elem <id> <weight>
 #   matroid graphic <V> <E>          followed by E lines   edge <id> <u> <v> <weight>
+#   schedule <id> <time>             one line per arrival (simulate.parse_schedule)
 #
 # Weights are decimal strings when exactly representable (every shipped
-# generator emits integers), "num/den" otherwise; blank lines and lines
-# starting with '#' are ignored.
+# generator emits integers), "num/den" otherwise.
+
+
+def read_lines(fp: Iterable[str], keyword: str | None = None, fields: int = 0) -> Iterator:
+    """(line, line.split()) for each stripped line of either format, skipping blank and
+    whole-line '#' comment lines only. Given a keyword, a line that is not `fields`
+    fields starting with it raises ValueError naming the line."""
+    for line in fp:
+        line = line.strip()
+        if line and not line.startswith("#"):
+            parts = line.split()
+            if keyword is not None and (len(parts) != fields or parts[0] != keyword):
+                raise ValueError(f"bad {keyword} line: {line!r}")
+            yield line, parts
 
 
 def format_weight(w: Fraction) -> str:
     num, den = w.numerator, w.denominator
-    if den == 1:
-        return str(num)
-    d = den
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
+    d, m = den, 0
+    while (g := math.gcd(d, 10)) > 1:   # each pass takes out one 2 and one 5, while any are left
+        d, m = d // g, m + 1
     if d != 1:
         return f"{num}/{den}"
-    m = max(twos, fives)
     digits = str(num * 10 ** m // den).rjust(m + 1, "0")
-    return f"{digits[:-m]}.{digits[-m:]}"
+    return f"{digits[:-m]}.{digits[-m:]}" if m else digits
+
+
+# kind -> (body line keyword, fields per line, noun for its ids)
+_BODY = {"uniform": ("elem", 3, "element"), "graphic": ("edge", 5, "edge")}
 
 
 def dump_instance(base: BaseMatroid, weights: WeightedGroundSet, fp: TextIO) -> None:
     if isinstance(base, UniformMatroid):
-        fp.write(f"matroid uniform {base.size} {base.k}\n")
-        for u in range(base.size):
-            fp.write(f"elem {u} {format_weight(weights.weight(u))}\n")
+        kind, header, ends = "uniform", (base.size, base.k), [()] * base.size
     else:
-        fp.write(f"matroid graphic {base.num_vertices} {base.size}\n")
-        for u, (a, b) in enumerate(base.endpoints):
-            fp.write(f"edge {u} {a} {b} {format_weight(weights.weight(u))}\n")
+        kind, header, ends = "graphic", (base.num_vertices, base.size), base.endpoints
+    keyword = _BODY[kind][0]
+    fp.write(f"matroid {kind} {header[0]} {header[1]}\n")
+    for u, uv in enumerate(ends):
+        fp.write(" ".join(map(str, (keyword, u, *uv, format_weight(weights.weight(u))))) + "\n")
 
 
 def _parse_weight(text: str, line: str) -> Fraction:
@@ -378,13 +388,8 @@ def _parse_weight(text: str, line: str) -> Fraction:
     return w
 
 
-# kind -> (body line keyword, fields per line, noun for its ids)
-_BODY = {"uniform": ("elem", 3, "element"), "graphic": ("edge", 5, "edge")}
-
-
 def parse_instance(fp: TextIO) -> tuple[BaseMatroid, WeightedGroundSet]:
-    lines = [ln.strip() for ln in fp]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln, _ in read_lines(fp)]     # the whole file before any check
     if not lines:
         raise ValueError("empty instance file")
     header = lines[0].split()
@@ -399,10 +404,7 @@ def parse_instance(fp: TextIO) -> tuple[BaseMatroid, WeightedGroundSet]:
     if kind == "graphic" and count < 0:
         raise ValueError(f"edge count must be nonnegative, got {count}")
     body: dict[int, tuple] = {}     # keyed by id: no list sized by the header
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != fields or parts[0] != keyword:
-            raise ValueError(f"bad {keyword} line: {ln!r}")
+    for ln, parts in read_lines(lines[1:], keyword, fields):
         u = int(parts[1])
         if not 0 <= u < count or u in body:
             raise ValueError(f"bad or duplicate {noun} id {u}")

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .matroid import DomainError, MatroidView, WeightedGroundSet, as_id
+from .matroid import DomainError, MatroidView, WeightedGroundSet, as_id, read_lines
 from .policies import Decision, build_policy, running_mwb
 
 PHASE_SAMPLE = "sample"
@@ -40,8 +40,9 @@ class ArrivalSchedule:
 
     @cached_property
     def elements(self) -> frozenset:
-        """frozenset(order), built on first use; a drawn schedule gets its set when drawn."""
-        return frozenset(self.order)
+        """frozenset(order), built on first use; a drawn schedule gets its set when drawn.
+        An id that only equals an integer (1.0) raises DomainError, not the cover check."""
+        return frozenset(as_id(u, DomainError) for u in self.order)
 
     def first_live(self, p: float) -> int:
         """Index in order of the first live arrival: samples arrive strictly
@@ -112,6 +113,13 @@ def forced_schedule(assignments: Iterable[tuple[int, float]]) -> ArrivalSchedule
     return ArrivalSchedule(order, _read_only([times[u] for u in order]))
 
 
+# the JSON key of each DecisionRecord field, in field order, which is the dump order;
+# a record may leave out the kick fields' keys (the fields default to None)
+_RECORD_KEYS = ("element", "time", "phase", "accepted", "inCurrentMwb",
+                "kicked", "kickedWasSample")
+_REQUIRED_KEYS = _RECORD_KEYS[:5]
+
+
 @dataclass(frozen=True)
 class DecisionRecord:
     element: int
@@ -123,15 +131,7 @@ class DecisionRecord:
     kicked_was_sample: bool | None = None   # kicked in the sample set, harness-computed
 
     def to_json_obj(self) -> dict:
-        return {
-            "element": self.element,
-            "time": self.time,
-            "phase": self.phase,
-            "accepted": self.accepted,
-            "inCurrentMwb": self.in_current_mwb,
-            "kicked": self.kicked,
-            "kickedWasSample": self.kicked_was_sample,
-        }
+        return dict(zip(_RECORD_KEYS, vars(self).values()))     # a dataclass's fields, in order
 
     @classmethod
     def from_json_obj(cls, obj) -> "DecisionRecord":
@@ -139,15 +139,12 @@ class DecisionRecord:
         may be left out); raises ValueError for anything else."""
         if not isinstance(obj, dict):
             raise ValueError("a record must be a JSON object")
-        missing = [k for k in ("element", "time", "phase", "accepted", "inCurrentMwb")
-                   if k not in obj]
-        if missing:
-            raise ValueError(f"record lacks key {missing[0]!r}")
-        flags = obj["accepted"], obj["inCurrentMwb"]
+        if missing := next((k for k in _REQUIRED_KEYS if k not in obj), None):
+            raise ValueError(f"record lacks key {missing!r}")
+        element, time, phase, *flags, kicked, was_sample = map(obj.get, _RECORD_KEYS)
         if not all(isinstance(f, bool) for f in flags):
             raise ValueError("accepted and inCurrentMwb must be JSON booleans")
-        element, time = obj["element"], obj["time"]     # exact types: a bool is no int
-        kicked, was_sample = obj.get("kicked"), obj.get("kickedWasSample")
+        # exact types: a bool is no int
         if not (type(element) is int and (kicked is None or type(kicked) is int)):
             raise ValueError("element and kicked must be JSON integers")
         if type(time) not in (int, float):
@@ -158,9 +155,9 @@ class DecisionRecord:
             raise ValueError("time is too large for a float") from None
         if not (was_sample is None or isinstance(was_sample, bool)):
             raise ValueError("kickedWasSample must be a JSON boolean or null")
-        if obj["phase"] not in (PHASE_SAMPLE, PHASE_LIVE):
+        if phase not in (PHASE_SAMPLE, PHASE_LIVE):
             raise ValueError(f"phase must be {PHASE_SAMPLE!r} or {PHASE_LIVE!r}")
-        return cls(element, time, obj["phase"], *flags, kicked, was_sample)
+        return cls(element, time, phase, *flags, kicked, was_sample)
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,8 +341,7 @@ def json_ready(obj):
 
 
 def dump_json_line(obj: dict, fp: TextIO) -> None:
-    fp.write(json.dumps(json_ready(obj), separators=(",", ":")))
-    fp.write("\n")
+    fp.write(json.dumps(json_ready(obj), separators=(",", ":")) + "\n")
 
 
 def dump_trace(records: Iterable[DecisionRecord], fp: TextIO) -> None:
@@ -395,13 +391,4 @@ def dump_schedule(schedule: ArrivalSchedule, fp: TextIO) -> None:
 
 
 def parse_schedule(fp: TextIO) -> ArrivalSchedule:
-    pairs = []
-    for line in fp:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "schedule":
-            raise ValueError(f"bad schedule line: {line!r}")
-        pairs.append((int(parts[1]), float(parts[2])))
-    return forced_schedule(pairs)
+    return forced_schedule([(int(u), float(t)) for _, (_, u, t) in read_lines(fp, "schedule", 3)])

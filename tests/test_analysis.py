@@ -10,6 +10,7 @@ vanish once the first claw is fully sampled.
 
 import hashlib
 import itertools
+import json
 import math
 import re
 import subprocess
@@ -243,6 +244,25 @@ class TestEstimate:
             estimate_grid("sample", empty, (2.0,), 0, 0)
         with pytest.raises(ValueError, match="optimum is empty"):
             estimate_grid("sample", empty, (2.0,), 5, 0)
+
+    @pytest.mark.parametrize("trials", [2.5, "3", 3.0, None, Fraction(3)])
+    def test_a_count_that_is_no_integer_raises_before_any_trial(self, monkeypatch, trials):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the count was checked")
+        monkeypatch.setattr(analysis, "run_trial", no_trial)
+        message = re.escape(f"trials must be an integer, got {trials!r}")
+        with pytest.raises(ValueError, match=message):
+            estimate("sample", hat_graph(2), 0.5, trials, 0)
+        with pytest.raises(ValueError, match=message):
+            estimate_grid("sample", hat_graph(2), (0.5,), trials, 0)
+
+    def test_counts_are_read_as_ids_are(self):
+        b = hat_graph(2)
+        ints = [estimate("virtual-msp", b, 0.5, trials, 4) for trials in (3, np.int64(3))]
+        assert [r.to_json_obj() for r in ints] == [ints[0].to_json_obj()] * 2
+        report = estimate("virtual-msp", b, 0.5, True, 4)      # operator.index(True) == 1
+        assert type(report.trials) is int and report.trials == 1
+        assert '"trials": 1,' in json.dumps(report.to_json_obj())
 
     def test_grid_probes_the_policy_last_and_before_the_first_trial(self, monkeypatch):
         def no_trial(*args):
@@ -1205,6 +1225,19 @@ class TestSuites:
     def test_claw_blocker_suite(self):
         result = run_suite("claw-blocker", trials=300, seed=1, n=4)
         assert result.passed
+
+    @pytest.mark.parametrize("name, arg", [("claw-blocker", "trials"), ("claw-blocker", "n"),
+                                           ("mwb-lemmas", "cases")])
+    @pytest.mark.parametrize("value", [2.5, "3", 3.0])
+    def test_a_count_that_is_no_integer_raises_value_error(self, monkeypatch, name, arg, value):
+        monkeypatch.setitem(analysis._SUITES, name, (None, analysis._SUITES[name][1]))
+        with pytest.raises(ValueError, match=f"{arg} must be an integer, got {value!r}"):
+            run_suite(name, **{arg: value})
+
+    def test_counts_reach_the_suite_as_ints(self):
+        result = run_suite("claw-blocker", trials=np.int64(4), n=True)
+        assert type(result.cases) is int and result.cases == 4
+        assert run_suite("claw-blocker", trials=4, n=1).failures == result.failures
 
     def test_unread_arguments_are_rejected(self):
         with pytest.raises(ValueError, match="--trials does not apply to suite matroid-axioms"):

@@ -7,6 +7,7 @@ import re
 import sys
 from collections import defaultdict, deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from matsec import (
     WeightedGroundSet,
     brute_force_mwb,
     dump_instance,
+    forced_schedule,
     fuzz_corpus,
     hat_graph,
     parse_instance,
+    parse_schedule,
     random_graphic,
     trial_stream,
     uniform_instance,
@@ -683,6 +686,28 @@ class TestFormatWeight:
         assert format_weight(w) == text
         assert Fraction(text) == w
 
+    def test_matches_the_two_loop_reference(self):
+        def reference(w):       # format_weight as it was: count the 2s and the 5s apart
+            num, den = w.numerator, w.denominator
+            if den == 1:
+                return str(num)
+            d, twos, fives = den, 0, 0
+            while d % 2 == 0:
+                d, twos = d // 2, twos + 1
+            while d % 5 == 0:
+                d, fives = d // 5, fives + 1
+            if d != 1:
+                return f"{num}/{den}"
+            m = max(twos, fives)
+            digits = str(num * 10 ** m // den).rjust(m + 1, "0")
+            return f"{digits[:-m]}.{digits[-m:]}"
+
+        dens = [2 ** a * 5 ** b * c for a in range(9) for b in range(9) for c in (1, 3, 7)]
+        for num in (1, 2, 5, 7, 10, 99, 1000, 12345678901234567890):
+            for den in dens:
+                w = Fraction(num, den)
+                assert format_weight(w) == reference(w), w
+
 
 class TestParseWeight:
     def test_exponent_limit_is_inclusive(self):
@@ -881,3 +906,118 @@ class TestOneBodyReader:
                        "num_vertices must be nonnegative", "edge endpoint out of range",
                        "UniformMatroid", "GraphicMatroid"):
             assert any(needle in msg for msg in seen), needle
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def reference_parse_schedule(fp):
+    """parse_schedule as it was with its own line loop; the shared reader must
+    raise the same errors, in the same order, or parse the same."""
+    pairs = []
+    for line in fp:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 3 or parts[0] != "schedule":
+            raise ValueError(f"bad schedule line: {line!r}")
+        pairs.append((int(parts[1]), float(parts[2])))
+    return forced_schedule(pairs)
+
+
+def reference_dump_instance(base, weights, fp):
+    """dump_instance as it was, with the body keywords written out per kind."""
+    if isinstance(base, UniformMatroid):
+        fp.write(f"matroid uniform {base.size} {base.k}\n")
+        for u in range(base.size):
+            fp.write(f"elem {u} {format_weight(weights.weight(u))}\n")
+    else:
+        fp.write(f"matroid graphic {base.num_vertices} {base.size}\n")
+        for u, (a, b) in enumerate(base.endpoints):
+            fp.write(f"edge {u} {a} {b} {format_weight(weights.weight(u))}\n")
+
+
+def schedule_outcome(parse, text):
+    try:
+        sched = parse(io.StringIO(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return sched.order, sched.sorted_times.tolist()
+
+
+class TestTextLines:
+    @pytest.mark.parametrize("skipped", ["", "   ", "\t", "#", "# note", "   # indented note"])
+    def test_both_formats_skip_blank_and_whole_line_comment_lines(self, skipped):
+        instance = "matroid graphic 2 2\nedge 0 0 1 1\nedge 1 1 0 5/2\n"
+        schedule = "schedule 1 0.25\nschedule 0 0.75\n"
+        for parse, text in ((parse_instance, instance), (parse_schedule, schedule)):
+            padded = "".join(f"{skipped}\n{line}" for line in text.splitlines(True)) + skipped
+            assert repr(parse(io.StringIO(padded))) == repr(parse(io.StringIO(text)))
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_instance, "matroid uniform 1 1\nelem 0 1  # id, weight\n",
+         "bad elem line: 'elem 0 1  # id, weight'"),
+        (parse_instance, "matroid graphic 2 1\nedge 0 0 1 1 #\n", "bad edge line: 'edge 0 0 1 1 #'"),
+        (parse_schedule, "schedule 0 0.5 # note\n", "bad schedule line: 'schedule 0 0.5 # note'"),
+        # the README's instance example as it once was printed
+        (parse_instance, "matroid uniform 3 2          # kind, elements, rank\nelem 0 1\n",
+         "bad header: 'matroid uniform 3 2          # kind, elements, rank'"),
+    ])
+    def test_a_note_after_the_fields_is_part_of_the_line(self, parse, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse(io.StringIO(text))
+
+    def test_readme_examples_parse_as_printed(self):
+        blocks, block = [], None        # the text of each fenced code block
+        for line in README.read_text().splitlines(True):
+            if line.startswith("```"):
+                blocks, block = (blocks, "") if block is None else (blocks + [block], None)
+            elif block is not None:
+                block += line
+        instances = [b for b in blocks if re.search(r"^matroid ", b, re.M)]
+        parsed = [parse_instance(io.StringIO(b)) for b in instances]
+        assert sorted(type(base).__name__ for base, _ in parsed) == ["GraphicMatroid",
+                                                                   "UniformMatroid"]
+        for text, (base, weights) in zip(instances, parsed):
+            buf = io.StringIO()
+            dump_instance(base, weights, buf)       # the example is what dump_instance writes
+            assert buf.getvalue() == "".join(ln + "\n" for ln in text.splitlines()
+                                             if not ln.startswith("#"))
+        schedules = [b for b in blocks if b.startswith("schedule ")]
+        assert len(schedules) == 1
+        assert parse_schedule(io.StringIO(schedules[0])).order == (2, 0, 1)
+
+    def test_schedule_reader_matches_its_own_loop(self):
+        rng = random.Random(20261021)
+        seen = set()
+        for _ in range(5000):
+            lines = []
+            for _ in range(rng.randint(0, 5)):
+                fields = ["schedule", str(rng.randint(-1, 4)), rng.choice(["0.25", "0.5", "2", "x"])]
+                if rng.random() < 0.15:
+                    fields[0] = rng.choice(["schedul", "elem", "#", ""])
+                if rng.random() < 0.1:
+                    fields = fields[:rng.randint(0, 2)] + (["# note"] if rng.random() < 0.5 else [])
+                lines.append(rng.choice(["", " ", "\t"]) + " ".join(fields))
+            text = "\n".join(lines)
+            got = schedule_outcome(parse_schedule, text)
+            assert got == schedule_outcome(reference_parse_schedule, text), text
+            seen.add(got[1] if got[0] in (ValueError, TypeError) else "parsed")
+        for needle in ("bad schedule line", "assigned twice", "outside [0, 1]",
+                       "distinct times", "invalid literal for int()", "could not convert", "parsed"):
+            assert any(needle in msg for msg in seen), needle
+
+    def test_dump_instance_writes_what_it_wrote_per_kind(self):
+        bundles = [*fuzz_corpus(40, 5), hat_graph(3), uniform_instance(4, 2),
+                   random_graphic(4, 7, np.random.default_rng(3))]
+        pairs = [(b.view.base, b.weights) for b in bundles]
+        pairs += [(UniformMatroid(3, 1), WeightedGroundSet.from_weights(["1/3", "2.5", "1e-3"])),
+                  (GraphicMatroid(1, ((0, 0),)), WeightedGroundSet.from_weights(["7/8"])),
+                  (GraphicMatroid(0, ()), WeightedGroundSet.from_weights([])),
+                  (UniformMatroid(0, 0), WeightedGroundSet.from_weights([]))]
+        for base, weights in pairs:
+            got, want = io.StringIO(), io.StringIO()
+            dump_instance(base, weights, got)
+            reference_dump_instance(base, weights, want)
+            assert got.getvalue() == want.getvalue()

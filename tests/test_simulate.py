@@ -19,6 +19,7 @@ from matsec import (
     DecisionRecord,
     DomainError,
     HarnessViolation,
+    POLICY_NAMES,
     Policy,
     check_claw_blocker,
     check_first_live_accepted,
@@ -437,6 +438,18 @@ class TestRunTrial:
         with pytest.raises(DomainError, match="ground set"):
             run_trial("sample", b.view, b.weights, hand_built(order, arrival), 0.5)
 
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    @pytest.mark.parametrize("bad", [1.0, np.float64(1.0), Fraction(1)])
+    def test_hand_built_ids_that_only_equal_integers_raise_domain_error(self, policy, bad):
+        times = (0.1, 0.3, 0.5, 0.7, 0.9)
+        for b in (uniform_instance(5, 1), hat_graph(2)):    # 1.0 == 1 would pass the cover check
+            with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
+                run_trial(policy, b.view, b.weights, hand_built((0, bad, 2, 3, 4), times), 0.2)
+        b = uniform_instance(5, 1)      # every policy runs here; numpy ints are ids
+        numpy_ids = hand_built(map(np.int64, range(5)), times)
+        assert (run_trial(policy, b.view, b.weights, numpy_ids, 0.2).accepted
+                == run_trial(policy, b.view, b.weights, hand_built(range(5), times), 0.2).accepted)
+
     def test_p_one_samples_everything(self):
         b = triangle()
         sched = forced_schedule([(0, 0.1), (1, 0.2), (2, 0.3)])
@@ -614,6 +627,18 @@ class TestTraceSerialization:
         assert buf.getvalue() == (
             '{"element":2,"time":0.2,"phase":"sample","accepted":false,'
             '"inCurrentMwb":true,"kicked":null,"kickedWasSample":null}\n')
+
+    def test_only_the_kick_keys_may_be_left_out(self):
+        full = DecisionRecord(1, 0.5, PHASE_LIVE, True, True, 0, False).to_json_obj()
+        for key in full:
+            obj = {k: v for k, v in full.items() if k != key}
+            if key in ("kicked", "kickedWasSample"):
+                assert DecisionRecord.from_json_obj(obj) == DecisionRecord.from_json_obj(
+                    {**obj, key: None})
+            else:
+                with pytest.raises(ValueError, match=f"record lacks key '{key}'"):
+                    DecisionRecord.from_json_obj(obj)
+        assert DecisionRecord.from_json_obj(full).to_json_obj() == full
 
     def test_round_trip(self):
         records = self.make_records()
