@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -21,7 +20,7 @@ import numpy as np
 
 from .instances import (InstanceBundle, double_triangle, fuzz_corpus, hat_graph,
                         random_graphic, uniform_instance)
-from .matroid import GraphicMatroid, MatroidView, WeightedGroundSet
+from .matroid import GraphicMatroid, MatroidView, WeightedGroundSet, as_count
 from .policies import build_policy
 from .simulate import (DecisionTrace, check_cutoff, draw_schedule, forced_schedule,
                        run_trial, schedule_stream, trial_rng, trial_stream)
@@ -91,14 +90,6 @@ class EstimateReport:
         }
 
 
-def _count(name: str, value) -> int:
-    """A count read as ids are, by operator.index: 2.5 or "3" raises ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def estimate(policy, bundle: InstanceBundle, p: float, trials: int, seed: int) -> EstimateReport:
     """Acceptance frequency of each optimum element plus the mean utility
     ratio, over `trials` independent schedules. The report carries no
@@ -119,7 +110,7 @@ def estimate_grid(policy, bundle: InstanceBundle, ps, trials: int, seed: int):
     first read runs every trial: each schedule is drawn once and run at
     every cutoff.
     """
-    ps, trials = tuple(ps), _count("trials", trials)
+    ps, trials = tuple(ps), as_count("trials", trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     if not bundle.mwb:
@@ -494,8 +485,6 @@ def _suite_mwb_lemmas(cases: int, seed: int) -> SuiteResult:
         bundle = corpus[int(rng.integers(len(corpus)))]
         view, weights = bundle.view, bundle.weights
         ground = sorted(view.ground)
-        if not ground:
-            continue
         S = _random_subset(rng, ground)
         T = frozenset(u for u in S if rng.random() < 0.6)
         u = int(ground[int(rng.integers(len(ground)))])
@@ -640,8 +629,7 @@ def run_suite(name: str, *, cases: int | None = None, trials: int | None = None,
         if value is not None and arg not in defaults:
             raise ValueError(f"--{arg} does not apply to suite {name}")
     for arg in ("cases", "trials", "n"):
-        value = given[arg] = None if given[arg] is None else _count(arg, given[arg])
-        if value is not None and value < 1:
-            raise ValueError(f"{arg} must be at least 1, got {value}")
+        if given[arg] is not None:
+            given[arg] = as_count(arg, given[arg], 1)
     return runner(seed=seed, **{arg: default if given[arg] is None else given[arg]
                                 for arg, default in defaults.items()})

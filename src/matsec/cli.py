@@ -163,7 +163,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _grid(text: str, cast, flag: str):
-    values = [cast(part) for part in text.split(",") if part.strip()]
+    values = []
+    for part in filter(str.strip, text.split(",")):
+        try:
+            values.append(cast(part))
+        except ValueError:
+            raise ValueError(f"{flag} takes {cast.__name__} values, got {part.strip()!r}") from None
     if not values:
         raise ValueError(f"{flag} needs at least one value")
     return values

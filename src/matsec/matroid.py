@@ -30,12 +30,19 @@ class PreconditionError(ValueError):
     """A structural precondition failed, e.g. contracting a dependent set."""
 
 
-def as_id(value, error: type[ValueError] = ValueError) -> int:
+def as_id(value, error: type[ValueError] = ValueError, what: str = "ids must be integers") -> int:
     """value as an int id (a Python or numpy int); 1.5 or 1.0 raises error naming it."""
     try:
         return operator.index(value)
     except TypeError:
-        raise error(f"ids must be integers, got {value!r}") from None
+        raise error(f"{what}, got {value!r}") from None
+
+
+def as_count(name: str, value, least: int = 0) -> int:
+    """A count read as ids are: 2.5, "3" or a count below least raises ValueError."""
+    if (value := as_id(value, what=f"{name} must be an integer")) < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 
 from .matroid import (AcceptedSetTracker, DomainError, GraphicMatroid, MatroidView,
-                      UniformMatroid, WeightedGroundSet)
+                      UniformMatroid, WeightedGroundSet, as_id)
 
 
 @dataclass(frozen=True)
@@ -23,9 +23,13 @@ class Decision:
     kicked: int | None = None
 
 
-# the one constructor, called with both fields: a frozen Decision is a
-# value, so equal fields share one object (at most 2 per element id)
-_decision = functools.cache(Decision)
+# the one constructor, called with both fields: equal fields share one frozen Decision
+# (at most 2 per id); the cache takes np.int64(3) for 3, so a miss stores a plain int
+@functools.cache
+def _decision(accept: bool, kicked: int | None) -> Decision:
+    return Decision(accept, None if kicked is None else as_id(kicked))
+
+
 _ACCEPT, _REJECT = _decision(True, None), _decision(False, None)
 
 

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .matroid import DomainError, MatroidView, WeightedGroundSet, as_id, read_lines
+from .matroid import DomainError, MatroidView, WeightedGroundSet, as_count, as_id, read_lines
 from .policies import Decision, build_policy, running_mwb
 
 PHASE_SAMPLE = "sample"
@@ -71,10 +71,9 @@ def _draw_schedules(count: int, rngs: Iterable[np.random.Generator],
                     rows: int) -> Iterator[ArrivalSchedule]:
     """draw_schedule for each generator of rngs, `rows` at a time. Each is read
     before the next is taken (_trial_rngs reuses one); one unstable sort orders the
-    block, and a row with a tied time is sorted again stably, by id. If rows > 1 and
-    a block's rows all permute range(count), they share one `elements`; else each has its own."""
-    # a lone row has no block to share with; its own frozenset(order) is cheaper than a check
-    rngs, drawn, ids = iter(rngs), rows, frozenset(range(count)) if rows > 1 else None
+    block, and a row with a tied time is sorted again stably, by id. Every row is an
+    argsort row, so it permutes range(count): all share one `elements`."""
+    rngs, drawn, ids = iter(rngs), rows, frozenset(range(count))
     starts = np.arange(rows)[:, None] * count       # each row's offset in the flat block
     while drawn == rows:
         times, drawn = np.empty((rows, count)), 0
@@ -82,18 +81,15 @@ def _draw_schedules(count: int, rngs: Iterable[np.random.Generator],
             rng.random(out=row)
         times = times[:drawn]
         idx = times.argsort(axis=1)
-        sorted_times = times.take(flat := idx + starts[:drawn])     # flat: positions in the block
+        sorted_times = times.take(idx + starts[:drawn])
         tied = sorted_times[:, 1:] == sorted_times[:, :-1]
         if tied.any():      # the sorted times stand; only the order among equals moves
             tied = tied.any(axis=1)
             idx[tied] = times[tied].argsort(axis=1, kind="stable")
-            flat[tied] = idx[tied] + starts[:drawn][tied]
         sorted_times.setflags(write=False)
-        # rows that each permute range(count) hit every flat position exactly once
-        shared = ids is not None and (np.bincount(flat.ravel(), minlength=flat.size) == 1).all()
         for order, row in zip(idx, sorted_times):
-            schedule = ArrivalSchedule(order := tuple(order.tolist()), row)
-            object.__setattr__(schedule, "elements", ids if shared else frozenset(order))
+            schedule = ArrivalSchedule(tuple(order.tolist()), row)
+            object.__setattr__(schedule, "elements", ids)
             yield schedule
 
 
@@ -222,7 +218,9 @@ def trace_records(trace: DecisionTrace, view: MatroidView,
 
 
 def schedule_stream(weights: WeightedGroundSet, trials: int, seed: int) -> Iterator:
-    """One schedule per trial; trial i's is always drawn from trial_rng(seed, i)'s stream."""
+    """One schedule per trial; trial i's is always drawn from trial_rng(seed, i)'s stream.
+    trials is read as estimate reads it, but 0 gives no schedules; a negative count raises."""
+    trials = as_count("trials", trials)
     rows = max(1, min(trials, _DRAW_BLOCK // max(weights.count, 1)))
     return _draw_schedules(weights.count, _trial_rngs(seed, trials), rows)
 
@@ -310,8 +308,6 @@ def _block_seeding_matches() -> bool:
 def _trial_rngs(seed: int, trials: int) -> Iterator[np.random.Generator]:
     """trial_rng(seed, i)'s stream for each i in range(trials). The generator
     yielded is reused: each trial sets its state."""
-    if trials <= 0:
-        return
     np.random.SeedSequence((seed, 0))       # raises what trial_rng(seed, i) would
     if not isinstance(seed, (int, np.integer)) or not _block_seeding_matches():
         yield from (trial_rng(seed, i) for i in range(trials))

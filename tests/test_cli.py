@@ -64,6 +64,10 @@ class TestExitCodes:
           "--policy", "sample", "--trials", "5"), "optimum is empty"),
         (("sweep", "--instance", "hat", "--p-grid", "", "--trials", "5"), "--p-grid"),
         (("sweep", "--instance", "hat", "--n-grid", "", "--trials", "5"), "--n-grid"),
+        (("sweep", "--instance", "hat", "--p-grid", "0.5,abc", "--trials", "5"),
+         "error: --p-grid takes float values, got 'abc'"),
+        (("sweep", "--instance", "hat", "--n-grid", "2, x", "--trials", "5"),
+         "error: --n-grid takes int values, got 'x'"),
         (("estimate", "--instance", "random-graphic", "--vertices", "0",
           "--trials", "5"), "--vertices"),
         (("verify", "claw-blocker", "--trials", "-2"), "trials must be at least 1"),

@@ -1,6 +1,7 @@
 """Policy decision procedures and the incremental basis kernels behind them."""
 
 import collections
+import functools
 import hashlib
 import io
 import itertools
@@ -14,6 +15,7 @@ import pytest
 
 import matsec
 from matsec import (
+    ArrivalSchedule,
     DomainError,
     GraphicMatroid,
     MatroidView,
@@ -786,6 +788,22 @@ def test_golden_traces_are_unchanged():
             h.update(buf.getvalue().encode())
         got[name, key] = h.hexdigest()[:16]
     assert got == GOLDEN_TRACES
+
+
+def test_numpy_id_trials_leave_the_golden_traces_dumpable(monkeypatch):
+    """The Decision cache takes np.int64(u) for u. On an empty cache, run a numpy-id
+    copy of each golden schedule first: its kicks, and then the golden traces' kicks,
+    are plain ints, so the golden traces still dump their pinned bytes."""
+    monkeypatch.setattr(matsec.policies, "_decision", functools.cache(_decision.__wrapped__))
+    bundles = golden_bundles()
+    for (name, key) in GOLDEN_TRACES:
+        b = bundles[key]
+        for p in (0.3, 0.6):
+            for drawn in (draw_schedule(b.weights, trial_rng(7, i)) for i in range(60)):
+                numpy_ids = ArrivalSchedule(tuple(map(np.int64, drawn.order)), drawn.sorted_times)
+                for d in run_trial(name, b.view, b.weights, numpy_ids, p).decisions:
+                    assert d.kicked is None or type(d.kicked) is int, (name, key, p)
+    test_golden_traces_are_unchanged()
 
 
 def test_dumped_records_rebuild_the_trace():

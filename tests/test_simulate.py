@@ -12,6 +12,7 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from matsec import (
     ArrivalSchedule,
@@ -254,6 +255,21 @@ class TestBlockDraw:
         empty = list(simulate.schedule_stream(uniform_instance(0, 0).weights, 3, 1))
         assert [(s.order, s.sorted_times.tolist()) for s in empty] == [((), [])] * 3
 
+    @pytest.mark.parametrize("trials, message", [
+        (2.5, "trials must be an integer, got 2.5"),
+        ("3", "trials must be an integer, got '3'"),
+        (-1, "trials must be at least 0, got -1"),
+    ])
+    def test_trial_counts_are_read_as_estimate_reads_them(self, trials, message):
+        b = triangle()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate.schedule_stream(b.weights, trials, 0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(trial_stream("sample", b.view, b.weights, 0.5, trials, 0))
+        streamed = list(simulate.schedule_stream(b.weights, np.int64(2), 0))
+        assert [s.order for s in streamed] == [draw_schedule(b.weights, trial_rng(0, i)).order
+                                               for i in range(2)]
+
     @pytest.mark.parametrize("count", [0, 1, 7, 200])
     def test_a_draw_reads_exactly_count_doubles(self, count):
         shared, reference = np.random.default_rng(9), np.random.default_rng(9)
@@ -277,9 +293,9 @@ def count_element_builds(monkeypatch) -> list:
 
 
 class TestSharedElements:
-    """A drawn block of several rows that all permute range(count) hands each
-    schedule one shared element set; any other drawn schedule gets
-    frozenset(order) when drawn, and every other schedule builds it on first use."""
+    """Every drawn row is an argsort row, so it permutes range(count): all the
+    schedules of one draw share one frozenset(range(count)), built once per call,
+    and every other schedule builds frozenset(order) on first use."""
 
     def test_drawn_elements_are_the_order_set_across_both_blocks(self):
         weights = uniform_instance(200, 1).weights
@@ -298,7 +314,7 @@ class TestSharedElements:
             one = draw_schedule(uniform_instance(count, min(count, 1)).weights, trial_rng(3, count))
             assert one.elements == frozenset(one.order) == frozenset(range(count))
 
-    def test_tie_repaired_rows_hold_their_own_ids(self, monkeypatch):
+    def test_tie_repaired_rows_share_the_drawn_set(self, monkeypatch):
         count = 200
         rng = np.random.default_rng(5)
         rows = [[(u * 7 % 5) / 8 for u in range(count)], rng.random(count).tolist()]
@@ -310,6 +326,7 @@ class TestSharedElements:
         for sched in drawn + [tied]:
             assert sched.elements == frozenset(sched.order)
             assert sched.elements == frozenset(range(len(sched.order)))
+        assert all(sched.elements is drawn[0].elements for sched in drawn)
 
     def test_drawn_schedules_never_build_their_set(self, monkeypatch):
         builds = count_element_builds(monkeypatch)
@@ -336,17 +353,15 @@ class TestSharedElements:
             assert sched.elements == frozenset({0, 1, 2})
         assert builds == [forced, parsed, reloaded, direct]
 
-    def test_only_a_verified_block_of_several_rows_shares_its_set(self, monkeypatch):
+    def test_each_draw_shares_one_set_across_its_rows(self):
         b = hat_graph(3)
         streamed = [t.schedule for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 20, 6)]
         assert len({id(s.elements) for s in streamed}) == 1
         lone = [draw_schedule(b.weights, trial_rng(6, i)) for i in range(20)]
         single = [t.schedule for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 1, 6)]
-        monkeypatch.setattr(np, "bincount", lambda x, minlength: np.zeros(minlength, np.intp))
-        failed = [t.schedule for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 20, 6)]
-        for own in (lone + single, failed):
-            assert len({id(s.elements) for s in own}) == len(own)
-            assert all(s.elements == frozenset(s.order) == b.view.ground for s in own)
+        assert len({id(s.elements) for s in lone + single}) == len(lone + single)
+        for sched in streamed + lone + single:
+            assert sched.elements == frozenset(sched.order) == b.view.ground
 
     def test_a_drawn_schedule_is_checked_against_a_restricted_view(self):
         for b in (uniform_instance(200, 1), hat_graph(5)):
@@ -355,6 +370,38 @@ class TestSharedElements:
                 run_trial("sample", view, b.weights, draw_schedule(b.weights, trial_rng(0, 0)), 0.5)
             with pytest.raises(DomainError, match="ground set"):
                 next(trial_stream("sample", view, b.weights, 0.5, 3, 0))
+
+
+def assert_permutations(drawn, count):
+    """Each schedule's order permutes range(count), and its elements is that set."""
+    for i, sched in enumerate(drawn):
+        assert sorted(sched.order) == list(range(count)), i
+        assert sched.elements == frozenset(sched.order), i
+
+
+class TestDrawnRowsPermute:
+    """The drawer sets every row's elements without looking at its order: that is
+    sound only because every row it yields, tie-repaired or not, in a block or
+    alone, permutes range(count)."""
+
+    @given(st.integers(0, 9), st.integers(1, 4), st.data())
+    def test_any_times_in_blocks_of_any_size(self, count, rows, data):
+        # a few shared values make ties common; the floats cover the rest of [0, 1)
+        time = st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0, 1, exclude_max=True)
+        table = data.draw(st.lists(st.lists(time, min_size=count, max_size=count), max_size=9))
+        drawn = list(simulate._draw_schedules(count, map(StubRng, table), rows))
+        assert [s.order for s in drawn] == [by_time_then_id(times) for times in table]
+        assert_permutations(drawn, count)
+        weights = uniform_instance(count, min(count, 1)).weights
+        assert_permutations([draw_schedule(weights, StubRng(times)) for times in table], count)
+
+    @pytest.mark.parametrize("count", [1, 7, 200])
+    def test_seeded_streams_across_seed_and_draw_blocks(self, count):
+        weights = uniform_instance(count, 1).weights
+        rows = simulate._DRAW_BLOCK // count
+        trials = simulate._SEED_BLOCK + rows + 3        # past a seed block and a draw block
+        assert_permutations(list(simulate.schedule_stream(weights, trials, 11)), count)
+        assert_permutations([draw_schedule(weights, trial_rng(11, i)) for i in range(50)], count)
 
 
 class TestForcedSchedule:
