@@ -251,7 +251,7 @@ def check_forbidden_consistency(trace: DecisionTrace, oracle: ForbiddenSetOracle
     Reads the schedule, sample count and accepted set, never the decisions.
     Returns (True, None) or (False, first offending element).
     """
-    view._check(trace.schedule.order)
+    view._check(trace.schedule.elements)
     order, m, sampled = trace.schedule.order, trace.sample_count, trace.sample_set
     rule, bound, accepted = oracle.rule, oracle.size_bound, trace.accepted
     seen = set(sampled)
@@ -273,7 +273,7 @@ def check_first_live_accepted(trace: DecisionTrace, view: MatroidView,
     """The first live arrival must be accepted whenever it belongs to the
     max-weight basis of the samples plus itself (no earlier live arrival
     can excuse rejecting it, whatever the blocked-set table says)."""
-    view._check(trace.schedule.order)
+    view._check(trace.schedule.elements)
     order, m = trace.schedule.order, trace.sample_count
     return (m == len(order) or order[m] in trace.accepted
             or not view.in_mwb(weights, order[:m], order[m]))
@@ -287,7 +287,7 @@ def check_claw_blocker(trace: DecisionTrace, bundle: InstanceBundle) -> bool:
     and the hub edge arrived live (a hub absent from the trace is not live);
     then the hub edge must be accepted and no claw may have both of its edges
     accepted before the hub edge arrives."""
-    bundle.view._check(trace.schedule.order)
+    bundle.view._check(trace.schedule.elements)
     e_inf, claws = _hat_layout(bundle, "check_claw_blocker", "hat", 2)
     t_1, b_1 = claws[0]
     S, order, m = trace.sample_set, trace.schedule.order, trace.sample_count
@@ -304,7 +304,7 @@ def check_modified_hat_trap(trace: DecisionTrace, bundle: InstanceBundle) -> boo
     4_i and the hub edge all live in that arrival order, and some earlier claw
     j < i has 2_j, 3_j, 4_j all sampled, the trace must accept both 1_i and
     4_i (which together with the hub edge would close a cycle, trapping it)."""
-    bundle.view._check(trace.schedule.order)
+    bundle.view._check(trace.schedule.elements)
     e_inf, claws = _hat_layout(bundle, "check_modified_hat_trap", "modified-hat", 4)
     if e_inf not in trace.schedule.order[trace.sample_count:]:  # sampled, or absent
         return True

@@ -15,7 +15,7 @@ import re
 import sys
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import TextIO, Union
 
@@ -227,6 +227,12 @@ class AcceptedSetTracker:
         return True
 
 
+@lru_cache(maxsize=8)     # a few sizes; a view of an evicted size is compared with its draws
+def element_ids(n: int) -> frozenset:
+    """frozenset(range(n)), one object per size: a full view's ground is the set its draws share."""
+    return frozenset(range(n))
+
+
 @dataclass(frozen=True)
 class MatroidView:
     """A base matroid composed with a restriction and a contraction.
@@ -249,11 +255,12 @@ class MatroidView:
             if not 0 <= as_id(u, DomainError) < n:
                 raise DomainError(f"element {u} outside base ground set")
         object.__setattr__(self, "_tracker", AcceptedSetTracker(self))   # checks the contraction
-        object.__setattr__(self, "ground", self.restriction - self.contraction)
+        ground = self.restriction - self.contraction if self.contraction else self.restriction
+        object.__setattr__(self, "ground", ground)      # a full view's is element_ids(n)
 
     @classmethod
     def full(cls, base: BaseMatroid) -> "MatroidView":
-        return cls(base, frozenset(range(base.size)), frozenset())
+        return cls(base, element_ids(base.size), frozenset())
 
     @cached_property
     def other_end(self) -> tuple[int, ...]:
@@ -262,8 +269,8 @@ class MatroidView:
 
     def _check(self, S: Collection[int]) -> None:
         """Raise DomainError naming the elements of S outside the effective
-        ground set; allocates nothing when there are none."""
-        if not self.ground.issuperset(S):
+        ground set; allocates nothing when there are none, and compares nothing for the ground."""
+        if S is not self.ground and not self.ground.issuperset(S):
             bad = sorted(set(S) - self.ground)
             raise DomainError(f"elements outside effective ground set: {bad}")
 

@@ -19,7 +19,8 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .matroid import DomainError, MatroidView, WeightedGroundSet, as_count, as_id, read_lines
+from .matroid import (DomainError, MatroidView, WeightedGroundSet, as_count, as_id, element_ids,
+                      read_lines)
 from .policies import Decision, build_policy, running_mwb
 
 PHASE_SAMPLE = "sample"
@@ -40,7 +41,7 @@ class ArrivalSchedule:
 
     @cached_property
     def elements(self) -> frozenset:
-        """frozenset(order), built on first use; a drawn schedule gets its set when drawn.
+        """frozenset(order), built on first use; a drawn schedule gets element_ids(count).
         An id that only equals an integer (1.0) raises DomainError, not the cover check."""
         return frozenset(as_id(u, DomainError) for u in self.order)
 
@@ -72,8 +73,8 @@ def _draw_schedules(count: int, rngs: Iterable[np.random.Generator],
     """draw_schedule for each generator of rngs, `rows` at a time. Each is read
     before the next is taken (_trial_rngs reuses one); one unstable sort orders the
     block, and a row with a tied time is sorted again stably, by id. Every row is an
-    argsort row, so it permutes range(count): all share one `elements`."""
-    rngs, drawn, ids = iter(rngs), rows, frozenset(range(count))
+    argsort row, so it permutes range(count): all share `elements`, element_ids(count)."""
+    rngs, drawn, ids = iter(rngs), rows, element_ids(count)
     starts = np.arange(rows)[:, None] * count       # each row's offset in the flat block
     while drawn == rows:
         times, drawn = np.empty((rows, count)), 0
@@ -181,10 +182,11 @@ def check_cutoff(p: float) -> None:
 def run_trial(policy, view: MatroidView, weights: WeightedGroundSet,
               schedule: ArrivalSchedule, p: float) -> DecisionTrace:
     """Deliver one schedule to a fresh (or reset) policy: the sample to start(), then
-    each live arrival to decide(); the schedule's length and `elements` must match view.ground."""
+    each live arrival to decide(); the schedule's length and `elements` must match view.ground.
+    A drawn schedule's `elements` is a full view's ground itself, so it is not compared."""
     check_cutoff(p)
-    order = schedule.order
-    if len(order) != len(view.ground) or schedule.elements != view.ground:
+    order, ground = schedule.order, view.ground
+    if len(order) != len(ground) or schedule.elements is not ground and schedule.elements != ground:
         raise DomainError("schedule must cover exactly the effective ground set")
     policy = build_policy(policy)
     m = schedule.first_live(p)

@@ -54,7 +54,7 @@ def pytest_unconfigure(config):
 
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_protocol(item, nextitem):
-    # wraps set-up too, so the module-scoped streams of C5 and C10 are timed
+    # wraps set-up too, so the module-scoped streams behind the C-lines are timed
     faulthandler.dump_traceback_later(LIMIT, exit=True, file=_watchdog_fd)
     yield
     faulthandler.cancel_dump_traceback_later()

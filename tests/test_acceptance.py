@@ -205,17 +205,23 @@ def test_c06_claw_blocking(hat10_run):
 # -- C11: greedy against the virtual rule on a large hat graph -------------------
 
 
-def test_c11_greedy_loses_the_hub_edge_on_a_large_hat():
-    # the abstract's hat graph is the adversarial example for greedy rules: at
-    # n = 256 the contracted sample rule accepts the hub edge far less often
-    # than virtual-msp, compared on the same 150 schedules
+@pytest.fixture(scope="module")
+def hat256_pairs():
+    """Per schedule, whether (sample-contracted, virtual-msp) accept the hub edge."""
     bundle, trials = hat_graph(256), 150
     hub = bundle.id_of("e_inf")
     t0 = time.perf_counter()
     pairs = [tuple(hub in run_trial(policy, bundle.view, bundle.weights, schedule, 0.5).accepted
                    for policy in ("sample-contracted", "virtual-msp"))
              for schedule in schedule_stream(bundle.weights, trials, 0)]
-    elapsed = time.perf_counter() - t0
+    return trials, pairs, time.perf_counter() - t0
+
+
+def test_c11_greedy_loses_the_hub_edge_on_a_large_hat(hat256_pairs):
+    # the abstract's hat graph is the adversarial example for greedy rules: at
+    # n = 256 the contracted sample rule accepts the hub edge far less often
+    # than virtual-msp, compared on the same 150 schedules
+    trials, pairs, elapsed = hat256_pairs
     greedy, virtual = (sum(column) for column in zip(*pairs))
     gap = (virtual - greedy) / trials
     band = 3.0 * math.sqrt(sum((v - g - gap) ** 2 for g, v in pairs) / (trials - 1) / trials)
@@ -230,11 +236,12 @@ def test_c11_greedy_loses_the_hub_edge_on_a_large_hat():
 # -- C7: modified hat degradation ---------------------------------------------------
 
 
-def test_c07_modified_hat_degradation():
-    trials = 20_000
-    sizes = (4, 16, 64)
-    freqs = {}
-    trap_failures = {}
+@pytest.fixture(scope="module")
+def mhat_runs():
+    """Per size n, the hub hits and trap-check failures of 20000 virtual-msp
+    traces on modified_hat_graph(n), and the failing traces that kept the hub."""
+    trials, sizes = 20_000, (4, 16, 64)
+    hub_hits, trap_failures = {}, {}
     hub_survived_a_trap = 0
     for n in sizes:
         bundle = modified_hat_graph(n)
@@ -247,9 +254,14 @@ def test_c07_modified_hat_degradation():
             if not check_modified_hat_trap(trace, bundle):
                 traps += 1
                 hub_survived_a_trap += hub in trace.accepted
-        freqs[n] = hits / trials
+        hub_hits[n] = hits
         trap_failures[n] = traps
+    return trials, sizes, hub_hits, trap_failures, hub_survived_a_trap
 
+
+def test_c07_modified_hat_degradation(mhat_runs):
+    trials, sizes, hub_hits, trap_failures, hub_survived_a_trap = mhat_runs
+    freqs = {n: hits / trials for n, hits in hub_hits.items()}
     ceilings = {n: 1.0 - modified_hat_bounds(n, 0.5)[1] for n in sizes}
     monotone = all(
         freqs[b] <= freqs[a] + three_sigma(freqs[a], trials)
@@ -286,7 +298,9 @@ def test_c07_modified_hat_degradation():
 # -- C8: blocked-set table consistency (expected to fail, see module docstring) -----
 
 
-def test_c08_forbidden_set_consistency():
+@pytest.fixture(scope="module")
+def hat5_forbidden_run():
+    """Table violations and first-live failures over 10000 virtual-msp traces on hat_graph(5)."""
     bundle = hat_graph(5)
     oracle = hat_forbidden_oracle(bundle)
     trials = 10_000
@@ -299,6 +313,11 @@ def test_c08_forbidden_set_consistency():
         violations += not ok
         first_live_failures += not check_first_live_accepted(
             trace, bundle.view, bundle.weights)
+    return trials, violations, first_live_failures
+
+
+def test_c08_forbidden_set_consistency(hat5_forbidden_run):
+    trials, violations, first_live_failures = hat5_forbidden_run
     ok = violations == 0 and first_live_failures == 0
     criterion(8, ok, f"first-live rule held in {trials}/{trials} traces, but "
                      f"the size-2 blocked-set table was violated in "
@@ -398,3 +417,34 @@ def test_c10_seeded_estimate_is_within_3_sigma_of_exact(dynkin200_report):
     exact = float(dynkin_exact(200, 1.0 / math.e))
     freq, trials = dynkin200_report.min_over_mwb, dynkin200_report.trials
     assert abs(freq - exact) <= three_sigma(exact, trials)
+
+
+# -- the seeded counts behind the C-lines ---------------------------------------------
+
+SEEDED_COUNTS = {
+    "C5 hub acceptances of 100000": 33825,
+    "C6 claw-blocking failures of 100000": 0,
+    "C7 hub hits of 20000 at n=4, 16, 64": (6817, 6665, 6207),
+    "C7 trap failures of 20000 at n=4, 16, 64": (0, 22, 281),
+    "C8 table violations of 10000": 357,
+    "C8 first-live failures of 10000": 0,
+    "C10 best-element acceptances of 100000": 36974,
+    "C11 hub acceptances of 150 (sample-contracted, virtual-msp)": (16, 47),
+}
+
+
+def test_seeded_counts_are_unchanged(hat10_run, mhat_runs, hat5_forbidden_run,
+                                     dynkin200_report, hat256_pairs):
+    # read off the C-lines' own streams, so none runs twice; a change that keeps
+    # the seeded behaviour keeps every integer, and one that moves any must say why
+    bundle, _, counts, claw_failures, _ = hat10_run
+    _, sizes, hub_hits, trap_failures, _ = mhat_runs
+    _, violations, first_live_failures = hat5_forbidden_run
+    _, pairs, _ = hat256_pairs
+    report = dynkin200_report
+    assert dict(zip(SEEDED_COUNTS, [
+        counts[bundle.id_of("e_inf")], claw_failures,
+        tuple(hub_hits[n] for n in sizes), tuple(trap_failures[n] for n in sizes),
+        violations, first_live_failures,
+        round(report.min_over_mwb * report.trials),
+        tuple(sum(column) for column in zip(*pairs))])) == SEEDED_COUNTS

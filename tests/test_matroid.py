@@ -1,10 +1,12 @@
 """Ground sets, base matroids, views, greedy, and the instance file format."""
 
+import gc
 import io
 import itertools
 import random
 import re
 import sys
+import weakref
 from collections import defaultdict, deque
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +33,7 @@ from matsec import (
     trial_stream,
     uniform_instance,
 )
-from matsec.matroid import AcceptedSetTracker, _parse_weight, format_weight
+from matsec.matroid import AcceptedSetTracker, _parse_weight, element_ids, format_weight
 
 
 # -- weighted ground sets ------------------------------------------------------
@@ -253,6 +255,29 @@ class TestMinors:
                 query()
         ints = [np.int64(1), True]          # index-able ids still pass
         assert view.rank(ints) == 1 and view.in_mwb(ws, ints, np.int64(2))
+
+    def test_full_views_of_a_size_share_one_ground(self):
+        full = self.p4_chord()
+        assert full.ground is element_ids(4) is MatroidView.full(UniformMatroid(4, 2)).ground
+        assert full.restrict(full.ground).ground is full.ground
+        sub = full.restrict([0, 1, 3])          # nothing contracted: the ground is the restriction
+        assert sub.ground is sub.restriction == frozenset({0, 1, 3})
+        minor = full.contract([0])
+        assert minor.ground == frozenset({1, 2, 3}) and minor.ground is not minor.restriction
+        assert minor.restriction is full.ground
+
+    def test_element_ids_holds_a_handful_of_sizes(self):
+        maxsize = element_ids.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        first = element_ids(10_000)
+        assert element_ids(10_000) is first == frozenset(range(10_000))
+        held = weakref.ref(first)
+        for n in range(10_001, 10_001 + maxsize):       # evicts the least recently used size
+            element_ids(n)
+        del first
+        gc.collect()
+        assert held() is None                           # nothing but a live user keeps a set
+        assert element_ids(10_000) == frozenset(range(10_000))
 
     def test_contracted_uniform_capacity(self):
         minor = MatroidView.full(UniformMatroid(5, 3)).contract([4])

@@ -18,8 +18,10 @@ from matsec import (
     ArrivalSchedule,
     Decision,
     DecisionRecord,
+    DecisionTrace,
     DomainError,
     HarnessViolation,
+    MatroidView,
     POLICY_NAMES,
     Policy,
     check_claw_blocker,
@@ -27,6 +29,7 @@ from matsec import (
     check_forbidden_consistency,
     check_modified_hat_trap,
     draw_schedule,
+    dump_instance,
     dump_schedule,
     dump_trace,
     forced_schedule,
@@ -34,6 +37,7 @@ from matsec import (
     hat_graph,
     load_records,
     modified_hat_graph,
+    parse_instance,
     parse_schedule,
     random_graphic,
     run_trial,
@@ -44,7 +48,8 @@ from matsec import (
     triangle,
     uniform_instance,
 )
-from matsec import simulate
+from matsec import instances, simulate
+from matsec.matroid import element_ids
 from matsec.simulate import (PHASE_LIVE, PHASE_SAMPLE, _pcg64_states, _words,
                              dump_json_line, json_ready)
 
@@ -293,9 +298,9 @@ def count_element_builds(monkeypatch) -> list:
 
 
 class TestSharedElements:
-    """Every drawn row is an argsort row, so it permutes range(count): all the
-    schedules of one draw share one frozenset(range(count)), built once per call,
-    and every other schedule builds frozenset(order) on first use."""
+    """Every drawn row is an argsort row, so it permutes range(count): every
+    schedule drawn for count elements shares element_ids(count), which is also a
+    full view's ground, and every other schedule builds frozenset(order) on first use."""
 
     def test_drawn_elements_are_the_order_set_across_both_blocks(self):
         weights = uniform_instance(200, 1).weights
@@ -353,15 +358,14 @@ class TestSharedElements:
             assert sched.elements == frozenset({0, 1, 2})
         assert builds == [forced, parsed, reloaded, direct]
 
-    def test_each_draw_shares_one_set_across_its_rows(self):
+    def test_every_draw_of_a_size_shares_the_full_views_set(self):
         b = hat_graph(3)
         streamed = [t.schedule for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 20, 6)]
-        assert len({id(s.elements) for s in streamed}) == 1
         lone = [draw_schedule(b.weights, trial_rng(6, i)) for i in range(20)]
         single = [t.schedule for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 1, 6)]
-        assert len({id(s.elements) for s in lone + single}) == len(lone + single)
         for sched in streamed + lone + single:
-            assert sched.elements == frozenset(sched.order) == b.view.ground
+            assert sched.elements is b.view.ground
+            assert sched.elements == frozenset(sched.order)
 
     def test_a_drawn_schedule_is_checked_against_a_restricted_view(self):
         for b in (uniform_instance(200, 1), hat_graph(5)):
@@ -370,6 +374,178 @@ class TestSharedElements:
                 run_trial("sample", view, b.weights, draw_schedule(b.weights, trial_rng(0, 0)), 0.5)
             with pytest.raises(DomainError, match="ground set"):
                 next(trial_stream("sample", view, b.weights, 0.5, 3, 0))
+
+
+class WatchedGround(frozenset):
+    """A ground set that logs the argument of each comparison or superset test made on it."""
+
+    __hash__ = frozenset.__hash__
+
+    def _logged(name):
+        def method(self, other):
+            self.log.append(other)
+            return getattr(frozenset, name)(self, other)
+        return method
+
+    __eq__, __ne__, issuperset = _logged("__eq__"), _logged("__ne__"), _logged("issuperset")
+
+
+def reparsed(bundle):
+    """bundle read back from its instance file, as `--instance-file` builds it."""
+    buf = io.StringIO()
+    dump_instance(bundle.view.base, bundle.weights, buf)
+    return instances._bundle(*parse_instance(io.StringIO(buf.getvalue())))
+
+
+def hat_verdicts(trace, b) -> tuple:
+    """The three hat-graph checkers' verdicts on trace."""
+    return (check_forbidden_consistency(trace, hat_forbidden_oracle(b), b.view, b.weights),
+            check_first_live_accepted(trace, b.view, b.weights), check_claw_blocker(trace, b))
+
+
+# the bundles the benchmark workloads build, and one read from an instance file
+WORKLOAD_BUNDLES = {
+    "hat_graph(3)": lambda: hat_graph(3),
+    "hat_graph(5)": lambda: hat_graph(5),
+    "hat_graph(6)": lambda: hat_graph(6),
+    "hat_graph(12)": lambda: hat_graph(12),
+    "modified_hat_graph(64)": lambda: modified_hat_graph(64),
+    "uniform_instance(200, 1)": lambda: uniform_instance(200, 1),
+    "parsed hat_graph(4)": lambda: reparsed(hat_graph(4)),
+}
+COVER = "^schedule must cover exactly the effective ground set$"
+STRAY = "elements outside effective ground set: "
+
+
+class TestCoverByIdentity:
+    """A full view's ground is element_ids(count), the set every schedule drawn for
+    count elements shares, so run_trial and the checkers pass such a schedule
+    without comparing sets. Every other schedule or view gets the full check."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOAD_BUNDLES))
+    def test_every_drawn_schedule_of_a_workload_bundle_is_its_ground(self, name):
+        b = WORKLOAD_BUNDLES[name]()
+        ground = b.view.ground
+        assert ground is element_ids(b.weights.count)
+        assert all(s.elements is ground for s in simulate.schedule_stream(b.weights, 40, 3))
+        assert all(t.schedule.elements is ground
+                   for t in trial_stream("virtual-msp", b.view, b.weights, 0.5, 10, 3))
+        assert draw_schedule(b.weights, trial_rng(3, 0)).elements is ground
+
+    def test_a_drawn_schedule_on_a_full_view_is_compared_with_nothing(self, monkeypatch):
+        hat, mhat = hat_graph(5), modified_hat_graph(2)         # 11 and 9 elements
+        for b in (hat, mhat):
+            object.__setattr__(b.view, "ground", WatchedGround(b.view.ground))
+            b.view.ground.log = []
+        grounds = {b.weights.count: b.view.ground for b in (hat, mhat)}
+        monkeypatch.setattr(simulate, "element_ids", grounds.__getitem__)
+        traces = list(trial_stream("virtual-msp", hat.view, hat.weights, 0.5, 200, 0))
+        mtraces = list(trial_stream("virtual-msp", mhat.view, mhat.weights, 0.5, 200, 0))
+        for trace in traces:
+            hat_verdicts(trace, hat)
+        for trace in mtraces:
+            check_modified_hat_trap(trace, mhat)
+        covers = {id(s) for t in traces + mtraces for s in (t.schedule.elements, t.schedule.order)}
+        assert not [o for b in (hat, mhat) for o in b.view.ground.log if id(o) in covers]
+        # an equal set that is another object is compared once by run_trial and once per checker
+        copy = hand_built(traces[0].schedule.order, traces[0].schedule.sorted_times)
+        hat_verdicts(run_trial("virtual-msp", hat.view, hat.weights, copy, 0.5), hat)
+        assert sum(o is copy.elements for o in hat.view.ground.log) == 4
+
+    def test_equal_schedules_and_views_give_the_drawn_verdicts(self):
+        b = hat_graph(5)
+        apart = replace(b, view=MatroidView(b.view.base, frozenset(range(b.weights.count)), ()))
+        for drawn in simulate.schedule_stream(b.weights, 30, 2):
+            order, times = drawn.order, drawn.sorted_times.tolist()
+            buf = io.StringIO()
+            dump_schedule(drawn, buf)
+            expected = run_trial("virtual-msp", b.view, b.weights, drawn, 0.5)
+            runs = {"forced": (b, forced_schedule(zip(order, times))),
+                    "parsed": (b, parse_schedule(io.StringIO(buf.getvalue()))),
+                    "reloaded": (b, trace_from_records(
+                        trace_records(expected, b.view, b.weights)).schedule),
+                    "hand-built": (b, hand_built(order, times)),
+                    "view built apart": (apart, drawn)}
+            for name, (bundle, sched) in runs.items():
+                assert sched.elements == bundle.view.ground, name
+                assert sched.elements is not bundle.view.ground, name
+                trace = run_trial("virtual-msp", bundle.view, b.weights, sched, 0.5)
+                assert trace.decisions == expected.decisions, name
+                assert trace.accepted == expected.accepted, name
+                assert hat_verdicts(trace, bundle) == hat_verdicts(expected, b), name
+
+    def test_bad_covers_give_the_same_errors(self):
+        b = hat_graph(5)
+        drawn = draw_schedule(b.weights, trial_rng(0, 0))
+        order, times = drawn.order, drawn.sorted_times.tolist()
+        stranger = hand_built(order + (99,), times + [1.0])
+        for sched in (stranger, forced_schedule(zip(stranger.order, times + [1.0])),
+                      hand_built(order[1:], times[1:]),
+                      hand_built(order + order[:1], times + [1.0])):    # equal set, an id twice
+            with pytest.raises(DomainError, match=COVER):
+                run_trial("virtual-msp", b.view, b.weights, sched, 0.5)
+        trace = DecisionTrace((), frozenset(), len(stranger.order), stranger)
+        for check in (lambda: check_forbidden_consistency(trace, hat_forbidden_oracle(b),
+                                                          b.view, b.weights),
+                      lambda: check_first_live_accepted(trace, b.view, b.weights),
+                      lambda: check_claw_blocker(trace, b)):
+            with pytest.raises(DomainError, match=rf"^{STRAY}\[99\]$"):
+                check()
+
+    def test_checkers_refuse_an_id_that_only_equals_an_integer(self):
+        hat, mhat = hat_graph(1), modified_hat_graph(1)         # 3 and 5 elements
+        for b, check in (
+                (hat, lambda t: check_forbidden_consistency(t, hat_forbidden_oracle(hat),
+                                                            hat.view, hat.weights)),
+                (hat, lambda t: check_first_live_accepted(t, hat.view, hat.weights)),
+                (hat, lambda t: check_claw_blocker(t, hat)),
+                (mhat, lambda t: check_modified_hat_trap(t, mhat))):
+            order = (0, 1.0) + tuple(range(2, b.weights.count))
+            sched = hand_built(order, [i / 8 for i in range(len(order))])
+            with pytest.raises(DomainError, match=r"^ids must be integers, got 1\.0$"):
+                check(DecisionTrace((), frozenset(), len(order), sched))
+
+    def test_a_contracted_view_checks_every_cover(self):
+        b = hat_graph(5)
+        hub = b.id_of("e_inf")
+        minor = b.view.contract([hub])
+        drawn = draw_schedule(b.weights, trial_rng(0, 0))
+        with pytest.raises(DomainError, match=COVER):
+            run_trial("sample", minor, b.weights, drawn, 0.5)
+        trace = run_trial("virtual-msp", b.view, b.weights, drawn, 0.5)
+        stray = rf"^{STRAY}\[{hub}\]$"
+        with pytest.raises(DomainError, match=stray):
+            check_first_live_accepted(trace, minor, b.weights)
+        with pytest.raises(DomainError, match=stray):
+            check_forbidden_consistency(trace, hat_forbidden_oracle(b), minor, b.weights)
+        rest = [(u, t) for u, t in times_of(drawn).items() if u != hub]
+        trace = run_trial("sample", minor, b.weights, forced_schedule(rest), 0.5)
+        assert trace.accepted <= minor.ground and minor.is_independent(trace.accepted)
+
+    def test_an_evicted_size_is_compared(self):
+        hat, mhat = hat_graph(3), modified_hat_graph(2)         # 7 and 9 elements
+        bundles = (hat, mhat)
+
+        def streams():
+            return [list(trial_stream("virtual-msp", b.view, b.weights, 0.5, 100, 4))
+                    for b in bundles]
+        before = streams()
+        for n in range(1000, 1000 + element_ids.cache_info().maxsize):
+            element_ids(n)                  # evicts both sizes
+        after = streams()
+        for b, old, new in zip(bundles, before, after):
+            assert all(t.schedule.elements is b.view.ground for t in old)
+            assert all(t.schedule.elements == b.view.ground for t in new)
+            assert not any(t.schedule.elements is b.view.ground for t in new)
+            assert [t.accepted for t in new] == [t.accepted for t in old]
+        assert [hat_verdicts(t, hat) for t in after[0]] == [hat_verdicts(t, hat) for t in before[0]]
+        assert ([check_modified_hat_trap(t, mhat) for t in after[1]]
+                == [check_modified_hat_trap(t, mhat) for t in before[1]])
+        wide = after[1][0]                  # drawn for 9 elements, refused by the 7-element hat
+        with pytest.raises(DomainError, match=COVER):
+            run_trial("virtual-msp", hat.view, hat.weights, wide.schedule, 0.5)
+        with pytest.raises(DomainError, match=rf"^{STRAY}\[7, 8\]$"):
+            hat_verdicts(wide, hat)
 
 
 def assert_permutations(drawn, count):
